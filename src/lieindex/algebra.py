@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import invert, nullspace, rref
+from .linalg import SparseEchelon, _sparse, rref
 
 Coeffs = dict[int, Fraction]
 
@@ -216,70 +216,53 @@ def check_jacobi(g: LieAlgebra):
     return None
 
 
-def _kernel_intersection(g: LieAlgebra, vectors) -> Subspace:
-    # {x : [x, v] = 0 for every v}, shrinking the candidate space one v at a
-    # time.  Constraints already satisfied by the current space cost only the
-    # bracket evaluations, which keeps graded examples cheap: once the space
-    # commutes with a generating set, every later v is a free pass.
-    n = g.dim
-    span = [g.basis_vector(i) for i in range(n)]
-    for v in vectors:
-        if not span:
-            break
-        images = [g.bracket(w, v) for w in span]
-        if not any(any(im) for im in images):
-            continue
-        rows = [[images[j][m] for j in range(len(span))] for m in range(n)]
-        combos = nullspace(rows, len(span))
-        span = [
-            [sum((t[j] * w[m] for j, w in enumerate(span) if t[j]), Fraction(0)) for m in range(n)]
-            for t in combos
-        ]
-    return Subspace.from_vectors(n, span)
+def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
+    """{x : [x, v] = 0 for every v in s}: the kernel of one sparse row per
+    (basis vector v of s, coordinate k), the form x -> coordinate k of [x, v].
+    """
+    rows: dict[tuple[int, int], Coeffs] = {}
+    for t, v in enumerate(s.basis):
+        v = _sparse(v)
+        for i in range(g.dim):
+            for k, c in g.ad_vector(i, v).items():
+                rows.setdefault((t, k), {})[i] = c
+    return Subspace.from_vectors(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
 
 
 def center(g: LieAlgebra) -> Subspace:
-    if g.dim == 0:
-        return Subspace.zero(0)
-    return _kernel_intersection(g, [g.basis_vector(i) for i in range(g.dim)])
-
-
-def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
-    if s.dim == 0:
-        return Subspace.full(g.dim)
-    return _kernel_intersection(g, s.basis)
+    """The centralizer of g, its constraint rows read straight off the brackets."""
+    rows: dict[tuple[int, int], Coeffs] = {}
+    for (i, j), coeffs in g.brackets.items():
+        for k, c in coeffs.items():
+            rows.setdefault((j, k), {})[i] = c
+            rows.setdefault((i, k), {})[j] = -c
+    return Subspace.from_vectors(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    vecs = []
+    ech = SparseEchelon()
+    vs = [_sparse(v) for v in b.basis]
     for u in a.basis:
-        for v in b.basis:
-            w = g.bracket(u, v)
-            if any(w):
-                vecs.append(w)
-    return Subspace.from_vectors(g.dim, vecs)
+        u = _sparse(u)
+        for v in vs:
+            w: Coeffs = {}
+            for i, c in u.items():
+                for k, x in g.ad_vector(i, v).items():
+                    w[k] = w.get(k, 0) + c * x
+            ech.add(w)
+    return Subspace.from_vectors(g.dim, ech.dense(g.dim))
 
 
 def lower_central_series(g: LieAlgebra) -> list[Subspace]:
     """[g^1, g^2, ...] with g^{k+1} = [g, g^k], computed until stabilization."""
-    full = Subspace.full(g.dim)
-    series = [full]
-    cur = full
+    series = [Subspace.full(g.dim)]
+    cur = [{i: Fraction(1)} for i in range(g.dim)]
     while True:
-        vecs = []
-        for i in range(g.dim):
-            for v in cur.basis:
-                d = g.ad_vector(i, {m: c for m, c in enumerate(v) if c})
-                if d:
-                    w = [Fraction(0)] * g.dim
-                    for k, c in d.items():
-                        w[k] = c
-                    vecs.append(w)
-        nxt = Subspace.from_vectors(g.dim, vecs)
-        series.append(nxt)
-        if nxt.dim == 0 or nxt.dim == cur.dim:
+        ech = SparseEchelon(g.ad_vector(i, v) for i in range(g.dim) for v in cur)
+        series.append(Subspace.from_vectors(g.dim, ech.dense(g.dim)))
+        if not ech.rows or len(ech.rows) == len(cur):
             return series
-        cur = nxt
+        cur = list(ech.rows.values())
 
 
 def nilpotency_class(g: LieAlgebra) -> int:
@@ -314,18 +297,15 @@ def is_abelian_subalgebra(g: LieAlgebra, s: Subspace) -> bool:
 
 
 def ideal_closure(g: LieAlgebra, s: Subspace) -> Subspace:
-    cur = s
-    while True:
-        vecs = list(cur.basis)
-        for i in range(g.dim):
-            for v in cur.basis:
-                w = g.bracket(g.basis_vector(i), v)
-                if any(w):
-                    vecs.append(w)
-        nxt = Subspace.from_vectors(g.dim, vecs)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
+    ech = SparseEchelon()
+    todo = [_sparse(v) for v in s.basis]
+    while todo:
+        # Every row that enters the echelon has its brackets queued, so the
+        # final span is closed under ad x_i.
+        w = ech.add(todo.pop())
+        if w:
+            todo.extend(g.ad_vector(i, w) for i in range(g.dim))
+    return Subspace.from_vectors(g.dim, ech.dense(g.dim))
 
 
 def subalgebra_generated(g: LieAlgebra, vectors) -> Subspace:
@@ -347,43 +327,30 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, list[list[Frac
     """Quotient algebra g / ideal and the projection matrix onto it.
 
     The quotient basis is the image of the lexicographically first subset of
-    standard basis vectors that completes the ideal to the full space
-    (greedy scan); labels are inherited from those coordinates.  Raises
+    standard basis vectors that completes the ideal to the full space;
+    labels are inherited from those coordinates.  That subset is the set of
+    non-pivot columns of the ideal's SparseEchelon, and reducing a vector
+    against the echelon gives its quotient coordinates.  Raises
     NotAnIdealError with a witness if [g, ideal] is not inside the ideal.
     """
     n = g.dim
+    sparse = [_sparse(v) for v in ideal.basis]
+    ech = SparseEchelon(sparse)
     for i in range(n):
-        for v in ideal.basis:
-            w = g.bracket(g.basis_vector(i), v)
-            if not ideal.contains_vector(w):
+        for v, sv in zip(ideal.basis, sparse):
+            if ech.reduce(g.ad_vector(i, sv)):
                 raise NotAnIdealError(i, v)
-    chosen: list[int] = []
-    cur = ideal
-    target = n - ideal.dim
-    for j in range(n):
-        if len(chosen) == target:
-            break
-        e = g.basis_vector(j)
-        if not cur.contains_vector(e):
-            chosen.append(j)
-            cur = cur.sum_with(Subspace.from_vectors(n, [e]))
-    # Transition matrix: columns are the ideal basis then the chosen
-    # standard vectors; its inverse's bottom rows project onto the quotient.
-    cols = [list(v) for v in ideal.basis] + [g.basis_vector(j) for j in chosen]
-    trans = [[cols[c][r] for c in range(n)] for r in range(n)]
-    tinv = invert(trans)
-    proj = [tinv[r] for r in range(ideal.dim, n)]
-    q = len(chosen)
+    chosen = [j for j in range(n) if j not in ech.rows]
+    position = {j: r for r, j in enumerate(chosen)}
+    proj = [[Fraction(0)] * n for _ in chosen]
+    for k in range(n):
+        for j, c in ech.reduce({k: 1}).items():
+            proj[position[j]][k] = c
     new_brackets: dict[tuple[int, int], Coeffs] = {}
-    for s in range(q):
-        for t in range(s + 1, q):
-            w = g.bracket(g.basis_vector(chosen[s]), g.basis_vector(chosen[t]))
-            coeffs = {}
-            for r in range(q):
-                c = sum((proj[r][k] * w[k] for k in range(n) if w[k]), Fraction(0))
-                if c:
-                    coeffs[r] = c
-            if coeffs:
-                new_brackets[(s, t)] = coeffs
+    for s, a in enumerate(chosen):
+        for t in range(s + 1, len(chosen)):
+            w = ech.reduce(g.structure_coeffs(a, chosen[t]))
+            if w:
+                new_brackets[(s, t)] = {position[j]: c for j, c in w.items()}
     labels = tuple(g.labels[j] for j in chosen)
-    return LieAlgebra(q, labels, new_brackets), proj
+    return LieAlgebra(len(chosen), labels, new_brackets), proj

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 bad input or parameters, 3 construction above the
-dimension ceiling, 4 structure constants violating the Jacobi identity,
-5 certified rank requested above its size gate.  The env var LIEINDEX_PRIME
-overrides the modulus used by the randomized rank engine.
+1 verification failure (a failing catalogue case, a witness that could not
+be found or confirmed, or disagreeing routes), 2 bad input or parameters,
+3 construction or input algebra above the dimension ceiling, 4 structure
+constants violating the Jacobi identity, 5 certified rank requested above
+its size gate.  The env var LIEINDEX_PRIME overrides the modulus used by
+the randomized rank engine.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 from .algebra import LieAlgebra, center, check_jacobi, derived_subalgebra_pair, lower_central_series
 from .filiform import build_G, build_L, build_Q
-from .free_nilpotent import ResourceLimitError, build_free_nilpotent, build_metabelian
+from .free_nilpotent import DEFAULT_MAX_DIM, ResourceLimitError, build_free_nilpotent, build_metabelian
 from .graphs import SimpleGraph, build_graph_algebra, graph_index
 from .index import (
     DEFAULT_SEED,
@@ -65,7 +67,14 @@ def _load_json(path: str):
 
 
 def _load_algebra(path: str) -> LieAlgebra:
-    alg = algebra_from_dict(_load_json(path))
+    data = _load_json(path)
+    # Checked before algebra_from_dict builds one label per dimension.
+    dim = data.get("dim") if isinstance(data, dict) else None
+    if isinstance(dim, int) and dim > DEFAULT_MAX_DIM:
+        raise ResourceLimitError(
+            f"input algebra has dimension {dim}, above the ceiling {DEFAULT_MAX_DIM}"
+        )
+    alg = algebra_from_dict(data)
     violation = check_jacobi(alg)
     if violation is not None:
         (i, j, k), _res = violation
@@ -269,6 +278,10 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         _diag(str(exc))
         return EXIT_RESOURCE
+    except RuntimeError as exc:
+        # After ResourceLimitError, which is a RuntimeError with its own code.
+        _diag(str(exc))
+        return EXIT_VERIFY_FAILED
     except CertifySizeError as exc:
         _diag(str(exc))
         return EXIT_CERTIFY_GATE

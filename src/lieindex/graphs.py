@@ -21,6 +21,7 @@ from .index import (
     DEFAULT_TRIALS,
     IndexReport,
     LinearFunctional,
+    _check_trials,
     b_ell_matrix,
     index,
 )
@@ -242,6 +243,7 @@ def graph_index(
     seed: int = DEFAULT_SEED,
     prime: int | None = None,
 ) -> GraphIndexResult:
+    _check_trials(trials)
     nu, witness = matching_number(graph)
     dim = graph.vertex_count + len(graph.edges)
     via_matching = dim - 2 * nu

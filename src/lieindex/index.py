@@ -42,6 +42,13 @@ def _check_prime(prime: int | None) -> int:
     return prime
 
 
+def _check_trials(trials: int) -> None:
+    # Zero trials would report rank 0 (index = dim) with a "bound" of 1, and
+    # negative counts a bound above 1.
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _trial_rng(seed: int, trial: int) -> random.Random:
     # Substream derivation keyed on (seed, trial): reproducible regardless of
     # execution order of the trials.
@@ -137,6 +144,7 @@ def generic_rank(
     certify: bool = False,
     dim_limit: int = CERTIFY_DIM_LIMIT,
 ) -> int:
+    _check_trials(trials)
     if certify:
         return certified_generic_rank(sm, dim_limit)
     p = _check_prime(prime)
@@ -185,7 +193,8 @@ def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
     b = b_ell_matrix(g, ell)
     ker = nullspace(b, g.dim)
     sub = Subspace.from_vectors(g.dim, ker)
-    assert (g.dim - sub.dim) % 2 == 0, "skew form must have even rank"
+    if (g.dim - sub.dim) % 2:
+        raise RuntimeError("skew form has odd rank; this is a bug")
     return StabilizerResult(ell, tuple(tuple(row) for row in b), sub)
 
 
@@ -209,6 +218,7 @@ def index(
     want_witness: bool = False,
     dim_limit: int = CERTIFY_DIM_LIMIT,
 ) -> IndexReport:
+    _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
     sm = structure_matrix(g)
@@ -244,8 +254,12 @@ def index(
             raise RuntimeError("witness confirmation failed: lifted point lost rank")
     chi = n - r
     z = center(g).dim
-    assert r % 2 == 0, "generic rank of a skew matrix must be even"
-    assert z <= chi <= n, "index must sit between center dimension and dim"
+    if r % 2:
+        raise RuntimeError("generic rank of a skew matrix came out odd; this is a bug")
+    if not z <= chi <= n:
+        raise RuntimeError(
+            f"index {chi} is not between center dimension {z} and dim {n}; this is a bug"
+        )
     return IndexReport(n, chi, r, method, witness, z)
 
 
@@ -294,6 +308,7 @@ def ooms_criterion(
     w = abelian_witness(g, h)
     if w is not None:
         raise NotAbelianError(*w)
+    _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
     entries = []

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Matrices are dense row-major lists of lists.  Rational entries are
+Dense matrices are row-major lists of lists.  Rational entries are
 `fractions.Fraction` (ints are accepted and promoted); prime-field entries
 are plain ints reduced mod p.  No floating point anywhere.  Matrices in this
-package are small (n <= ~100), so the routines favour clarity over blocking
-or sparsity tricks.
+package are small (n <= ~100), so rref favours clarity over blocking
+tricks.  Matrices built from structure constants are sparse, so exact rank,
+kernels and spans come from SparseEchelon, which eliminates
+{column: Fraction} rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 # Default modulus for randomized rank: the 61-bit Mersenne prime.  Minors of
 # the matrices we specialize have degree <= n <= ~100, so the per-trial
@@ -84,69 +85,19 @@ def rref(rows, ncols: int | None = None):
     return m[:r], pivots
 
 
-def rank(rows) -> int:
-    """Rank over Q.
+def _sparse(v) -> dict:
+    return {c: x for c, x in enumerate(v) if x}
 
-    Each row is scaled by the lcm of its denominators (rank-preserving) and
-    the integer matrix is reduced by fraction-free one-step elimination, so
-    no Fraction arithmetic happens in the O(n^3) loop.  Exact: divisions in
-    the update are exact by the Sylvester minor identity.
-    """
-    m = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        m.append([int(x.numerator * (den // x.denominator)) for x in fr])
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        mr = m[r]
-        for i in range(r + 1, nr):
-            mi = m[i]
-            f = mi[c]
-            if f:
-                m[i] = [(piv * a - f * b) // prev for a, b in zip(mi, mr)]
-            elif prev != 1 or piv != 1:
-                m[i] = [piv * a // prev for a in mi]
-        prev = piv
-        r += 1
-        if r == nr:
-            break
-    return r
+
+def rank(rows) -> int:
+    """Rank over Q."""
+    return len(SparseEchelon(_sparse(row) for row in rows).rows)
 
 
 def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column.
-
-    The basis is canonical given the RREF: vector for free column f has a 1
-    in position f and minus the RREF entries in the pivot positions.
-    """
+    """Basis of the right kernel, one vector per free column (see SparseEchelon.kernel)."""
     nc = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-    red, pivots = rref(rows, nc)
-    pivset = set(pivots)
-    basis = []
-    for f in range(nc):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            v[p] = -red[t][f]
-        basis.append(v)
-    return basis
+    return SparseEchelon(_sparse(row) for row in rows).kernel(nc)
 
 
 def invert(rows) -> list[list[Fraction]]:
@@ -158,6 +109,69 @@ def invert(rows) -> list[list[Fraction]]:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
+
+
+def _subtract(target: dict, f: Fraction, row: dict) -> None:
+    """target -= f * row for sparse vectors, in place, dropping zeros."""
+    for c, x in row.items():
+        y = target.get(c, 0) - f * x
+        if y:
+            target[c] = y
+        else:
+            del target[c]
+
+
+class SparseEchelon:
+    """Reduced echelon form of sparse rational rows {column: Fraction}.
+
+    Each row's pivot is its last nonzero column, scaled to 1, and every
+    pivot column is zero in all other rows.  The non-pivot columns are then
+    the lexicographically first coordinate vectors completing the span.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: dict[int, dict[int, Fraction]] = {}  # pivot -> row
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, v) -> dict[int, Fraction]:
+        """v minus an element of the span, zero on every pivot; empty iff v is in the span."""
+        out = {c: Fraction(x) for c, x in v.items() if x}
+        # Rows vanish on each other's pivots, so one pass over v's pivots suffices.
+        for p in [c for c in out if c in self.rows]:
+            _subtract(out, out[p], self.rows[p])
+        return out
+
+    def add(self, v) -> dict[int, Fraction] | None:
+        """Insert v; returns its row (later insertions reduce it in place), or
+        None if v was already in the span."""
+        w = self.reduce(v)
+        if not w:
+            return None
+        p = max(w)
+        inv = w[p]
+        w = {c: x / inv for c, x in w.items()}
+        for row in self.rows.values():
+            if p in row:
+                _subtract(row, row[p], w)
+        self.rows[p] = w
+        return w
+
+    def dense(self, ncols: int) -> list[list[Fraction]]:
+        return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in self.rows.values()]
+
+    def kernel(self, ncols: int) -> list[list[Fraction]]:
+        """Basis of {x : row . x = 0 for every row}: e_f minus the rows' column f, per free f."""
+        basis = []
+        for f in range(ncols):
+            if f not in self.rows:
+                v = [Fraction(0)] * ncols
+                v[f] = Fraction(1)
+                for p, row in self.rows.items():
+                    if f in row:
+                        v[p] = -row[f]
+                basis.append(v)
+        return basis
 
 
 def rank_mod_p(rows, p: int) -> int:

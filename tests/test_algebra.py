@@ -19,7 +19,8 @@ from lieindex.algebra import (
     quotient,
     subalgebra_generated,
 )
-from lieindex.linalg import nullspace
+from lieindex.free_nilpotent import build_free_nilpotent
+from lieindex.linalg import invert, nullspace
 
 
 def heisenberg():
@@ -33,14 +34,46 @@ def two_step_free():
     )
 
 
-def center_oracle(g):
-    # Stacked ad-constraint rows: coordinate m of [x, x_j] for every j, m.
+def centralizer_oracle(g, vectors):
+    # Stacked dense ad-constraint rows: coordinate m of [x, v] for every v, m.
     rows = []
-    for j in range(g.dim):
-        images = [g.bracket(g.basis_vector(i), g.basis_vector(j)) for i in range(g.dim)]
+    for v in vectors:
+        images = [g.bracket(g.basis_vector(i), list(v)) for i in range(g.dim)]
         for m in range(g.dim):
-            rows.append([images[i][m] for i in range(g.dim)])
+            row = [images[i][m] for i in range(g.dim)]
+            if any(row):
+                rows.append(row)
     return Subspace.from_vectors(g.dim, nullspace(rows, g.dim))
+
+
+def center_oracle(g):
+    return centralizer_oracle(g, [g.basis_vector(j) for j in range(g.dim)])
+
+
+def change_basis(g, p):
+    # Structure constants on the new basis e'_a = sum_i p[i][a] e_i.
+    n = g.dim
+    pinv = invert(p)
+    cols = [[p[i][a] for i in range(n)] for a in range(n)]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            w = g.bracket(cols[a], cols[b])
+            coeffs = {
+                r: sum(pinv[r][k] * w[k] for k in range(n) if w[k])
+                for r in range(n)
+            }
+            brackets[(a, b)] = coeffs
+    return LieAlgebra(n, None, brackets)
+
+
+def rational_basis_change(n):
+    # Upper bidiagonal with non-integer diagonal: dense inverse, rational constants.
+    return [
+        [Fraction(2 * i + 3, i + 2) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 class TestConstruction:
@@ -143,14 +176,25 @@ class TestCenter:
 
     def test_matches_constraint_oracle(self):
         abelian_plus = LieAlgebra(4, None, {(0, 1): {2: 1}})  # h3 + line
-        for g in (heisenberg(), two_step_free(), LieAlgebra(3), abelian_plus):
+        f34 = build_free_nilpotent(3, 4).algebra
+        f34_rational = change_basis(f34, rational_basis_change(f34.dim))
+        assert check_jacobi(f34_rational) is None
+        for g in (heisenberg(), two_step_free(), LieAlgebra(3), abelian_plus, f34, f34_rational):
             assert center(g) == center_oracle(g)
+        assert center(f34_rational).dim == center(f34).dim == 18
 
     def test_centralizer(self):
         g = heisenberg()
         c = centralizer(g, Subspace.from_vectors(3, [[1, 0, 0]]))
         assert c == Subspace.from_vectors(3, [[1, 0, 0], [0, 0, 1]])
         assert centralizer(g, Subspace.zero(3)) == Subspace.full(3)
+
+    def test_centralizer_of_non_coordinate_subspace(self):
+        g = two_step_free()
+        s = Subspace.from_vectors(5, [[1, 1, 0, 0, 0], [0, 0, 2, Fraction(1, 3), 0]])
+        c = centralizer(g, s)
+        assert c == centralizer_oracle(g, s.basis)
+        assert c == Subspace.from_vectors(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
 
     def test_zero_algebra(self):
         assert center(LieAlgebra(0)).dim == 0

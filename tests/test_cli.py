@@ -137,6 +137,38 @@ class TestIndex:
         _, out, _ = run(capsys, "index", path, "--pretty")
         assert out.startswith("{\n")
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one(self, capsys, tmp_path, trials):
+        path = write_algebra(tmp_path, heisenberg())
+        code, out, err = run(capsys, "index", path, "--trials", trials)
+        assert code == 2 and out == "" and "trials" in err
+
+    def test_witness_not_found(self, capsys, tmp_path):
+        # The structure constant vanishes modulo the default prime, so the
+        # randomized search cannot reach the certified rank.
+        alg = LieAlgebra(3, None, {(0, 1): {2: (1 << 61) - 1}})
+        path = write_algebra(tmp_path, alg)
+        code, out, err = run(capsys, "index", path, "--certify", "--witness")
+        assert code == 1 and out == ""
+        assert err.startswith("lieindex: ") and "witness" in err
+
+    def test_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("witness confirmation failed")
+
+        monkeypatch.setattr(cli, "index", failing)
+        path = write_algebra(tmp_path, heisenberg())
+        code, out, err = run(capsys, "index", path)
+        assert code == 1 and out == ""
+        assert err == "lieindex: witness confirmation failed\n"
+
+    @pytest.mark.parametrize("command", ["index", "invariants"])
+    def test_dimension_ceiling(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 100000, "brackets": []}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 3 and out == "" and "100000" in err
+
 
 class TestInvariants:
     def test_two_generator_class_three(self, capsys, tmp_path):

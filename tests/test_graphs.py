@@ -143,6 +143,8 @@ class TestGraphIndex:
     def test_named_cases(self):
         # dim |V| + |E| minus twice the matching number.
         assert graph_index(path(2)).index == 1
+        with pytest.raises(ValueError, match="trials"):
+            graph_index(path(2), trials=0)
         assert graph_index(cycle(5)).index == 6
         assert graph_index(cycle(6)).index == 6
         assert graph_index(path(7)).index == 7

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,25 @@ class TestIndexReport:
             assert rep.generic_rank % 2 == 0
             assert rep.index % 2 == rep.dim % 2
             assert rep.center_dim <= rep.index <= rep.dim
+
+    def test_center_above_index_is_an_error(self, monkeypatch):
+        # The z <= index check holds independently of the center routine, so
+        # an oversized center must stop the report, also under python -O.
+        module = importlib.import_module("lieindex.index")
+        monkeypatch.setattr(module, "center", lambda g: Subspace.full(g.dim))
+        with pytest.raises(RuntimeError, match="center dimension"):
+            index(heisenberg())
+
+    def test_trials_below_one_rejected(self):
+        g = heisenberg()
+        line = Subspace.from_vectors(3, [[0, 0, 1]])
+        for trials in (0, -2):
+            with pytest.raises(ValueError, match="trials"):
+                index(g, trials=trials)
+            with pytest.raises(ValueError, match="trials"):
+                generic_rank(structure_matrix(g), trials=trials)
+            with pytest.raises(ValueError, match="trials"):
+                ooms_criterion(g, line, trials=trials)
 
 
 class TestSampling:

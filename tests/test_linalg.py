@@ -6,6 +6,7 @@ import sympy
 
 from lieindex.linalg import (
     DEFAULT_PRIME,
+    SparseEchelon,
     invert,
     is_probable_prime,
     mat_vec,
@@ -118,6 +119,30 @@ class TestNullspace:
         kernel = nullspace([], 3)
         assert len(kernel) == 3
         assert rank(kernel) == 3
+
+
+class TestSparseEchelon:
+    def test_complement_and_membership_match_rref(self):
+        # Non-pivot columns are the greedy lexicographically first complement,
+        # and reduce() is empty exactly on the span; rref is the reference.
+        rng = random.Random(808)
+        for _ in range(40):
+            ncols = rng.randint(1, 6)
+            m = [[x if rng.random() < 0.5 else Fraction(0) for x in row]
+                 for row in random_matrix(rng, rng.randint(1, 5), ncols, fractions=True)]
+            ech = SparseEchelon({c: x for c, x in enumerate(row) if x} for row in m)
+
+            def dim(rows):
+                return len(rref(rows, ncols)[0])
+
+            grown = list(m)
+            for j in range(ncols):
+                e = [Fraction(int(c == j)) for c in range(ncols)]
+                assert (j not in ech.rows) == (dim(grown + [e]) > dim(grown))
+                if j not in ech.rows:
+                    grown.append(e)
+                assert (not ech.reduce({j: 1})) == (dim(m + [e]) == dim(m))
+            assert len(ech.rows) == dim(m)
 
 
 class TestInvert:

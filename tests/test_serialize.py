@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from lieindex.algebra import LieAlgebra
-from lieindex.free_nilpotent import build_free_nilpotent
+from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
 from lieindex.index import LinearFunctional, index, stabilizer
 from lieindex.serialize import (
     algebra_from_dict,
@@ -139,5 +140,11 @@ class TestDumps:
         assert text == '{\n  "a": 1\n}'
 
     def test_algebra_bytes_stable(self):
-        g = build_free_nilpotent(2, 4).algebra
-        assert dumps(algebra_to_dict(g)) == dumps(algebra_to_dict(g))
+        golden = [
+            (build_metabelian, 3, 5, "91c4750a048faf098ece8f9c8b1cfef58f032a1eda59a675bc12da3fae028d5d"),
+            (build_metabelian, 2, 7, "fbab0d6395b2f2e0815b3b5976185aef33551d9c1fdd9c4c109ee7b01dcdf4cd"),
+            (build_free_nilpotent, 4, 4, "50b0bbdf7fde2dab8017545ab71ec5d3da6f67d9b2e53272d463d3af1c430f4f"),
+        ]
+        for build, gens, cls, digest in golden:
+            payload = dumps(algebra_to_dict(build(gens, cls).algebra))
+            assert hashlib.sha256(payload.encode()).hexdigest() == digest, (build.__name__, gens, cls)
