@@ -15,9 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseEchelon, _sparse, rref
+from .linalg import SparseEchelon, _sparse
 
 Coeffs = dict[int, Fraction]
+
+
+def _flip(n: int, v: Coeffs) -> Coeffs:
+    """v with its n coordinates in reverse order (an involution).
+
+    SparseEchelon pivots on a row's last nonzero column; on flipped vectors
+    that is the leading column, the pivot of the reduced row-echelon form.
+    """
+    return {n - 1 - c: x for c, x in v.items()}
 
 
 class NotAnIdealError(ValueError):
@@ -57,8 +66,16 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        red, _ = rref(vecs, ambient_dim)
-        return cls(ambient_dim, tuple(tuple(row) for row in red))
+        return cls.span(ambient_dim, map(_sparse, vecs))
+
+    @classmethod
+    def span(cls, ambient_dim: int, vectors) -> "Subspace":
+        """Span of sparse vectors {coordinate: value}, with its canonical basis."""
+        ech = SparseEchelon(_flip(ambient_dim, v) for v in vectors)
+        return cls(ambient_dim, tuple(
+            tuple(ech.rows[p].get(ambient_dim - 1 - c, Fraction(0)) for c in range(ambient_dim))
+            for p in sorted(ech.rows, reverse=True)
+        ))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -76,20 +93,17 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _reduce(self, v):
-        v = [Fraction(x) for x in v]
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x)
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
     def contains_vector(self, v) -> bool:
-        return not any(self._reduce(v))
+        return self._contains_all((v,))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.basis)
+        return self._contains_all(other.basis)
+
+    def _contains_all(self, vectors) -> bool:
+        n = self.ambient_dim
+        # Flipped, the basis already is a SparseEchelon: adding it eliminates nothing.
+        ech = SparseEchelon(_flip(n, _sparse(row)) for row in self.basis)
+        return not any(ech.reduce(_flip(n, _sparse(v))) for v in vectors)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
@@ -155,21 +169,10 @@ class LieAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match algebra dimension")
         out = [Fraction(0)] * self.dim
-        xs = [(i, Fraction(c)) for i, c in enumerate(x) if c]
-        ys = [(j, Fraction(c)) for j, c in enumerate(y) if c]
-        for i, xi in xs:
-            for j, yj in ys:
-                if i == j:
-                    continue
-                if i < j:
-                    d = self.brackets.get((i, j))
-                    f = xi * yj
-                else:
-                    d = self.brackets.get((j, i))
-                    f = -xi * yj
-                if d:
-                    for k, c in d.items():
-                        out[k] += f * c
+        xs = {i: Fraction(c) for i, c in enumerate(x) if c}
+        ys = {j: Fraction(c) for j, c in enumerate(y) if c}
+        for k, c in self.sparse_bracket(xs, ys).items():
+            out[k] = c
         return out
 
     def ad_vector(self, i: int, coeffs: Coeffs) -> Coeffs:
@@ -178,6 +181,14 @@ class LieAlgebra:
         for m, c in coeffs.items():
             for k, ck in self.structure_coeffs(i, m).items():
                 out[k] = out.get(k, Fraction(0)) + c * ck
+        return {k: c for k, c in out.items() if c}
+
+    def sparse_bracket(self, u: Coeffs, v: Coeffs) -> Coeffs:
+        """[u, v] for sparse u, v, as a sparse dict."""
+        out: Coeffs = {}
+        for i, c in u.items():
+            for k, x in self.ad_vector(i, v).items():
+                out[k] = out.get(k, 0) + c * x
         return {k: c for k, c in out.items() if c}
 
 
@@ -226,7 +237,7 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
         for i in range(g.dim):
             for k, c in g.ad_vector(i, v).items():
                 rows.setdefault((t, k), {})[i] = c
-    return Subspace.from_vectors(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
+    return Subspace(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -236,33 +247,23 @@ def center(g: LieAlgebra) -> Subspace:
         for k, c in coeffs.items():
             rows.setdefault((j, k), {})[i] = c
             rows.setdefault((i, k), {})[j] = -c
-    return Subspace.from_vectors(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
+    return Subspace(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    ech = SparseEchelon()
+    us = [_sparse(u) for u in a.basis]
     vs = [_sparse(v) for v in b.basis]
-    for u in a.basis:
-        u = _sparse(u)
-        for v in vs:
-            w: Coeffs = {}
-            for i, c in u.items():
-                for k, x in g.ad_vector(i, v).items():
-                    w[k] = w.get(k, 0) + c * x
-            ech.add(w)
-    return Subspace.from_vectors(g.dim, ech.dense(g.dim))
+    return Subspace.span(g.dim, (g.sparse_bracket(u, v) for u in us for v in vs))
 
 
 def lower_central_series(g: LieAlgebra) -> list[Subspace]:
     """[g^1, g^2, ...] with g^{k+1} = [g, g^k], computed until stabilization."""
     series = [Subspace.full(g.dim)]
-    cur = [{i: Fraction(1)} for i in range(g.dim)]
     while True:
-        ech = SparseEchelon(g.ad_vector(i, v) for i in range(g.dim) for v in cur)
-        series.append(Subspace.from_vectors(g.dim, ech.dense(g.dim)))
-        if not ech.rows or len(ech.rows) == len(cur):
+        vs = [_sparse(v) for v in series[-1].basis]
+        series.append(Subspace.span(g.dim, (g.ad_vector(i, v) for i in range(g.dim) for v in vs)))
+        if series[-1].dim in (0, series[-2].dim):
             return series
-        cur = list(ech.rows.values())
 
 
 def nilpotency_class(g: LieAlgebra) -> int:
@@ -284,11 +285,11 @@ def derived_subalgebra_pair(g: LieAlgebra) -> tuple[Subspace, Subspace]:
 
 def abelian_witness(g: LieAlgebra, s: Subspace):
     """None if s is abelian, else a basis pair (u, v) with [u, v] != 0."""
-    basis = s.basis
-    for p in range(len(basis)):
-        for q in range(p + 1, len(basis)):
-            if any(g.bracket(basis[p], basis[q])):
-                return basis[p], basis[q]
+    vs = [_sparse(v) for v in s.basis]
+    for p in range(len(vs)):
+        for q in range(p + 1, len(vs)):
+            if g.sparse_bracket(vs[p], vs[q]):
+                return s.basis[p], s.basis[q]
     return None
 
 
@@ -305,22 +306,19 @@ def ideal_closure(g: LieAlgebra, s: Subspace) -> Subspace:
         w = ech.add(todo.pop())
         if w:
             todo.extend(g.ad_vector(i, w) for i in range(g.dim))
-    return Subspace.from_vectors(g.dim, ech.dense(g.dim))
+    return Subspace.span(g.dim, ech.rows.values())
 
 
 def subalgebra_generated(g: LieAlgebra, vectors) -> Subspace:
-    cur = Subspace.from_vectors(g.dim, vectors)
-    while True:
-        vecs = list(cur.basis)
-        for p in range(cur.dim):
-            for q in range(p + 1, cur.dim):
-                w = g.bracket(cur.basis[p], cur.basis[q])
-                if any(w):
-                    vecs.append(w)
-        nxt = Subspace.from_vectors(g.dim, vecs)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
+    ech = SparseEchelon()
+    todo = [_sparse(v) for v in Subspace.from_vectors(g.dim, vectors).basis]
+    while todo:
+        # Each row that enters is bracketed with rows spanning everything
+        # before it, so the final span is closed under the bracket.
+        w = ech.add(todo.pop())
+        if w:
+            todo.extend(g.sparse_bracket(u, w) for u in ech.rows.values())
+    return Subspace.span(g.dim, ech.rows.values())
 
 
 def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, list[list[Fraction]]]:

@@ -21,7 +21,7 @@ from .algebra import (
     check_jacobi,
     lower_central_series,
 )
-from .linalg import invert, mat_vec
+from .linalg import SparseEchelon
 
 
 def _labels(n: int) -> tuple[str, ...]:
@@ -148,7 +148,7 @@ def build_G(n: int, k: int) -> FiliformAlgebra:
                 rhs[m] = rhs.get(m, Fraction(0)) + c
             rhs = {m: c for m, c in rhs.items() if c}
             if lhs != rhs:
-                raise AssertionError("shift map is not a derivation of the core")
+                raise RuntimeError("shift map is not a derivation of the core")
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(1, n - 1):  # [e_1, e_{i+1}] = e_{i+2} from the action
@@ -168,7 +168,8 @@ def filiform_ideals(f: FiliformAlgebra) -> list[Subspace]:
         ideals.append(Subspace.from_vectors(n, vecs))
     series = lower_central_series(f.algebra)
     for i in range(3, n + 1):
-        assert ideals[i - 1] == series[i - 2], f"g_{i} differs from the series term"
+        if ideals[i - 1] != series[i - 2]:
+            raise RuntimeError(f"g_{i} differs from the series term")
     return ideals
 
 
@@ -224,29 +225,29 @@ def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlge
     g = base.algebra
     n = g.dim
     rng = random.Random(seed)
-    e1 = [Fraction(0)] * n
-    e1[0] = Fraction(1)
-    for j in range(2, n):
-        e1[j] = Fraction(rng.randint(-2, 2))
-    e2 = [Fraction(0)] * n
-    e2[1] = Fraction(1)
-    for j in range(2, n):
-        e2[j] = Fraction(rng.randint(-2, 2))
-    cols = [e1, e2]
+    cols = []
+    for lead in (0, 1):
+        col = {lead: Fraction(1)}
+        for j in range(2, n):
+            c = rng.randint(-2, 2)
+            if c:
+                col[j] = Fraction(c)
+        cols.append(col)
     for _ in range(2, n):
-        cols.append(g.bracket(cols[0], cols[-1]))
-    trans = [[cols[c][r] for c in range(n)] for r in range(n)]
-    tinv = invert(trans)
+        cols.append(g.sparse_bracket(cols[0], cols[-1]))
+    # Row m is e'_m tagged with e_m in front of it.  Every column of the
+    # vector part becomes a pivot, so reducing a vector w there leaves minus
+    # its coordinates on the new basis in the tags.
+    ech = SparseEchelon({m: Fraction(1), **{n + r: c for r, c in col.items()}}
+                        for m, col in enumerate(cols))
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for s in range(n):
         for t in range(s + 1, n):
-            w = g.bracket(cols[s], cols[t])
-            if not any(w):
-                continue
-            coords = mat_vec(tinv, w)
-            coeffs = {r: c for r, c in enumerate(coords) if c}
-            if coeffs:
-                brackets[(s, t)] = coeffs
+            w = g.sparse_bracket(cols[s], cols[t])
+            if w:
+                coords = ech.reduce({n + k: c for k, c in w.items()})
+                brackets[(s, t)] = {r: -c for r, c in sorted(coords.items())}
     alg = LieAlgebra(n, _labels(n), brackets)
-    assert check_jacobi(alg) is None
+    if check_jacobi(alg) is not None:
+        raise RuntimeError("deformed brackets fail the Jacobi identity")
     return make_filiform(alg, "deformed", base.k)

@@ -55,7 +55,8 @@ def witt_layer(g: int, m: int) -> int:
     for d in range(1, m + 1):
         if m % d == 0:
             total += mobius(d) * g ** (m // d)
-    assert total % m == 0
+    if total % m:
+        raise RuntimeError(f"Witt sum {total} is not divisible by the weight {m}")
     return total // m
 
 
@@ -196,7 +197,8 @@ def build_free_nilpotent(
         )
     builder = HallBuilder(g, c)
     for w in range(1, c + 1):
-        assert len(builder.layers[w]) == witt_layer(g, w), "Hall layer count is off"
+        if len(builder.layers[w]) != witt_layer(g, w):
+            raise RuntimeError("Hall layer count is off")
     gen_labels = [f"x{i + 1}" for i in range(g)]
     elements = []
     offsets = []
@@ -238,8 +240,8 @@ def build_metabelian(
     for w in range(1, c + 1):
         offsets.append(sum(1 for e in elements if e.weight < w))
     offsets.append(len(elements))
-    if g == 2:
-        assert qalg.dim == (c * c - c + 4) // 2
+    if g == 2 and qalg.dim != (c * c - c + 4) // 2:
+        raise RuntimeError(f"two-generator metabelian quotient has dimension {qalg.dim}")
     return FreeNilpotentAlgebra(g, c, qalg, elements, offsets)
 
 
@@ -298,5 +300,6 @@ def build_fg3_explicit_basis(g: int) -> FreeNilpotentAlgebra:
         for idx, (t, w) in enumerate(zip(trees, wts))
     ]
     total, top = witt_dimension(g, 3)
-    assert len(labels) == total and len(triples) == top
+    if len(labels) != total or len(triples) != top:
+        raise RuntimeError("explicit basis counts differ from the Witt formula")
     return FreeNilpotentAlgebra(g, 3, alg, elements, [0, g, g + len(pairs), total])

@@ -22,7 +22,7 @@ from .algebra import (
     abelian_witness,
     center,
 )
-from .linalg import DEFAULT_PRIME, is_probable_prime, nullspace, rank, rank_mod_p
+from .linalg import DEFAULT_PRIME, SparseEchelon, _sparse, is_probable_prime, rank, rank_mod_p
 from .polynomials import Poly, bareiss_rank
 
 DEFAULT_TRIALS = 3
@@ -191,8 +191,7 @@ class StabilizerResult:
 
 def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
     b = b_ell_matrix(g, ell)
-    ker = nullspace(b, g.dim)
-    sub = Subspace.from_vectors(g.dim, ker)
+    sub = Subspace(g.dim, SparseEchelon(map(_sparse, b)).kernel(g.dim))
     if (g.dim - sub.dim) % 2:
         raise RuntimeError("skew form has odd rank; this is a bug")
     return StabilizerResult(ell, tuple(tuple(row) for row in b), sub)
@@ -311,11 +310,11 @@ def ooms_criterion(
     _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
+    hs = [_sparse(v) for v in h.basis]
     entries = []
     for i in range(n):
-        for t, hv in enumerate(h.basis):
-            vec = g.bracket(g.basis_vector(i), hv)
-            coeffs = tuple((k, c) for k, c in enumerate(vec) if c)
+        for t, hv in enumerate(hs):
+            coeffs = tuple(sorted(g.ad_vector(i, hv).items()))
             if coeffs:
                 entries.append((i, t, coeffs))
     r, _ = _randomized_rank(

@@ -2,10 +2,9 @@
 
 Dense matrices are row-major lists of lists.  Rational entries are
 `fractions.Fraction` (ints are accepted and promoted); prime-field entries
-are plain ints reduced mod p.  No floating point anywhere.  Matrices in this
-package are small (n <= ~100), so rref favours clarity over blocking
-tricks.  Matrices built from structure constants are sparse, so exact rank,
-kernels and spans come from SparseEchelon, which eliminates
+are plain ints reduced mod p.  No floating point anywhere.  Matrices built
+from structure constants are sparse, so every elimination over Q (rank,
+kernels, spans, coordinates) goes through SparseEchelon, which eliminates
 {column: Fraction} rows.
 """
 
@@ -45,46 +44,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _copy(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows, ncols: int | None = None):
-    """Reduced row-echelon form.
-
-    Returns (nonzero rows of the RREF, pivot column indices).  Pivots are
-    found by first-nonzero row-major scan, which makes the result canonical:
-    two row spans are equal iff their rrefs are identical.
-    """
-    m = _copy(rows)
-    nr = len(m)
-    nc = ncols if ncols is not None else (len(m[0]) if m else 0)
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        if inv != 1:
-            m[r] = [x / inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mr = m[r]
-                m[i] = [a - f * b for a, b in zip(m[i], mr)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m[:r], pivots
-
-
 def _sparse(v) -> dict:
     return {c: x for c, x in enumerate(v) if x}
 
@@ -92,23 +51,6 @@ def _sparse(v) -> dict:
 def rank(rows) -> int:
     """Rank over Q."""
     return len(SparseEchelon(_sparse(row) for row in rows).rows)
-
-
-def nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column (see SparseEchelon.kernel)."""
-    nc = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-    return SparseEchelon(_sparse(row) for row in rows).kernel(nc)
-
-
-def invert(rows) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix; raises ValueError if singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    red, pivots = rref(m, 2 * n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
 
 
 def _subtract(target: dict, f: Fraction, row: dict) -> None:
@@ -150,18 +92,22 @@ class SparseEchelon:
             return None
         p = max(w)
         inv = w[p]
-        w = {c: x / inv for c, x in w.items()}
+        if inv != 1:
+            w = {c: x / inv for c, x in w.items()}
         for row in self.rows.values():
             if p in row:
                 _subtract(row, row[p], w)
         self.rows[p] = w
         return w
 
-    def dense(self, ncols: int) -> list[list[Fraction]]:
-        return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in self.rows.values()]
+    def kernel(self, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+        """Basis of {x : row . x = 0 for every row}: e_f minus the rows' column f, per free f.
 
-    def kernel(self, ncols: int) -> list[list[Fraction]]:
-        """Basis of {x : row . x = 0 for every row}: e_f minus the rows' column f, per free f."""
+        A row holds f only if f precedes its pivot, so each vector's leading
+        entry is the 1 on its own free column, and that column is zero in the
+        others: in order of f, the basis is already the reduced row-echelon
+        form of the kernel.
+        """
         basis = []
         for f in range(ncols):
             if f not in self.rows:
@@ -170,8 +116,8 @@ class SparseEchelon:
                 for p, row in self.rows.items():
                     if f in row:
                         v[p] = -row[f]
-                basis.append(v)
-        return basis
+                basis.append(tuple(v))
+        return tuple(basis)
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -200,10 +146,3 @@ def rank_mod_p(rows, p: int) -> int:
             break
     return r
 
-
-def mat_vec(rows, v) -> list[Fraction]:
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]

@@ -78,6 +78,9 @@ class VerificationCase:
         return self.expected == self.computed
 
 
+_Row = tuple[str, object, object, str]  # (id, expected, computed, method)
+
+
 CRITERION_NAMES = {
     1: "Witt dimensions match Hall basis counts",
     2: "two-step free algebra index formula",
@@ -279,51 +282,43 @@ _META_COMBOS = [(3, 3), (3, 4), (4, 3), (3, 5)]
 # ---------------------------------------------------------------- criteria
 
 
-def _criterion_1() -> list[VerificationCase]:
+def _criterion_1() -> list[_Row]:
     cases = []
     for g, c in _WITT_COMBOS:
         total, top = witt_dimension(g, c)
         built = _free(g, c)
-        cases.append(
-            VerificationCase(
-                f"prop2.5/F{g},{c}/dim", 2, total, built.dim, "Hall basis count vs Witt formula"
-            )
-        )
-        cases.append(
-            VerificationCase(
-                f"prop2.5/F{g},{c}/top-layer",
-                2,
-                top,
-                len(built.layer_range(c)),
-                "top Hall layer count vs Witt formula",
-            )
-        )
+        cases.append((
+            f"prop2.5/F{g},{c}/dim", total, built.dim, "Hall basis count vs Witt formula"
+        ))
+        cases.append((
+            f"prop2.5/F{g},{c}/top-layer",
+            top,
+            len(built.layer_range(c)),
+            "top Hall layer count vs Witt formula",
+        ))
     return cases
 
 
-def _criterion_2() -> list[VerificationCase]:
+def _criterion_2() -> list[_Row]:
     cases = []
     for g in range(2, 8):
         expected = comb(g, 2) + (g % 2)
-        cases.append(
-            VerificationCase(
-                f"prop3.2/g={g}",
-                3,
-                expected,
-                _free_report(g, 2).index,
-                "randomized structure-matrix rank",
-            )
-        )
+        cases.append((
+            f"prop3.2/g={g}",
+            expected,
+            _free_report(g, 2).index,
+            "randomized structure-matrix rank",
+        ))
     return cases
 
 
-def _criterion_3() -> list[VerificationCase]:
+def _criterion_3() -> list[_Row]:
     alg = _free(2, 3).algebra
     r = certified_generic_rank(structure_matrix(alg))
     report = index(alg, certify=True)
     return [
-        VerificationCase("ex3.3/rank", 3, 2, r, "certified fraction-free elimination"),
-        VerificationCase("ex3.3/index", 3, 3, report.index, "certified index"),
+        ("ex3.3/rank", 2, r, "certified fraction-free elimination"),
+        ("ex3.3/index", 3, report.index, "certified index"),
     ]
 
 
@@ -340,57 +335,45 @@ def _fg3_functional(g: int) -> LinearFunctional:
     return LinearFunctional.of(coords)
 
 
-def _criterion_4() -> list[VerificationCase]:
+def _criterion_4() -> list[_Row]:
     cases = []
     for g in (3, 4, 5):
         expected = _fg3_chi(g)
-        cases.append(
-            VerificationCase(
-                f"thm3.4/g={g}",
-                3,
-                expected,
-                _free_report(g, 3).index,
-                "randomized structure-matrix rank on the Hall basis",
-            )
-        )
-        cases.append(
-            VerificationCase(
-                f"thm3.4/g={g}/explicit-basis",
-                3,
-                expected,
-                _fg3_report(g).index,
-                "randomized rank on the triple-indexed basis",
-            )
-        )
+        cases.append((
+            f"thm3.4/g={g}",
+            expected,
+            _free_report(g, 3).index,
+            "randomized structure-matrix rank on the Hall basis",
+        ))
+        cases.append((
+            f"thm3.4/g={g}/explicit-basis",
+            expected,
+            _fg3_report(g).index,
+            "randomized rank on the triple-indexed basis",
+        ))
         built = _fg3(g)
         stab = stabilizer(built.algebra, _fg3_functional(g))
-        cases.append(
-            VerificationCase(
-                f"thm3.4/g={g}/witness",
-                3,
-                expected,
-                stab.dim,
-                "exact rational stabilizer of the weighted dual functional",
-            )
-        )
+        cases.append((
+            f"thm3.4/g={g}/witness",
+            expected,
+            stab.dim,
+            "exact rational stabilizer of the weighted dual functional",
+        ))
     return cases
 
 
-def _criterion_5() -> list[VerificationCase]:
+def _criterion_5() -> list[_Row]:
     cases = []
     for g in (3, 4, 5):
         built = _free(g, 3)
         derived, _ = derived_subalgebra_pair(built.algebra)
         s = alpha_sandwich(built.algebra, derived, chi=_free_report(g, 3).index)
-        cases.append(
-            VerificationCase(
-                f"cor3.5/g={g}",
-                3,
-                (2 * g**3 + 3 * g**2 - 5 * g) // 6,
-                s.alpha,
-                "abelian derived subalgebra squeezed against the index bound",
-            )
-        )
+        cases.append((
+            f"cor3.5/g={g}",
+            (2 * g**3 + 3 * g**2 - 5 * g) // 6,
+            s.alpha,
+            "abelian derived subalgebra squeezed against the index bound",
+        ))
     return cases
 
 
@@ -402,142 +385,112 @@ _REMARK_TABLE = {
 }
 
 
-def _criterion_6() -> list[VerificationCase]:
+def _criterion_6() -> list[_Row]:
     cases = []
     for (g, c), (dim_, z, r, chi) in sorted(_REMARK_TABLE.items()):
         report = _free_report(g, c)
         got = {"dim": report.dim, "center": report.center_dim, "rank": report.generic_rank, "index": report.index}
         want = {"dim": dim_, "center": z, "rank": r, "index": chi}
         for key in ("dim", "center", "rank", "index"):
-            cases.append(
-                VerificationCase(
-                    f"remark-table/F{g},{c}/{key}",
-                    3,
-                    want[key],
-                    got[key],
-                    "randomized rank, trials=3 seed=0",
-                )
-            )
+            cases.append((
+                f"remark-table/F{g},{c}/{key}",
+                want[key],
+                got[key],
+                "randomized rank, trials=3 seed=0",
+            ))
     return cases
 
 
-def _criterion_7() -> list[VerificationCase]:
+def _criterion_7() -> list[_Row]:
     cases = []
     for name, graph in graph_corpus():
         nu, _witness = _graph_nu(name)
         dim_ = graph.vertex_count + len(graph.edges)
-        cases.append(
-            VerificationCase(
-                f"prop4.4/{name}",
-                4,
-                dim_ - 2 * nu,
-                _graph_report(name).index,
-                "matching count vs randomized structure-matrix rank",
-            )
-        )
-        cases.append(
-            VerificationCase(
-                f"lovasz/{name}",
-                4,
-                matching_number_exhaustive(graph),
-                nu,
-                "blossom matching vs exhaustive subset search",
-            )
-        )
+        cases.append((
+            f"prop4.4/{name}",
+            dim_ - 2 * nu,
+            _graph_report(name).index,
+            "matching count vs randomized structure-matrix rank",
+        ))
+        cases.append((
+            f"lovasz/{name}",
+            matching_number_exhaustive(graph),
+            nu,
+            "blossom matching vs exhaustive subset search",
+        ))
     return cases
 
 
-def _criterion_8() -> list[VerificationCase]:
+def _criterion_8() -> list[_Row]:
     cases = []
     for name, graph in graph_corpus():
         nu, witness = _graph_nu(name)
         dim_ = graph.vertex_count + len(graph.edges)
-        cases.append(
-            VerificationCase(
-                f"rem4.5/{name}",
-                4,
-                dim_ - 2 * nu,
-                matching_stabilizer_dim(graph, witness),
-                "exact stabilizer of the matched-edge dual sum",
-            )
-        )
+        cases.append((
+            f"rem4.5/{name}",
+            dim_ - 2 * nu,
+            matching_stabilizer_dim(graph, witness),
+            "exact stabilizer of the matched-edge dual sum",
+        ))
     return cases
 
 
-def _criterion_9() -> list[VerificationCase]:
+def _criterion_9() -> list[_Row]:
     cases = []
     for g, c in _META_COMBOS:
         built = _meta(g, c)
         n = built.dim
         report = _meta_report(g, c)
-        cases.append(
-            VerificationCase(
-                f"thm5.2/M{g},{c}",
-                5,
-                n - 2 * g,
-                report.index,
-                "randomized structure-matrix rank",
-            )
-        )
+        cases.append((
+            f"thm5.2/M{g},{c}",
+            n - 2 * g,
+            report.index,
+            "randomized structure-matrix rank",
+        ))
         derived, _ = derived_subalgebra_pair(built.algebra)
         ooms = ooms_criterion(built.algebra, derived)
-        cases.append(
-            VerificationCase(
-                f"prop5.1/M{g},{c}/rect-rank",
-                5,
-                g,
-                ooms.rect_rank,
-                "randomized rank of the generator-against-ideal matrix",
-            )
-        )
-        cases.append(
-            VerificationCase(
-                f"prop5.1/M{g},{c}/index",
-                5,
-                n - 2 * g,
-                ooms.claimed_index,
-                "abelian-subalgebra criterion",
-            )
-        )
+        cases.append((
+            f"prop5.1/M{g},{c}/rect-rank",
+            g,
+            ooms.rect_rank,
+            "randomized rank of the generator-against-ideal matrix",
+        ))
+        cases.append((
+            f"prop5.1/M{g},{c}/index",
+            n - 2 * g,
+            ooms.claimed_index,
+            "abelian-subalgebra criterion",
+        ))
         s = alpha_sandwich(built.algebra, derived, chi=report.index)
-        cases.append(
-            VerificationCase(
-                f"cor5.3/M{g},{c}",
-                5,
-                n - g,
-                s.alpha,
-                "abelian derived subalgebra squeezed against the index bound",
-            )
-        )
+        cases.append((
+            f"cor5.3/M{g},{c}",
+            n - g,
+            s.alpha,
+            "abelian derived subalgebra squeezed against the index bound",
+        ))
     return cases
 
 
-def _criterion_10() -> list[VerificationCase]:
+def _criterion_10() -> list[_Row]:
     cases = []
     for c in range(4, 8):
         built = _meta(2, c)
-        cases.append(
-            VerificationCase(
-                f"thm5.4/c={c}/dim",
-                5,
-                (c * c - c + 4) // 2,
-                built.dim,
-                "metabelian quotient dimension",
-            )
-        )
-        cases.append(
-            VerificationCase(
-                f"thm5.4/c={c}/index",
-                5,
-                (c * c - c - 4) // 2,
-                _meta_report(2, c).index,
-                "randomized structure-matrix rank",
-            )
-        )
+        cases.append((
+            f"thm5.4/c={c}/dim",
+            (c * c - c + 4) // 2,
+            built.dim,
+            "metabelian quotient dimension",
+        ))
+        cases.append((
+            f"thm5.4/c={c}/index",
+            (c * c - c - 4) // 2,
+            _meta_report(2, c).index,
+            "randomized structure-matrix rank",
+        ))
     return cases
 
 
-def _criterion_11() -> list[VerificationCase]:
+def _criterion_11() -> list[_Row]:
     cases = []
     members = [(f"L{n}", n - 2) for n in range(3, 11)]
     members += [(f"Q{n}", 2) for n in range(4, 11, 2)]
@@ -546,46 +499,37 @@ def _criterion_11() -> list[VerificationCase]:
     ]
     for name, expected in members:
         f = _fil(name)
-        cases.append(
-            VerificationCase(
-                f"prop6.7/{name}",
-                6,
-                expected,
-                _fil_report(name).index,
-                "randomized structure-matrix rank",
-            )
-        )
-        cases.append(
-            VerificationCase(
-                f"prop6.7/{name}/witness",
-                6,
-                expected,
-                stabilizer(f.algebra, _e_n_star(f)).dim,
-                "exact stabilizer of the top dual vector",
-            )
-        )
+        cases.append((
+            f"prop6.7/{name}",
+            expected,
+            _fil_report(name).index,
+            "randomized structure-matrix rank",
+        ))
+        cases.append((
+            f"prop6.7/{name}/witness",
+            expected,
+            stabilizer(f.algebra, _e_n_star(f)).dim,
+            "exact stabilizer of the top dual vector",
+        ))
     return cases
 
 
-def _criterion_12() -> list[VerificationCase]:
+def _criterion_12() -> list[_Row]:
     cases = []
     for name, f in filiform_corpus():
         if f.n % 2 == 0:
             continue
         crit = index_one_criterion(f)
-        cases.append(
-            VerificationCase(
-                f"index1/{name}",
-                6,
-                _fil_report(name).index == 1,
-                crit.is_index_one,
-                "vanishing pattern of the top bracket coefficients",
-            )
-        )
+        cases.append((
+            f"index1/{name}",
+            _fil_report(name).index == 1,
+            crit.is_index_one,
+            "vanishing pattern of the top bracket coefficients",
+        ))
     return cases
 
 
-def _criterion_13() -> list[VerificationCase]:
+def _criterion_13() -> list[_Row]:
     cases = []
     for name, f in filiform_corpus():
         chi = _fil_report(name).index
@@ -594,27 +538,21 @@ def _criterion_13() -> list[VerificationCase]:
             for k in range(2, f.n + 1)
             if (b := lower_bound(f, k)) is not None
         )
-        cases.append(
-            VerificationCase(
-                f"lowerbound/{name}",
-                6,
-                True,
-                holds,
-                "index against every abelian-ideal bound",
-            )
-        )
+        cases.append((
+            f"lowerbound/{name}",
+            True,
+            holds,
+            "index against every abelian-ideal bound",
+        ))
     for n in range(3, 12):
         for k in range(3, n + 1, 2):
             f = _fil(f"G{n},{k}")
-            cases.append(
-                VerificationCase(
-                    f"lowerbound/G{n},{k}/sharp",
-                    6,
-                    n - k + 1,
-                    lower_bound(f, (k + 1) // 2),
-                    "bound at the middle ideal equals the known index",
-                )
-            )
+            cases.append((
+                f"lowerbound/G{n},{k}/sharp",
+                n - k + 1,
+                lower_bound(f, (k + 1) // 2),
+                "bound at the middle ideal equals the known index",
+            ))
     return cases
 
 
@@ -626,29 +564,26 @@ def _first_failure(pairs) -> str:
     return "ok"
 
 
-def _criterion_14() -> list[VerificationCase]:
+def _criterion_14() -> list[_Row]:
     corpus = _property_corpus()
     small = [(name, alg) for name, alg in corpus if alg.dim <= 20]
     cases = [
-        VerificationCase(
+        (
             "props/jacobi",
-            2,
             "ok",
             _first_failure((name, check_jacobi(alg) is None) for name, alg in corpus),
             "Jacobi identity on every construction",
         ),
-        VerificationCase(
+        (
             "props/generic-rank-even",
-            2,
             "ok",
             _first_failure(
                 (name, _property_report(name).generic_rank % 2 == 0) for name, _alg in corpus
             ),
             "structure-matrix rank parity",
         ),
-        VerificationCase(
+        (
             "props/center-bounds",
-            2,
             "ok",
             _first_failure(
                 (
@@ -661,27 +596,24 @@ def _criterion_14() -> list[VerificationCase]:
             ),
             "center dim <= index <= dim",
         ),
-        VerificationCase(
+        (
             "props/stabilizer-codim-even",
-            2,
             "ok",
             _first_failure(
                 (name, _stab_codims_even(alg, seed)) for seed, (name, alg) in enumerate(small)
             ),
             "random functionals give even-rank forms",
         ),
-        VerificationCase(
+        (
             "props/center-in-stabilizer",
-            2,
             "ok",
             _first_failure(
                 (name, _center_in_stabilizer(alg, seed)) for seed, (name, alg) in enumerate(small)
             ),
             "stabilizers contain the center",
         ),
-        VerificationCase(
+        (
             "props/certified-matches",
-            2,
             "ok",
             _first_failure(
                 (
@@ -693,9 +625,8 @@ def _criterion_14() -> list[VerificationCase]:
             ),
             "fraction-free elimination vs randomized rank, dim <= 20",
         ),
-        VerificationCase(
+        (
             "props/sampling-matches",
-            2,
             "ok",
             _first_failure(
                 (
@@ -734,7 +665,7 @@ def _center_in_stabilizer(alg: LieAlgebra, seed: int) -> bool:
 # ------------------------------------------------------------ extra cases
 
 
-def _two_step_alpha_cases() -> list[VerificationCase]:
+def _two_step_alpha_cases() -> list[_Row]:
     """Maximal abelian dimension in the two-step free algebra.
 
     The computed side is dim Z + 1 once two facts are checked on the built
@@ -759,23 +690,19 @@ def _two_step_alpha_cases() -> list[VerificationCase]:
         ]
         upper_ok = rank(pair_matrix) == comb(g, 2)
         computed = candidate.dim if lower_ok and upper_ok else None
-        cases.append(
-            VerificationCase(
-                f"prop3.1/g={g}",
-                3,
-                comb(g, 2) + 1,
-                computed,
-                "abelian span plus injectivity of the pair-bracket map",
-            )
-        )
+        cases.append((
+            f"prop3.1/g={g}",
+            comb(g, 2) + 1,
+            computed,
+            "abelian span plus injectivity of the pair-bracket map",
+        ))
     return cases
 
 
-def _center_formula_cases() -> list[VerificationCase]:
+def _center_formula_cases() -> list[_Row]:
     return [
-        VerificationCase(
+        (
             f"prop2.5/F{g},{c}/center",
-            2,
             witt_layer(g, c),
             _free_report(g, c).center_dim,
             "computed center dimension vs top Witt layer",
@@ -784,7 +711,7 @@ def _center_formula_cases() -> list[VerificationCase]:
     ]
 
 
-def _q_pattern_cases() -> list[VerificationCase]:
+def _q_pattern_cases() -> list[_Row]:
     cases = []
     for n in (6, 8, 10):
         for s in range(3):
@@ -795,88 +722,84 @@ def _q_pattern_cases() -> list[VerificationCase]:
                 for i in range(2, n)
                 if i - 1 != n - i
             )
-            cases.append(
-                VerificationCase(
-                    f"prop6.9/{name}/pattern",
-                    6,
-                    True,
-                    pattern,
-                    "perturbed constants keep the alternating top brackets",
-                )
-            )
-            cases.append(
-                VerificationCase(
-                    f"prop6.9/{name}/index",
-                    6,
-                    2,
-                    _fil_report(name).index,
-                    "randomized structure-matrix rank",
-                )
-            )
-            cases.append(
-                VerificationCase(
-                    f"prop6.9/{name}/stab",
-                    6,
-                    2,
-                    stabilizer(f.algebra, _e_n_star(f)).dim,
-                    "exact stabilizer of the top dual vector",
-                )
-            )
+            cases.append((
+                f"prop6.9/{name}/pattern",
+                True,
+                pattern,
+                "perturbed constants keep the alternating top brackets",
+            ))
+            cases.append((
+                f"prop6.9/{name}/index",
+                2,
+                _fil_report(name).index,
+                "randomized structure-matrix rank",
+            ))
+            cases.append((
+                f"prop6.9/{name}/stab",
+                2,
+                stabilizer(f.algebra, _e_n_star(f)).dim,
+                "exact stabilizer of the top dual vector",
+            ))
     return cases
 
 
-def _achievable_cases() -> list[VerificationCase]:
+def _achievable_cases() -> list[_Row]:
     cases = []
     for n in range(3, 12):
         start = 1 if n % 2 else 2
-        cases.append(
-            VerificationCase(
-                f"cor6.8/n={n}",
-                6,
-                list(range(start, n - 1, 2)),
-                achievable_indices(n),
-                "indices realized across the odd-parameter family",
-            )
-        )
+        cases.append((
+            f"cor6.8/n={n}",
+            list(range(start, n - 1, 2)),
+            achievable_indices(n),
+            "indices realized across the odd-parameter family",
+        ))
     return cases
 
 
+# Each group returns (id, expected, computed, method) rows; the registry
+# holds the section of the results catalogue that all of a group's rows belong to.
 _CRITERIA = {
-    1: _criterion_1,
-    2: _criterion_2,
-    3: _criterion_3,
-    4: _criterion_4,
-    5: _criterion_5,
-    6: _criterion_6,
-    7: _criterion_7,
-    8: _criterion_8,
-    9: _criterion_9,
-    10: _criterion_10,
-    11: _criterion_11,
-    12: _criterion_12,
-    13: _criterion_13,
-    14: _criterion_14,
+    1: (2, _criterion_1),
+    2: (3, _criterion_2),
+    3: (3, _criterion_3),
+    4: (3, _criterion_4),
+    5: (3, _criterion_5),
+    6: (3, _criterion_6),
+    7: (4, _criterion_7),
+    8: (4, _criterion_8),
+    9: (5, _criterion_9),
+    10: (5, _criterion_10),
+    11: (6, _criterion_11),
+    12: (6, _criterion_12),
+    13: (6, _criterion_13),
+    14: (2, _criterion_14),
 }
+_EXTRAS = (
+    (2, _center_formula_cases),
+    (3, _two_step_alpha_cases),
+    (6, _q_pattern_cases),
+    (6, _achievable_cases),
+)
+
+
+def _run(section: int, group) -> list[VerificationCase]:
+    return [VerificationCase(id_, section, *rest) for id_, *rest in group()]
 
 
 def cases_for_criterion(num: int) -> list[VerificationCase]:
-    return _CRITERIA[num]()
+    return _run(*_CRITERIA[num])
 
 
 def extra_cases() -> list[VerificationCase]:
-    return (
-        _center_formula_cases()
-        + _two_step_alpha_cases()
-        + _q_pattern_cases()
-        + _achievable_cases()
-    )
+    return [case for entry in _EXTRAS for case in _run(*entry)]
 
 
 def all_cases(section: int | None = None) -> list[VerificationCase]:
-    cases = []
-    for num in sorted(_CRITERIA):
-        cases.extend(_CRITERIA[num]())
-    cases.extend(extra_cases())
-    if section is not None:
-        cases = [c for c in cases if c.section == section]
-    return cases
+    """Every case in catalogue order; with a section, only the groups in it run."""
+    groups = [_CRITERIA[num] for num in sorted(_CRITERIA)] + list(_EXTRAS)
+    return [
+        case
+        for sec, group in groups
+        if section is None or sec == section
+        for case in _run(sec, group)
+    ]

@@ -42,8 +42,10 @@ def test_case_ids_are_unique():
 
 
 def test_section_filter():
-    for section in (3, 4, 5, 6):
+    full = all_cases()
+    for section in (2, 3, 4, 5, 6):
         subset = all_cases(section)
         assert subset
         assert all(c.section == section for c in subset)
+        assert [c.id for c in subset] == [c.id for c in full if c.section == section]
     assert all_cases(99) == []

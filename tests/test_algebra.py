@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from lieindex.algebra import (
     LieAlgebra,
@@ -20,7 +21,6 @@ from lieindex.algebra import (
     subalgebra_generated,
 )
 from lieindex.free_nilpotent import build_free_nilpotent
-from lieindex.linalg import invert, nullspace
 
 
 def heisenberg():
@@ -43,7 +43,8 @@ def centralizer_oracle(g, vectors):
             row = [images[i][m] for i in range(g.dim)]
             if any(row):
                 rows.append(row)
-    return Subspace.from_vectors(g.dim, nullspace(rows, g.dim))
+    kernel = sympy.Matrix(len(rows), g.dim, [sympy.Rational(x) for row in rows for x in row]).nullspace()
+    return Subspace.from_vectors(g.dim, [list(v) for v in kernel])
 
 
 def center_oracle(g):
@@ -53,14 +54,14 @@ def center_oracle(g):
 def change_basis(g, p):
     # Structure constants on the new basis e'_a = sum_i p[i][a] e_i.
     n = g.dim
-    pinv = invert(p)
+    pinv = sympy.Matrix([[sympy.Rational(x) for x in row] for row in p]).inv()
     cols = [[p[i][a] for i in range(n)] for a in range(n)]
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
             w = g.bracket(cols[a], cols[b])
             coeffs = {
-                r: sum(pinv[r][k] * w[k] for k in range(n) if w[k])
+                r: sum(Fraction(pinv[r, k]) * w[k] for k in range(n) if w[k])
                 for r in range(n)
             }
             brackets[(a, b)] = coeffs

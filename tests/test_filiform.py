@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import lieindex.filiform as filiform
 from lieindex.algebra import (
     LieAlgebra,
     Subspace,
@@ -248,3 +249,9 @@ class TestDeformations:
         a = random_adapted_deformation(base, 3)
         b = random_adapted_deformation(base, 3)
         assert a.algebra == b.algebra
+
+    def test_failed_jacobi_check_raises(self, monkeypatch):
+        # A RuntimeError rather than an assert, so the check also runs under python -O.
+        monkeypatch.setattr(filiform, "check_jacobi", lambda alg: ((0, 1, 2), [Fraction(1)] * alg.dim))
+        with pytest.raises(RuntimeError, match="Jacobi"):
+            random_adapted_deformation(build_L(5), 1)

@@ -1,20 +1,15 @@
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
+from lieindex.algebra import Subspace
 from lieindex.linalg import (
     DEFAULT_PRIME,
     SparseEchelon,
-    invert,
     is_probable_prime,
-    mat_vec,
-    nullspace,
     rank,
     rank_mod_p,
-    rref,
-    transpose,
 )
 
 
@@ -26,6 +21,22 @@ def random_matrix(rng, nrows, ncols, fractions=False):
         return Fraction(num)
 
     return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def sparse_rows(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def sympy_matrix(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(x) for row in rows for x in row])
+
+
+def sympy_rref(rows, ncols):
+    """Nonzero rows of sympy's reduced row-echelon form, as Fraction tuples."""
+    red, pivots = sympy_matrix(rows, ncols).rref()
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in red.row(r)) for r in range(len(pivots))
+    )
 
 
 class TestRank:
@@ -71,34 +82,43 @@ class TestRank:
 
 
 class TestRref:
+    # The package's reduced row-echelon form is Subspace.from_vectors; sympy is the reference.
     def test_canonical_form(self):
-        rows, pivots = rref([[2, 4, 6], [1, 2, 4]])
-        assert pivots == [0, 2]
-        assert rows == [
-            [Fraction(1), Fraction(2), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(1)],
-        ]
+        s = Subspace.from_vectors(3, [[2, 4, 6], [1, 2, 4]])
+        assert s.basis == (
+            (Fraction(1), Fraction(2), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1)),
+        )
 
     def test_idempotent_and_pivot_columns(self):
         rng = random.Random(404)
         for _ in range(25):
-            m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), fractions=True)
-            rows, pivots = rref(m)
-            assert pivots == sorted(pivots)
-            assert len(rows) == len(pivots) == rank(m)
-            for r, p in enumerate(pivots):
-                col = [row[p] for row in rows]
-                assert col == [Fraction(int(i == r)) for i in range(len(rows))]
-            again, again_pivots = rref(rows)
-            assert again == rows and again_pivots == pivots
+            ncols = rng.randint(1, 6)
+            m = random_matrix(rng, rng.randint(1, 6), ncols, fractions=True)
+            s = Subspace.from_vectors(ncols, m)
+            assert s.basis == sympy_rref(m, ncols)
+            assert s.dim == rank(m)
+            assert Subspace.from_vectors(ncols, s.basis) == s
 
     def test_preserves_row_space(self):
         rng = random.Random(505)
         for _ in range(15):
-            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            rows, _ = rref(m)
-            stacked = [list(r) for r in m] + [list(r) for r in rows]
+            ncols = rng.randint(1, 5)
+            m = random_matrix(rng, rng.randint(1, 5), ncols)
+            stacked = [list(r) for r in m] + [list(r) for r in Subspace.from_vectors(ncols, m).basis]
             assert rank(stacked) == rank(m)
+
+    def test_zero_duplicate_and_missing_rows(self):
+        rng = random.Random(909)
+        for _ in range(25):
+            ncols = rng.randint(1, 6)
+            m = random_matrix(rng, rng.randint(1, 4), ncols, fractions=True)
+            m = m + [m[0], [Fraction(0)] * ncols, [2 * x for x in m[-1]]]
+            rng.shuffle(m)
+            assert Subspace.from_vectors(ncols, m).basis == sympy_rref(m, ncols)
+        assert Subspace.from_vectors(4, []) == Subspace.zero(4)
+        assert Subspace.from_vectors(3, [[0, 0, 0], [0, 0, 0]]).basis == ()
+        assert Subspace.from_vectors(0, []).basis == ()
 
 
 class TestNullspace:
@@ -108,32 +128,45 @@ class TestNullspace:
             nrows = rng.randint(1, 6)
             ncols = rng.randint(1, 6)
             m = random_matrix(rng, nrows, ncols, fractions=True)
-            kernel = nullspace(m, ncols)
+            kernel = SparseEchelon(sparse_rows(m)).kernel(ncols)
             assert len(kernel) == ncols - rank(m)
             for v in kernel:
-                assert mat_vec(m, v) == [Fraction(0)] * nrows
+                assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
             if kernel:
                 assert rank(kernel) == len(kernel)
 
     def test_zero_matrix(self):
-        kernel = nullspace([], 3)
+        kernel = SparseEchelon().kernel(3)
         assert len(kernel) == 3
         assert rank(kernel) == 3
+
+    def test_kernel_is_its_own_rref(self):
+        # center, centralizer and stabilizer use the kernel basis as a
+        # Subspace basis as it stands, so it must already be the canonical RREF.
+        rng = random.Random(1010)
+        for _ in range(40):
+            ncols = rng.randint(1, 8)
+            m = [[x if rng.random() < 0.4 else Fraction(0) for x in row]
+                 for row in random_matrix(rng, rng.randint(1, 7), ncols, fractions=True)]
+            kernel = SparseEchelon(sparse_rows(m)).kernel(ncols)
+            assert kernel == sympy_rref(kernel, ncols)
+            reference = [list(v) for v in sympy_matrix(m, ncols).nullspace()]
+            assert kernel == sympy_rref(reference, ncols)
 
 
 class TestSparseEchelon:
     def test_complement_and_membership_match_rref(self):
         # Non-pivot columns are the greedy lexicographically first complement,
-        # and reduce() is empty exactly on the span; rref is the reference.
+        # and reduce() is empty exactly on the span; sympy's rank is the reference.
         rng = random.Random(808)
         for _ in range(40):
             ncols = rng.randint(1, 6)
             m = [[x if rng.random() < 0.5 else Fraction(0) for x in row]
                  for row in random_matrix(rng, rng.randint(1, 5), ncols, fractions=True)]
-            ech = SparseEchelon({c: x for c, x in enumerate(row) if x} for row in m)
+            ech = SparseEchelon(sparse_rows(m))
 
             def dim(rows):
-                return len(rref(rows, ncols)[0])
+                return sympy_matrix(rows, ncols).rank()
 
             grown = list(m)
             for j in range(ncols):
@@ -143,26 +176,6 @@ class TestSparseEchelon:
                     grown.append(e)
                 assert (not ech.reduce({j: 1})) == (dim(m + [e]) == dim(m))
             assert len(ech.rows) == dim(m)
-
-
-class TestInvert:
-    def test_round_trip(self):
-        rng = random.Random(707)
-        produced = 0
-        while produced < 15:
-            n = rng.randint(1, 5)
-            m = random_matrix(rng, n, n, fractions=True)
-            if rank(m) < n:
-                continue
-            produced += 1
-            inv = invert(m)
-            prod = [mat_vec(m, col) for col in transpose(inv)]
-            ident = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-            assert prod == ident
-
-    def test_singular_raises(self):
-        with pytest.raises(ValueError):
-            invert([[1, 2], [2, 4]])
 
 
 class TestPrimality:
@@ -179,6 +192,3 @@ class TestPrimality:
         for n in range(2, 500):
             assert is_probable_prime(n) == sympy.isprime(n)
 
-
-def test_transpose_shape():
-    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
