@@ -18,7 +18,7 @@ import sys
 
 from .algebra import LieAlgebra, center, check_jacobi, derived_subalgebra_pair, lower_central_series
 from .filiform import build_G, build_L, build_Q
-from .free_nilpotent import DEFAULT_MAX_DIM, ResourceLimitError, build_free_nilpotent, build_metabelian
+from .free_nilpotent import ResourceLimitError, _check_ceiling, build_free_nilpotent, build_metabelian
 from .graphs import SimpleGraph, build_graph_algebra, graph_index
 from .index import (
     DEFAULT_SEED,
@@ -70,10 +70,8 @@ def _load_algebra(path: str) -> LieAlgebra:
     data = _load_json(path)
     # Checked before algebra_from_dict builds one label per dimension.
     dim = data.get("dim") if isinstance(data, dict) else None
-    if isinstance(dim, int) and dim > DEFAULT_MAX_DIM:
-        raise ResourceLimitError(
-            f"input algebra has dimension {dim}, above the ceiling {DEFAULT_MAX_DIM}"
-        )
+    if isinstance(dim, int):
+        _check_ceiling(dim, "input algebra")
     alg = algebra_from_dict(data)
     violation = check_jacobi(alg)
     if violation is not None:

@@ -21,6 +21,7 @@ from .algebra import (
     check_jacobi,
     lower_central_series,
 )
+from .free_nilpotent import _check_ceiling
 from .linalg import SparseEchelon
 
 
@@ -91,6 +92,7 @@ def build_L(n: int) -> FiliformAlgebra:
     """The model filiform algebra: [e_1, e_i] = e_{i+1} and nothing else."""
     if n < 3:
         raise ValueError("the L family needs dimension >= 3")
+    _check_ceiling(n, f"filiform algebra L{n}")
     brackets = {(0, i): {i + 1: Fraction(1)} for i in range(1, n - 1)}
     return make_filiform(LieAlgebra(n, _labels(n), brackets), "L")
 
@@ -99,6 +101,7 @@ def build_Q(n: int) -> FiliformAlgebra:
     """Even-dimensional family with [e_i, e_{n+1-i}] = (-1)^i e_n added."""
     if n < 4 or n % 2:
         raise ValueError("the Q family needs even dimension >= 4")
+    _check_ceiling(n, f"filiform algebra Q{n}")
     brackets = {(0, i): {i + 1: Fraction(1)} for i in range(1, n - 1)}
     for i in range(2, n // 2 + 1):
         key = (i - 1, n - i)
@@ -121,6 +124,7 @@ def build_G(n: int, k: int) -> FiliformAlgebra:
     """
     if k % 2 == 0 or not 3 <= k <= n:
         raise ValueError("need odd k with 3 <= k <= n")
+    _check_ceiling(n, f"filiform algebra G{n},{k}")
     core_dim = n - 1  # coordinates t_2 .. t_n, index t -> t - 2
     core: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(2, k):

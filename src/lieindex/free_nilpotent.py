@@ -31,6 +31,11 @@ class ResourceLimitError(RuntimeError):
     """Construction would exceed the configured dimension ceiling."""
 
 
+def _check_ceiling(dim: int, what: str, max_dim: int = DEFAULT_MAX_DIM) -> None:
+    if dim > max_dim:
+        raise ResourceLimitError(f"{what} has dimension {dim}, above the ceiling {max_dim}")
+
+
 def mobius(n: int) -> int:
     """Moebius function by trial division; n >= 1."""
     if n < 1:
@@ -190,11 +195,7 @@ def build_free_nilpotent(
 ) -> FreeNilpotentAlgebra:
     """Free nilpotent-of-class-c Lie algebra on g generators."""
     total, _top = witt_dimension(g, c)
-    if total > max_dim:
-        raise ResourceLimitError(
-            f"free nilpotent algebra with g={g}, c={c} has dimension {total}, "
-            f"above the ceiling {max_dim}"
-        )
+    _check_ceiling(total, f"free nilpotent algebra with g={g}, c={c}", max_dim)
     builder = HallBuilder(g, c)
     for w in range(1, c + 1):
         if len(builder.layers[w]) != witt_layer(g, w):

@@ -22,10 +22,10 @@ from .index import (
     IndexReport,
     LinearFunctional,
     _check_trials,
-    b_ell_matrix,
+    _form_rank,
     index,
 )
-from .linalg import rank
+from .free_nilpotent import _check_ceiling
 
 Edge = tuple[int, int]
 
@@ -73,14 +73,15 @@ class SimpleGraph:
 
 
 def build_graph_algebra(graph: SimpleGraph) -> LieAlgebra:
-    n = graph.vertex_count
+    n, m = graph.vertex_count, len(graph.edges)
+    _check_ceiling(n + m, f"graph algebra on {n} vertices and {m} edges")
     labels = [f"v{i + 1}" for i in range(n)] + [
         f"v{i + 1}^v{j + 1}" for (i, j) in graph.edges
     ]
     brackets = {
         (i, j): {n + e: Fraction(1)} for e, (i, j) in enumerate(graph.edges)
     }
-    return LieAlgebra(n + len(graph.edges), tuple(labels), brackets)
+    return LieAlgebra(n + m, tuple(labels), brackets)
 
 
 def maximum_matching(graph: SimpleGraph) -> tuple[Edge, ...]:
@@ -244,10 +245,11 @@ def graph_index(
     prime: int | None = None,
 ) -> GraphIndexResult:
     _check_trials(trials)
+    # Built first, so the dimension ceiling also bounds the matching search.
+    alg = build_graph_algebra(graph)
     nu, witness = matching_number(graph)
-    dim = graph.vertex_count + len(graph.edges)
-    via_matching = dim - 2 * nu
-    report = index(build_graph_algebra(graph), trials=trials, seed=seed, prime=prime)
+    via_matching = alg.dim - 2 * nu
+    report = index(alg, trials=trials, seed=seed, prime=prime)
     if report.index != via_matching:
         raise RuntimeError(
             "graph index mismatch between matching and rank routes "
@@ -259,5 +261,4 @@ def graph_index(
 def matching_stabilizer_dim(graph: SimpleGraph, matching) -> int:
     """dim of the stabilizer of the matching functional, via exact rank."""
     alg = build_graph_algebra(graph)
-    ell = matching_functional(graph, matching)
-    return alg.dim - rank(b_ell_matrix(alg, ell))
+    return alg.dim - _form_rank(alg, matching_functional(graph, matching))

@@ -22,7 +22,7 @@ from .algebra import (
     abelian_witness,
     center,
 )
-from .linalg import DEFAULT_PRIME, SparseEchelon, _sparse, is_probable_prime, rank, rank_mod_p
+from .linalg import DEFAULT_PRIME, SparseEchelon, _sparse, is_probable_prime, rank_mod_p
 from .polynomials import Poly, bareiss_rank
 
 DEFAULT_TRIALS = 3
@@ -164,18 +164,28 @@ class LinearFunctional:
         return len(self.coords)
 
 
-def b_ell_matrix(g: LieAlgebra, ell: LinearFunctional) -> list[list[Fraction]]:
-    """Skew bilinear form (x, y) -> ell([x, y]) on the chosen basis."""
+def _b_ell_rows(g: LieAlgebra, ell: LinearFunctional) -> list[dict[int, Fraction]]:
+    """Sparse rows {j: ell([x_i, x_j])} of the skew form, read off the brackets."""
     if len(ell) != g.dim:
         raise ValueError("functional length does not match algebra dimension")
-    n = g.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
+    rows = [{} for _ in range(g.dim)]
     for (i, j), coeffs in g.brackets.items():
         val = sum((c * ell.coords[k] for k, c in coeffs.items()), Fraction(0))
         if val:
-            m[i][j] = val
-            m[j][i] = -val
-    return m
+            rows[i][j] = val
+            rows[j][i] = -val
+    return rows
+
+
+def b_ell_matrix(g: LieAlgebra, ell: LinearFunctional) -> list[list[Fraction]]:
+    """Skew bilinear form (x, y) -> ell([x, y]) on the chosen basis."""
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(g.dim)] for row in _b_ell_rows(g, ell)]
+
+
+def _form_rank(g: LieAlgebra, ell: LinearFunctional) -> int:
+    """Rank over Q of the skew form of ell, without building the dense matrix."""
+    return len(SparseEchelon(_b_ell_rows(g, ell)).rows)
 
 
 @dataclass(frozen=True)
@@ -248,7 +258,7 @@ def index(
                     "raise trials to find a witness"
                 )
         witness = LinearFunctional.of(best_point)
-        exact = rank(b_ell_matrix(g, witness))
+        exact = _form_rank(g, witness)
         if exact != r:
             raise RuntimeError("witness confirmation failed: lifted point lost rank")
     chi = n - r
@@ -276,7 +286,7 @@ def index_by_sampling(
         ell = LinearFunctional.of(
             [rng.randint(-bound, bound) for _ in range(g.dim)]
         )
-        d = g.dim - rank(b_ell_matrix(g, ell))
+        d = g.dim - _form_rank(g, ell)
         if d < best:
             best = d
     return best

@@ -6,7 +6,9 @@ expected value with a freshly computed one, each tagged with a stable id and
 the section of the results catalogue it belongs to.  The CLI's verify command
 and the acceptance test suite both run off this module, so nothing here may
 special-case its own expected values: computed sides always go through the
-public construction and index routes.
+public construction and index routes.  One corpus object builds each
+construction, and computes each index report, once per process, however the
+groups are run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from itertools import combinations
 from math import comb
 
 from .algebra import (
@@ -36,7 +39,6 @@ from .filiform import (
     random_adapted_deformation,
 )
 from .free_nilpotent import (
-    FreeNilpotentAlgebra,
     build_fg3_explicit_basis,
     build_free_nilpotent,
     build_metabelian,
@@ -46,7 +48,6 @@ from .free_nilpotent import (
 from .graphs import (
     SimpleGraph,
     build_graph_algebra,
-    matching_functional,
     matching_number,
     matching_number_exhaustive,
     matching_stabilizer_dim,
@@ -99,184 +100,94 @@ CRITERION_NAMES = {
 }
 
 
-# ---------------------------------------------------------------- builders
+# ------------------------------------------------------------------ corpus
+
+_WITT_COMBOS = [(g, c) for g in (2, 3, 4) for c in (2, 3, 4)] + [(3, 5)]
+_META_COMBOS = [(3, 3), (3, 4), (4, 3), (3, 5)]
 
 
-@lru_cache(maxsize=None)
-def _free(g: int, c: int) -> FreeNilpotentAlgebra:
-    return build_free_nilpotent(g, c)
+@dataclass
+class _Entry:
+    """What a builder returned, its algebra, and the algebra's index report."""
+
+    built: object
+    algebra: LieAlgebra
+
+    @cached_property
+    def report(self) -> IndexReport:
+        return index(self.algebra)
 
 
-@lru_cache(maxsize=None)
-def _meta(g: int, c: int) -> FreeNilpotentAlgebra:
-    return build_metabelian(g, c)
+def _entry(built) -> _Entry:
+    return _Entry(built, built.algebra)
 
 
-@lru_cache(maxsize=None)
-def _fg3(g: int) -> FreeNilpotentAlgebra:
-    return build_fg3_explicit_basis(g)
+class _Corpus:
+    """Every construction the catalogue checks, each family built on first use."""
 
+    @cached_property
+    def free(self) -> dict[tuple[int, int], _Entry]:
+        # Criteria 2 and 4 also use F(5..7, 2) and F(5, 3); criterion 14 does not.
+        keys = _WITT_COMBOS + [(g, 2) for g in range(5, 8)] + [(5, 3)]
+        return {k: _entry(build_free_nilpotent(*k)) for k in keys}
 
-@lru_cache(maxsize=None)
-def _free_report(g: int, c: int) -> IndexReport:
-    return index(_free(g, c).algebra)
+    @cached_property
+    def explicit(self) -> dict[int, _Entry]:
+        return {g: _entry(build_fg3_explicit_basis(g)) for g in (3, 4, 5)}
 
+    @cached_property
+    def meta(self) -> dict[tuple[int, int], _Entry]:
+        keys = _META_COMBOS + [(2, c) for c in range(4, 8)]
+        return {k: _entry(build_metabelian(*k)) for k in keys}
 
-@lru_cache(maxsize=None)
-def _meta_report(g: int, c: int) -> IndexReport:
-    return index(_meta(g, c).algebra)
-
-
-@lru_cache(maxsize=None)
-def _fg3_report(g: int) -> IndexReport:
-    return index(_fg3(g).algebra)
-
-
-def _complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def _path_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
-def _cycle_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, tuple(sorted((i, i + 1) for i in range(n - 1))) + ((0, n - 1),))
-
-
-def _star_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, tuple((0, i) for i in range(1, n)))
-
-
-@lru_cache(maxsize=None)
-def graph_corpus() -> tuple[tuple[str, SimpleGraph], ...]:
-    """Named graphs plus 50 seeded random graphs on at most 10 vertices."""
-    out = [(f"K{g}", _complete_graph(g)) for g in range(2, 7)]
-    out += [(f"P{n}", _path_graph(n)) for n in range(2, 9)]
-    out += [(f"C{n}", _cycle_graph(n)) for n in range(3, 9)]
-    out += [(f"S{n}", _star_graph(n)) for n in range(3, 9)]
-    for t in range(50):
-        rng = random.Random(777_000 + t)
-        n = rng.randint(2, 10)
-        edges = tuple(
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
-        )
-        out.append((f"rand{t:02d}", SimpleGraph(n, edges)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _graph(name: str) -> SimpleGraph:
-    return dict(graph_corpus())[name]
-
-
-@lru_cache(maxsize=None)
-def _graph_nu(name: str):
-    return matching_number(_graph(name))
-
-
-@lru_cache(maxsize=None)
-def _graph_algebra(name: str) -> LieAlgebra:
-    return build_graph_algebra(_graph(name))
-
-
-@lru_cache(maxsize=None)
-def _graph_report(name: str) -> IndexReport:
-    return index(_graph_algebra(name))
-
-
-@lru_cache(maxsize=None)
-def _L(n: int) -> FiliformAlgebra:
-    return build_L(n)
-
-
-@lru_cache(maxsize=None)
-def _Q(n: int) -> FiliformAlgebra:
-    return build_Q(n)
-
-
-@lru_cache(maxsize=None)
-def _G(n: int, k: int) -> FiliformAlgebra:
-    return build_G(n, k)
-
-
-@lru_cache(maxsize=None)
-def filiform_corpus() -> tuple[tuple[str, FiliformAlgebra], ...]:
-    """All family members plus seeded adapted-basis perturbations.
-
-    Perturbations are honest changes of adapted basis, so each one is a
-    valid filiform algebra whose invariants are recomputed from scratch by
-    the cases that consume it.
-    """
-    out = [(f"L{n}", _L(n)) for n in range(3, 11)]
-    out += [(f"Q{n}", _Q(n)) for n in range(4, 11, 2)]
-    out += [
-        (f"G{n},{k}", _G(n, k)) for n in range(3, 12) for k in range(3, n + 1, 2)
-    ]
-    for n in (5, 7, 9):
-        bases = [(f"L{n}", _L(n))] + [(f"G{n},{k}", _G(n, k)) for k in range(3, n + 1, 2)]
-        for s in range(25):
-            base_name, base = bases[s % len(bases)]
-            out.append(
-                (f"{base_name}+s{s:02d}", random_adapted_deformation(base, 9000 + 100 * n + s))
+    @cached_property
+    def graphs(self) -> dict[str, _Entry]:
+        """Named graphs plus 50 seeded random graphs on at most 10 vertices."""
+        out = {f"K{n}": SimpleGraph(n, tuple(combinations(range(n), 2))) for n in range(2, 7)}
+        path = {n: tuple((i, i + 1) for i in range(n - 1)) for n in range(2, 9)}
+        out |= {f"P{n}": SimpleGraph(n, path[n]) for n in range(2, 9)}
+        out |= {f"C{n}": SimpleGraph(n, path[n] + ((0, n - 1),)) for n in range(3, 9)}
+        out |= {f"S{n}": SimpleGraph(n, tuple((0, i) for i in range(1, n))) for n in range(3, 9)}
+        for t in range(50):
+            rng = random.Random(777_000 + t)
+            n = rng.randint(2, 10)
+            edges = tuple(
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5
             )
-    for n in (6, 8, 10):
-        for s in range(3):
-            out.append((f"Q{n}+s{s:02d}", random_adapted_deformation(_Q(n), 8000 + 10 * n + s)))
-    return tuple(out)
+            out[f"rand{t:02d}"] = SimpleGraph(n, edges)
+        return {name: _Entry(gr, build_graph_algebra(gr)) for name, gr in out.items()}
+
+    @cached_property
+    def filiform(self) -> dict[str, _Entry]:
+        """All family members plus seeded adapted-basis perturbations.
+
+        Perturbations are honest changes of adapted basis, so each one is a
+        valid filiform algebra whose invariants are recomputed from scratch by
+        the cases that consume it.
+        """
+        out = {f"L{n}": build_L(n) for n in range(3, 11)}
+        out |= {f"Q{n}": build_Q(n) for n in range(4, 11, 2)}
+        out |= {f"G{n},{k}": build_G(n, k) for n in range(3, 12) for k in range(3, n + 1, 2)}
+        for n in (5, 7, 9):
+            bases = [f"L{n}"] + [f"G{n},{k}" for k in range(3, n + 1, 2)]
+            for s in range(25):
+                base = bases[s % len(bases)]
+                out[f"{base}+s{s:02d}"] = random_adapted_deformation(out[base], 9000 + 100 * n + s)
+        for n in (6, 8, 10):
+            for s in range(3):
+                out[f"Q{n}+s{s:02d}"] = random_adapted_deformation(out[f"Q{n}"], 8000 + 10 * n + s)
+        return {name: _entry(f) for name, f in out.items()}
 
 
-@lru_cache(maxsize=None)
-def _fil(name: str) -> FiliformAlgebra:
-    return dict(filiform_corpus())[name]
-
-
-@lru_cache(maxsize=None)
-def _fil_report(name: str) -> IndexReport:
-    return index(_fil(name).algebra)
+# One per process: the catalogue groups run separately (by section, or one
+# criterion at a time) and share every construction and report.
+_CORPUS = _Corpus()
 
 
 def _e_n_star(f: FiliformAlgebra) -> LinearFunctional:
     coords = [Fraction(0)] * f.n
     coords[f.n - 1] = Fraction(1)
     return LinearFunctional.of(coords)
-
-
-@lru_cache(maxsize=None)
-def _property_corpus() -> tuple[tuple[str, LieAlgebra], ...]:
-    """Every algebra the verification run constructs, under a stable name."""
-    out = []
-    for g, c in _WITT_COMBOS:
-        out.append((f"F{g},{c}", _free(g, c).algebra))
-    for g in (3, 4, 5):
-        out.append((f"F{g},3-explicit", _fg3(g).algebra))
-    for g, c in _META_COMBOS + [(2, c) for c in range(4, 8)]:
-        out.append((f"M{g},{c}", _meta(g, c).algebra))
-    for name, _graph_obj in graph_corpus():
-        out.append((f"graph-{name}", _graph_algebra(name)))
-    for name, f in filiform_corpus():
-        out.append((f"filiform-{name}", f.algebra))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _property_report(name: str) -> IndexReport:
-    for prefix, fetch in (
-        ("graph-", _graph_report),
-        ("filiform-", _fil_report),
-    ):
-        if name.startswith(prefix):
-            return fetch(name[len(prefix) :])
-    if name.endswith("-explicit"):
-        return _fg3_report(int(name[1]))
-    g, c = name[1:].split(",")
-    if name.startswith("F"):
-        return _free_report(int(g), int(c))
-    return _meta_report(int(g), int(c))
-
-
-_WITT_COMBOS = [(g, c) for g in (2, 3, 4) for c in (2, 3, 4)] + [(3, 5)]
-_META_COMBOS = [(3, 3), (3, 4), (4, 3), (3, 5)]
 
 
 # ---------------------------------------------------------------- criteria
@@ -286,7 +197,7 @@ def _criterion_1() -> list[_Row]:
     cases = []
     for g, c in _WITT_COMBOS:
         total, top = witt_dimension(g, c)
-        built = _free(g, c)
+        built = _CORPUS.free[g, c].built
         cases.append((
             f"prop2.5/F{g},{c}/dim", total, built.dim, "Hall basis count vs Witt formula"
         ))
@@ -306,14 +217,14 @@ def _criterion_2() -> list[_Row]:
         cases.append((
             f"prop3.2/g={g}",
             expected,
-            _free_report(g, 2).index,
+            _CORPUS.free[g, 2].report.index,
             "randomized structure-matrix rank",
         ))
     return cases
 
 
 def _criterion_3() -> list[_Row]:
-    alg = _free(2, 3).algebra
+    alg = _CORPUS.free[2, 3].algebra
     r = certified_generic_rank(structure_matrix(alg))
     report = index(alg, certify=True)
     return [
@@ -327,7 +238,7 @@ def _fg3_chi(g: int) -> int:
 
 
 def _fg3_functional(g: int) -> LinearFunctional:
-    built = _fg3(g)
+    built = _CORPUS.explicit[g].built
     coords = [Fraction(0)] * built.dim
     for pos in built.layer_range(3):
         i, (j, k) = built.hall_basis[pos].tree
@@ -342,17 +253,16 @@ def _criterion_4() -> list[_Row]:
         cases.append((
             f"thm3.4/g={g}",
             expected,
-            _free_report(g, 3).index,
+            _CORPUS.free[g, 3].report.index,
             "randomized structure-matrix rank on the Hall basis",
         ))
         cases.append((
             f"thm3.4/g={g}/explicit-basis",
             expected,
-            _fg3_report(g).index,
+            _CORPUS.explicit[g].report.index,
             "randomized rank on the triple-indexed basis",
         ))
-        built = _fg3(g)
-        stab = stabilizer(built.algebra, _fg3_functional(g))
+        stab = stabilizer(_CORPUS.explicit[g].algebra, _fg3_functional(g))
         cases.append((
             f"thm3.4/g={g}/witness",
             expected,
@@ -365,9 +275,9 @@ def _criterion_4() -> list[_Row]:
 def _criterion_5() -> list[_Row]:
     cases = []
     for g in (3, 4, 5):
-        built = _free(g, 3)
-        derived, _ = derived_subalgebra_pair(built.algebra)
-        s = alpha_sandwich(built.algebra, derived, chi=_free_report(g, 3).index)
+        entry = _CORPUS.free[g, 3]
+        derived, _ = derived_subalgebra_pair(entry.algebra)
+        s = alpha_sandwich(entry.algebra, derived, chi=entry.report.index)
         cases.append((
             f"cor3.5/g={g}",
             (2 * g**3 + 3 * g**2 - 5 * g) // 6,
@@ -388,7 +298,7 @@ _REMARK_TABLE = {
 def _criterion_6() -> list[_Row]:
     cases = []
     for (g, c), (dim_, z, r, chi) in sorted(_REMARK_TABLE.items()):
-        report = _free_report(g, c)
+        report = _CORPUS.free[g, c].report
         got = {"dim": report.dim, "center": report.center_dim, "rank": report.generic_rank, "index": report.index}
         want = {"dim": dim_, "center": z, "rank": r, "index": chi}
         for key in ("dim", "center", "rank", "index"):
@@ -403,13 +313,13 @@ def _criterion_6() -> list[_Row]:
 
 def _criterion_7() -> list[_Row]:
     cases = []
-    for name, graph in graph_corpus():
-        nu, _witness = _graph_nu(name)
-        dim_ = graph.vertex_count + len(graph.edges)
+    for name, entry in _CORPUS.graphs.items():
+        graph = entry.built
+        nu, _witness = matching_number(graph)
         cases.append((
             f"prop4.4/{name}",
-            dim_ - 2 * nu,
-            _graph_report(name).index,
+            entry.algebra.dim - 2 * nu,
+            entry.report.index,
             "matching count vs randomized structure-matrix rank",
         ))
         cases.append((
@@ -423,13 +333,12 @@ def _criterion_7() -> list[_Row]:
 
 def _criterion_8() -> list[_Row]:
     cases = []
-    for name, graph in graph_corpus():
-        nu, witness = _graph_nu(name)
-        dim_ = graph.vertex_count + len(graph.edges)
+    for name, entry in _CORPUS.graphs.items():
+        nu, witness = matching_number(entry.built)
         cases.append((
             f"rem4.5/{name}",
-            dim_ - 2 * nu,
-            matching_stabilizer_dim(graph, witness),
+            entry.algebra.dim - 2 * nu,
+            matching_stabilizer_dim(entry.built, witness),
             "exact stabilizer of the matched-edge dual sum",
         ))
     return cases
@@ -438,17 +347,17 @@ def _criterion_8() -> list[_Row]:
 def _criterion_9() -> list[_Row]:
     cases = []
     for g, c in _META_COMBOS:
-        built = _meta(g, c)
-        n = built.dim
-        report = _meta_report(g, c)
+        entry = _CORPUS.meta[g, c]
+        n = entry.algebra.dim
+        report = entry.report
         cases.append((
             f"thm5.2/M{g},{c}",
             n - 2 * g,
             report.index,
             "randomized structure-matrix rank",
         ))
-        derived, _ = derived_subalgebra_pair(built.algebra)
-        ooms = ooms_criterion(built.algebra, derived)
+        derived, _ = derived_subalgebra_pair(entry.algebra)
+        ooms = ooms_criterion(entry.algebra, derived)
         cases.append((
             f"prop5.1/M{g},{c}/rect-rank",
             g,
@@ -461,7 +370,7 @@ def _criterion_9() -> list[_Row]:
             ooms.claimed_index,
             "abelian-subalgebra criterion",
         ))
-        s = alpha_sandwich(built.algebra, derived, chi=report.index)
+        s = alpha_sandwich(entry.algebra, derived, chi=report.index)
         cases.append((
             f"cor5.3/M{g},{c}",
             n - g,
@@ -474,17 +383,17 @@ def _criterion_9() -> list[_Row]:
 def _criterion_10() -> list[_Row]:
     cases = []
     for c in range(4, 8):
-        built = _meta(2, c)
+        entry = _CORPUS.meta[2, c]
         cases.append((
             f"thm5.4/c={c}/dim",
             (c * c - c + 4) // 2,
-            built.dim,
+            entry.algebra.dim,
             "metabelian quotient dimension",
         ))
         cases.append((
             f"thm5.4/c={c}/index",
             (c * c - c - 4) // 2,
-            _meta_report(2, c).index,
+            entry.report.index,
             "randomized structure-matrix rank",
         ))
     return cases
@@ -498,17 +407,17 @@ def _criterion_11() -> list[_Row]:
         (f"G{n},{k}", n - k + 1) for n in range(3, 12) for k in range(3, n + 1, 2)
     ]
     for name, expected in members:
-        f = _fil(name)
+        entry = _CORPUS.filiform[name]
         cases.append((
             f"prop6.7/{name}",
             expected,
-            _fil_report(name).index,
+            entry.report.index,
             "randomized structure-matrix rank",
         ))
         cases.append((
             f"prop6.7/{name}/witness",
             expected,
-            stabilizer(f.algebra, _e_n_star(f)).dim,
+            stabilizer(entry.algebra, _e_n_star(entry.built)).dim,
             "exact stabilizer of the top dual vector",
         ))
     return cases
@@ -516,13 +425,13 @@ def _criterion_11() -> list[_Row]:
 
 def _criterion_12() -> list[_Row]:
     cases = []
-    for name, f in filiform_corpus():
-        if f.n % 2 == 0:
+    for name, entry in _CORPUS.filiform.items():
+        if entry.algebra.dim % 2 == 0:
             continue
-        crit = index_one_criterion(f)
+        crit = index_one_criterion(entry.built)
         cases.append((
             f"index1/{name}",
-            _fil_report(name).index == 1,
+            entry.report.index == 1,
             crit.is_index_one,
             "vanishing pattern of the top bracket coefficients",
         ))
@@ -531,10 +440,10 @@ def _criterion_12() -> list[_Row]:
 
 def _criterion_13() -> list[_Row]:
     cases = []
-    for name, f in filiform_corpus():
-        chi = _fil_report(name).index
+    for name, entry in _CORPUS.filiform.items():
+        f = entry.built
         holds = all(
-            chi >= b
+            entry.report.index >= b
             for k in range(2, f.n + 1)
             if (b := lower_bound(f, k)) is not None
         )
@@ -546,11 +455,10 @@ def _criterion_13() -> list[_Row]:
         ))
     for n in range(3, 12):
         for k in range(3, n + 1, 2):
-            f = _fil(f"G{n},{k}")
             cases.append((
                 f"lowerbound/G{n},{k}/sharp",
                 n - k + 1,
-                lower_bound(f, (k + 1) // 2),
+                lower_bound(_CORPUS.filiform[f"G{n},{k}"].built, (k + 1) // 2),
                 "bound at the middle ideal equals the known index",
             ))
     return cases
@@ -565,34 +473,33 @@ def _first_failure(pairs) -> str:
 
 
 def _criterion_14() -> list[_Row]:
-    corpus = _property_corpus()
-    small = [(name, alg) for name, alg in corpus if alg.dim <= 20]
+    corpus = (
+        [(f"F{g},{c}", _CORPUS.free[g, c]) for g, c in _WITT_COMBOS]
+        + [(f"F{g},3-explicit", e) for g, e in _CORPUS.explicit.items()]
+        + [(f"M{g},{c}", e) for (g, c), e in _CORPUS.meta.items()]
+        + [(f"graph-{name}", e) for name, e in _CORPUS.graphs.items()]
+        + [(f"filiform-{name}", e) for name, e in _CORPUS.filiform.items()]
+    )
+    small = [(name, e) for name, e in corpus if e.algebra.dim <= 20]
     cases = [
         (
             "props/jacobi",
             "ok",
-            _first_failure((name, check_jacobi(alg) is None) for name, alg in corpus),
+            _first_failure((name, check_jacobi(e.algebra) is None) for name, e in corpus),
             "Jacobi identity on every construction",
         ),
         (
             "props/generic-rank-even",
             "ok",
-            _first_failure(
-                (name, _property_report(name).generic_rank % 2 == 0) for name, _alg in corpus
-            ),
+            _first_failure((name, e.report.generic_rank % 2 == 0) for name, e in corpus),
             "structure-matrix rank parity",
         ),
         (
             "props/center-bounds",
             "ok",
             _first_failure(
-                (
-                    name,
-                    _property_report(name).center_dim
-                    <= _property_report(name).index
-                    <= _property_report(name).dim,
-                )
-                for name, _alg in corpus
+                (name, e.report.center_dim <= e.report.index <= e.report.dim)
+                for name, e in corpus
             ),
             "center dim <= index <= dim",
         ),
@@ -600,7 +507,7 @@ def _criterion_14() -> list[_Row]:
             "props/stabilizer-codim-even",
             "ok",
             _first_failure(
-                (name, _stab_codims_even(alg, seed)) for seed, (name, alg) in enumerate(small)
+                (name, _stab_codims_even(e.algebra, seed)) for seed, (name, e) in enumerate(small)
             ),
             "random functionals give even-rank forms",
         ),
@@ -608,7 +515,8 @@ def _criterion_14() -> list[_Row]:
             "props/center-in-stabilizer",
             "ok",
             _first_failure(
-                (name, _center_in_stabilizer(alg, seed)) for seed, (name, alg) in enumerate(small)
+                (name, _center_in_stabilizer(e.algebra, seed))
+                for seed, (name, e) in enumerate(small)
             ),
             "stabilizers contain the center",
         ),
@@ -616,12 +524,8 @@ def _criterion_14() -> list[_Row]:
             "props/certified-matches",
             "ok",
             _first_failure(
-                (
-                    name,
-                    certified_generic_rank(structure_matrix(alg))
-                    == _property_report(name).generic_rank,
-                )
-                for name, alg in small
+                (name, certified_generic_rank(structure_matrix(e.algebra)) == e.report.generic_rank)
+                for name, e in small
             ),
             "fraction-free elimination vs randomized rank, dim <= 20",
         ),
@@ -629,12 +533,8 @@ def _criterion_14() -> list[_Row]:
             "props/sampling-matches",
             "ok",
             _first_failure(
-                (
-                    name,
-                    index_by_sampling(alg, samples=50, seed=seed)
-                    == _property_report(name).index,
-                )
-                for seed, (name, alg) in enumerate(small)
+                (name, index_by_sampling(e.algebra, samples=50, seed=seed) == e.report.index)
+                for seed, (name, e) in enumerate(small)
             ),
             "50-sample functional search vs rank route, dim <= 20",
         ),
@@ -675,8 +575,7 @@ def _two_step_alpha_cases() -> list[_Row]:
     """
     cases = []
     for g in range(2, 7):
-        built = _free(g, 2)
-        alg = built.algebra
+        alg = _CORPUS.free[g, 2].algebra
         z = center(alg)
         candidate = z.sum_with(Subspace.from_vectors(alg.dim, [alg.basis_vector(0)]))
         lower_ok = (
@@ -704,7 +603,7 @@ def _center_formula_cases() -> list[_Row]:
         (
             f"prop2.5/F{g},{c}/center",
             witt_layer(g, c),
-            _free_report(g, c).center_dim,
+            _CORPUS.free[g, c].report.center_dim,
             "computed center dimension vs top Witt layer",
         )
         for g, c in _WITT_COMBOS
@@ -716,9 +615,9 @@ def _q_pattern_cases() -> list[_Row]:
     for n in (6, 8, 10):
         for s in range(3):
             name = f"Q{n}+s{s:02d}"
-            f = _fil(name)
+            entry = _CORPUS.filiform[name]
             pattern = all(
-                f.algebra.structure_coeffs(i - 1, n - i) == {n - 1: Fraction((-1) ** i)}
+                entry.algebra.structure_coeffs(i - 1, n - i) == {n - 1: Fraction((-1) ** i)}
                 for i in range(2, n)
                 if i - 1 != n - i
             )
@@ -731,13 +630,13 @@ def _q_pattern_cases() -> list[_Row]:
             cases.append((
                 f"prop6.9/{name}/index",
                 2,
-                _fil_report(name).index,
+                entry.report.index,
                 "randomized structure-matrix rank",
             ))
             cases.append((
                 f"prop6.9/{name}/stab",
                 2,
-                stabilizer(f.algebra, _e_n_star(f)).dim,
+                stabilizer(entry.algebra, _e_n_star(entry.built)).dim,
                 "exact stabilizer of the top dual vector",
             ))
     return cases

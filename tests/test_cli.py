@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -162,12 +163,27 @@ class TestIndex:
         assert code == 1 and out == ""
         assert err == "lieindex: witness confirmation failed\n"
 
-    @pytest.mark.parametrize("command", ["index", "invariants"])
-    def test_dimension_ceiling(self, capsys, tmp_path, command):
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"dim": 100000, "brackets": []}))
-        code, out, err = run(capsys, command, str(path))
-        assert code == 3 and out == "" and "100000" in err
+    @pytest.mark.parametrize(
+        "argv, dim",
+        [
+            (["index", "{algebra}"], 100000),
+            (["invariants", "{algebra}"], 100000),
+            (["construct", "filiform", "--family", "L", "--dim", "501"], 501),
+            (["construct", "filiform", "--family", "Q", "--dim", "502"], 502),
+            (["construct", "filiform", "--family", "G", "--dim", "501", "--k", "3"], 501),
+            (["construct", "graph", "--input", "{graph}"], 501),
+            (["graph-index", "{graph}"], 501),
+        ],
+        ids=["index", "invariants", "filiform-L", "filiform-Q", "filiform-G", "graph", "graph-index"],
+    )
+    def test_dimension_ceiling(self, capsys, tmp_path, argv, dim):
+        algebra = tmp_path / "huge.json"
+        algebra.write_text(json.dumps({"dim": 100000, "brackets": []}))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"vertices": 501, "edges": []}))
+        code, out, err = run(capsys, *(a.format(algebra=algebra, graph=graph) for a in argv))
+        assert code == 3 and out == ""
+        assert f"dimension {dim}, above the ceiling 500" in err
 
 
 class TestInvariants:
@@ -235,6 +251,13 @@ class TestVerify:
         assert cases and all(c["status"] == "pass" for c in cases)
         assert all(c["section"] == 4 for c in cases)
         assert "failed" in err.splitlines()[-1]
+
+    def test_catalogue_bytes_stable(self, capsys):
+        # Pins every computed value, its repr and its method string, not only pass/fail.
+        code, out, _ = run(capsys, "verify-paper")
+        assert code == 0
+        digest = "2a6cf92376b049dd5c1ac5c4377242517f736e380831353666e55e5e789f495d"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         fake = [

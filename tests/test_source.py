@@ -13,3 +13,26 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _decorator_name(node) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_no_module_level_caches():
+    # A module-level cache lives as long as the process and is shared by every
+    # caller; state the catalogue reuses belongs to an object that owns it.
+    found = []
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            found += [
+                f"{path.name}:{d.lineno}"
+                for d in defs
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(_decorator_name(dec) in ("lru_cache", "cache") for dec in d.decorator_list)
+            ]
+    assert not found, f"module-level caches in the package: {found}"
