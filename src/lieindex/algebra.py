@@ -1,9 +1,10 @@
 """Finite-dimensional Lie algebras over Q, given by structure constants.
 
-A LieAlgebra stores its bracket as a dict keyed by basis index pairs (i, j)
+A LieAlgebra's public `brackets` is a dict keyed by basis index pairs (i, j)
 with i < j; values are sparse coefficient dicts {k: c} meaning
-[x_i, x_j] = sum_k c * x_k.  The (j, i) entry is implied by antisymmetry and
-never stored.  Zero coefficients are never stored either.
+[x_i, x_j] = sum_k c * x_k.  Zero coefficients are never stored.  A private
+adjoint table holds every nonzero [x_i, x_j] in both orders, so bracket
+lookups, ad x_i and the images {a: [x_a, v]} read it without an order branch.
 
 Nothing here assumes nilpotency; the constructions elsewhere in the package
 produce nilpotent algebras, and check_jacobi is the validity gate for any
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseEchelon, _sparse
+from .linalg import SparseEchelon, _sparse, _subtract
 
 Coeffs = dict[int, Fraction]
 
@@ -138,6 +139,10 @@ class LieAlgebra:
             if cc:
                 clean[(i, j)] = cc
         self.brackets = clean
+        self._ad: dict[int, dict[int, Coeffs]] = {}  # _ad[i][j] = [x_i, x_j] != 0
+        for (i, j), cc in clean.items():
+            self._ad.setdefault(i, {})[j] = cc
+            self._ad.setdefault(j, {})[i] = {k: -c for k, c in cc.items()}
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,12 +157,7 @@ class LieAlgebra:
 
     def structure_coeffs(self, i: int, j: int) -> Coeffs:
         """[x_i, x_j] as a sparse coefficient dict (any i, j order)."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        d = self.brackets.get((j, i))
-        return {k: -c for k, c in d.items()} if d else {}
+        return self._ad.get(i, {}).get(j, {})
 
     def basis_vector(self, i: int) -> list[Fraction]:
         v = [Fraction(0)] * self.dim
@@ -178,53 +178,51 @@ class LieAlgebra:
     def ad_vector(self, i: int, coeffs: Coeffs) -> Coeffs:
         """[x_i, v] for sparse v, as a sparse dict."""
         out: Coeffs = {}
+        row = self._ad.get(i, {})
         for m, c in coeffs.items():
-            for k, ck in self.structure_coeffs(i, m).items():
-                out[k] = out.get(k, Fraction(0)) + c * ck
-        return {k: c for k, c in out.items() if c}
+            if m in row:
+                _subtract(out, -c, row[m])
+        return out
 
     def sparse_bracket(self, u: Coeffs, v: Coeffs) -> Coeffs:
         """[u, v] for sparse u, v, as a sparse dict."""
         out: Coeffs = {}
         for i, c in u.items():
-            for k, x in self.ad_vector(i, v).items():
-                out[k] = out.get(k, 0) + c * x
-        return {k: c for k, c in out.items() if c}
+            _subtract(out, -c, self.ad_vector(i, v))
+        return out
+
+    def ad_images(self, v: Coeffs) -> dict[int, Coeffs]:
+        """{a: [x_a, v]} over the a with a nonzero image, for sparse v."""
+        out: dict[int, Coeffs] = {}
+        for m, c in v.items():
+            for a, w in self._ad.get(m, {}).items():
+                _subtract(out.setdefault(a, {}), c, w)  # w = [x_m, x_a] = -[x_a, x_m]
+        return {a: w for a, w in out.items() if w}
 
 
 def check_jacobi(g: LieAlgebra):
     """None if the Jacobi identity holds, else ((i,j,k), residual vector).
 
-    Only triples touching a structurally nonzero pair bracket can have a
-    nonzero residual, so the scan is restricted to those; the returned
-    triple is the lexicographically first violation.
+    The residual of i < j < k sums [x_a, [x_b, x_c]] over the cyclic orders
+    (a, b, c) of (i, j, k).  It is built by walking bracket chains: for each
+    x_m term of a nonzero [x_b, x_c] (b < c) and each a outside {b, c} with
+    [x_a, x_m] != 0, that term times [x_a, x_m] goes to the residual of
+    sorted((a, b, c)), negated when b < a < c.  Triples on no chain have zero
+    residual.  The returned triple is the lexicographically first violation.
     """
-    if not g.brackets:
+    res: dict[tuple[int, int, int], Coeffs] = {}
+    for (b, c), inner in g.brackets.items():
+        for m, cm in inner.items():
+            for a, w in g._ad.get(m, {}).items():  # w = [x_m, x_a] = -[x_a, x_m]
+                if a != b and a != c:
+                    _subtract(res.setdefault(tuple(sorted((a, b, c))), {}), -cm if b < a < c else cm, w)
+    triple = min((t for t, r in res.items() if r), default=None)
+    if triple is None:
         return None
-    n = g.dim
-    candidates: set[tuple[int, int, int]] = set()
-    for (a, b) in g.brackets:
-        for c in range(n):
-            if c != a and c != b:
-                candidates.add(tuple(sorted((a, b, c))))
-    for (i, j, k) in sorted(candidates):
-        res: Coeffs = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = g.structure_coeffs(b, c)
-            if not inner:
-                continue
-            for m, cm in g.ad_vector(a, inner).items():
-                s = res.get(m, Fraction(0)) + cm
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
-        if res:
-            vec = [Fraction(0)] * n
-            for m, cm in res.items():
-                vec[m] = cm
-            return (i, j, k), vec
-    return None
+    vec = [Fraction(0)] * g.dim
+    for m, cm in res[triple].items():
+        vec[m] = cm
+    return triple, vec
 
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
@@ -234,8 +232,8 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     rows: dict[tuple[int, int], Coeffs] = {}
     for t, v in enumerate(s.basis):
         v = _sparse(v)
-        for i in range(g.dim):
-            for k, c in g.ad_vector(i, v).items():
+        for i, w in g.ad_images(v).items():
+            for k, c in w.items():
                 rows.setdefault((t, k), {})[i] = c
     return Subspace(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
 
@@ -261,7 +259,7 @@ def lower_central_series(g: LieAlgebra) -> list[Subspace]:
     series = [Subspace.full(g.dim)]
     while True:
         vs = [_sparse(v) for v in series[-1].basis]
-        series.append(Subspace.span(g.dim, (g.ad_vector(i, v) for i in range(g.dim) for v in vs)))
+        series.append(Subspace.span(g.dim, (w for v in vs for w in g.ad_images(v).values())))
         if series[-1].dim in (0, series[-2].dim):
             return series
 
@@ -305,7 +303,7 @@ def ideal_closure(g: LieAlgebra, s: Subspace) -> Subspace:
         # final span is closed under ad x_i.
         w = ech.add(todo.pop())
         if w:
-            todo.extend(g.ad_vector(i, w) for i in range(g.dim))
+            todo.extend(u for _, u in sorted(g.ad_images(w).items()))
     return Subspace.span(g.dim, ech.rows.values())
 
 
@@ -334,10 +332,10 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, list[list[Frac
     n = g.dim
     sparse = [_sparse(v) for v in ideal.basis]
     ech = SparseEchelon(sparse)
-    for i in range(n):
-        for v, sv in zip(ideal.basis, sparse):
-            if ech.reduce(g.ad_vector(i, sv)):
-                raise NotAnIdealError(i, v)
+    # (i, t) pairs are distinct, so the sort never compares the images.
+    for i, t, w in sorted((i, t, w) for t, sv in enumerate(sparse) for i, w in g.ad_images(sv).items()):
+        if ech.reduce(w):
+            raise NotAnIdealError(i, ideal.basis[t])
     chosen = [j for j in range(n) if j not in ech.rows]
     position = {j: r for r, j in enumerate(chosen)}
     proj = [[Fraction(0)] * n for _ in chosen]

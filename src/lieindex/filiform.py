@@ -69,10 +69,9 @@ def adapted_violation(alg: LieAlgebra) -> str | None:
                     return f"[e{i},e{j}] leaves span(e{n})"
             elif coeffs:
                 return f"[e{i},e{j}] != 0 with {i}+{j} > n+1"
-    dims = [s.dim for s in lower_central_series(alg)]
-    expected = [n] + list(range(n - 2, -1, -1))
-    if dims != expected:
-        return f"lower central series dims {dims} are not filiform"
+    # [e1, e_i] = e_{i+1} puts g_{k+1} inside the k-th series term, and the
+    # filtration rules keep that term inside g_{k+1}: the series dimensions
+    # are n, n-2, ..., 1, 0 without being computed.
     return None
 
 

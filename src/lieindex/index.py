@@ -320,13 +320,11 @@ def ooms_criterion(
     _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
-    hs = [_sparse(v) for v in h.basis]
-    entries = []
-    for i in range(n):
-        for t, hv in enumerate(hs):
-            coeffs = tuple(sorted(g.ad_vector(i, hv).items()))
-            if coeffs:
-                entries.append((i, t, coeffs))
+    entries = sorted(
+        (i, t, tuple(sorted(w.items())))
+        for t, hv in enumerate(h.basis)
+        for i, w in g.ad_images(_sparse(hv)).items()
+    )
     r, _ = _randomized_rank(
         tuple(entries), (n, h.dim), n, trials, seed, p, skew=False
     )

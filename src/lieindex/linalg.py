@@ -60,7 +60,7 @@ def _subtract(target: dict, f: Fraction, row: dict) -> None:
         if y:
             target[c] = y
         else:
-            del target[c]
+            target.pop(c, None)
 
 
 class SparseEchelon:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from lieindex.algebra import (
     quotient,
     subalgebra_generated,
 )
-from lieindex.free_nilpotent import build_free_nilpotent
+from lieindex.filiform import build_G, build_L
+from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
 
 
 def heisenberg():
@@ -77,6 +79,78 @@ def rational_basis_change(n):
     ]
 
 
+def random_rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+
+def random_algebra(rng, n):
+    # Random rational constants: most violate the Jacobi identity.
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                brackets[(i, j)] = {k: random_rational(rng) for k in rng.sample(range(n), rng.randint(1, 2))}
+    return LieAlgebra(n, None, brackets)
+
+
+def random_two_step(rng, n):
+    # Brackets of the first p basis vectors land in the span of the rest,
+    # which is central: every such algebra satisfies the Jacobi identity.
+    p = rng.randint(2, n - 1)
+    brackets = {}
+    for i in range(p):
+        for j in range(i + 1, p):
+            if rng.random() < 0.6:
+                brackets[(i, j)] = {k: random_rational(rng) for k in rng.sample(range(p, n), 1)}
+    return LieAlgebra(n, None, brackets)
+
+
+def perturbed(rng, g):
+    # One structure constant of g moved by a nonzero rational.
+    brackets = {key: dict(c) for key, c in g.brackets.items()}
+    i = rng.randrange(g.dim - 1)
+    coeffs = brackets.setdefault((i, rng.randrange(i + 1, g.dim)), {})
+    k = rng.randrange(g.dim)
+    coeffs[k] = coeffs.get(k, 0) + rng.choice([1, -1, Fraction(1, 2)])
+    return LieAlgebra(g.dim, g.labels, brackets)
+
+
+def dense_bracket(g, x, y):
+    # Read straight off the stored upper triangle, independent of LieAlgebra's lookups.
+    out = [Fraction(0)] * g.dim
+    for (i, j), coeffs in g.brackets.items():
+        f = x[i] * y[j] - x[j] * y[i]
+        for k, c in coeffs.items():
+            out[k] += f * c
+    return out
+
+
+def jacobi_oracle(g):
+    # Every triple, in lexicographic order.
+    e = [g.basis_vector(i) for i in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                terms = (dense_bracket(g, e[a], dense_bracket(g, e[b], e[c]))
+                         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
+                res = [sum(t) for t in zip(*terms)]
+                if any(res):
+                    return (i, j, k), res
+    return None
+
+
+def built_algebras():
+    return [
+        heisenberg(),
+        two_step_free(),
+        build_free_nilpotent(2, 4).algebra,
+        build_metabelian(3, 3).algebra,
+        build_L(7).algebra,
+        build_G(9, 5).algebra,
+        change_basis(build_free_nilpotent(2, 4).algebra, rational_basis_change(8)),
+    ]
+
+
 class TestConstruction:
     def test_rejects_bad_keys(self):
         with pytest.raises(ValueError):
@@ -108,6 +182,13 @@ class TestConstruction:
         assert g.structure_coeffs(0, 1) == {2: Fraction(1)}
         assert g.structure_coeffs(1, 0) == {2: Fraction(-1)}
         assert g.structure_coeffs(1, 1) == {}
+        for g in built_algebras():
+            for i in range(g.dim):
+                assert g.structure_coeffs(i, i) == {}
+                for j in range(g.dim):
+                    assert g.structure_coeffs(j, i) == {
+                        k: -c for k, c in g.structure_coeffs(i, j).items()
+                    }
 
     def test_bracket_of_vectors(self):
         g = heisenberg()
@@ -119,9 +200,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.bracket([1, 2], y)
 
+    def test_ad_images_match_ad_vector(self):
+        rng = random.Random(5)
+        for g in built_algebras():
+            for _ in range(10):
+                # Zero coefficients may occur in v; they contribute nothing.
+                v = {m: random_rational(rng) for m in rng.sample(range(g.dim), rng.randint(1, 3))}
+                images = {a: g.ad_vector(a, v) for a in range(g.dim)}
+                assert g.ad_images(v) == {a: w for a, w in images.items() if w}
+        # [x0, x1 - x2] cancels to zero and is left out.
+        g = LieAlgebra(4, None, {(0, 1): {3: 1}, (0, 2): {3: 1}})
+        assert g.ad_images({1: Fraction(1), 2: Fraction(-1)}) == {}
+
     def test_ad_vector(self):
         g = two_step_free()
         assert g.ad_vector(0, {1: Fraction(2)}) == {2: Fraction(2)}
+        assert g.ad_vector(0, {1: Fraction(2), 2: Fraction(0)}) == {2: Fraction(2)}
         assert g.ad_vector(2, {0: Fraction(1), 1: Fraction(1)}) == {
             3: Fraction(-1),
             4: Fraction(-1),
@@ -141,6 +235,25 @@ class TestJacobi:
         triple, residual = violation
         assert triple == (0, 1, 2)
         assert residual == [Fraction(0), Fraction(0), Fraction(1)]
+
+    def test_matches_all_triples_oracle(self):
+        rng = random.Random(11)
+        violating = 0
+        for _ in range(150):
+            n = rng.randint(3, 7)
+            for g in (random_algebra(rng, n), random_two_step(rng, n)):
+                expected = jacobi_oracle(g)
+                violating += expected is not None
+                assert check_jacobi(g) == expected
+        assert 30 <= violating <= 150
+
+    def test_perturbed_built_algebras_match_oracle(self):
+        rng = random.Random(12)
+        for g in built_algebras():
+            assert check_jacobi(g) is None
+            for _ in range(4):
+                bad = perturbed(rng, g)
+                assert check_jacobi(bad) == jacobi_oracle(bad)
 
 
 class TestSubspace:
@@ -283,3 +396,21 @@ class TestQuotient:
         with pytest.raises(NotAnIdealError) as exc:
             quotient(heisenberg(), Subspace.from_vectors(3, [[1, 0, 0]]))
         assert exc.value.basis_index == 1
+
+    def test_not_an_ideal_reports_least_pair(self):
+        # x3, x4 central; ad x0 moves both basis vectors of span(x1, x2) out,
+        # and so do ad x1 and ad x2 on one of them each.
+        g = LieAlgebra(5, None, {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {3: 1}})
+        s = Subspace.from_vectors(5, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
+        with pytest.raises(NotAnIdealError) as exc:
+            quotient(g, s)
+        assert exc.value.basis_index == 0
+        assert exc.value.vector == s.basis[0]
+        # The least index wins over basis order: only ad x4 moves x2 out,
+        # while ad x1 already moves x3 out.
+        g = LieAlgebra(6, None, {(1, 3): {0: 1}, (2, 4): {5: 1}})
+        s = Subspace.from_vectors(6, [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
+        with pytest.raises(NotAnIdealError) as exc:
+            quotient(g, s)
+        assert exc.value.basis_index == 1
+        assert exc.value.vector == s.basis[1]

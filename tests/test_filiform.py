@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,23 @@ class TestAdaptedBasisChecks:
         f = make_filiform(build_L(5).algebra)
         assert f.family == "adapted" and f.k is None
         assert f.alpha_coeffs == build_L(5).alpha_coeffs
+
+    def test_shape_forces_filiform_series(self):
+        # Random constants respecting the filtration, Jacobi or not.
+        rng = random.Random(3)
+        for _ in range(40):
+            n = rng.randint(3, 12)
+            brackets = {(0, m): {m + 1: Fraction(1)} for m in range(1, n - 1)}
+            for i in range(2, n):
+                for j in range(i + 1, n + 1):
+                    # span(e_{i+j} .. e_n), at most span(e_n), empty past n + 1.
+                    top = range(min(i + j, n) - 1, n) if i + j <= n + 1 else ()
+                    brackets[(i - 1, j - 1)] = {
+                        k: Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for k in top if rng.random() < 0.5
+                    }
+            alg = LieAlgebra(n, None, brackets)
+            assert adapted_violation(alg) is None
+            assert [s.dim for s in lower_central_series(alg)] == [n] + list(range(n - 2, -1, -1))
 
     def test_rejects_broken_filtration(self):
         # [e2, e3] = e4 breaks the weight filtration in dim 6.
