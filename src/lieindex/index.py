@@ -96,33 +96,31 @@ def _entries_mod_p(entries, p: int):
     return out
 
 
-def _specialized_rank(entries_p, shape, point, p: int, skew: bool) -> int:
-    rows, cols = shape
-    m = [[0] * cols for _ in range(rows)]
-    for i, j, coeffs in entries_p:
-        val = 0
-        for k, c in coeffs:
-            val += c * point[k]
-        val %= p
-        m[i][j] = val
-        if skew:
-            m[j][i] = (p - val) % p
-    return rank_mod_p(m, p)
+def _form_rows(entries, point, n: int, skew: bool) -> list[dict]:
+    """Sparse rows {j: sum_k c_k * point[k]} of the matrix of linear forms
+    with entries (i, j, ((k, c_k), ...)) at a point; skew also sets (j, i) to
+    the negated value."""
+    rows = [{} for _ in range(n)]
+    for i, j, coeffs in entries:
+        val = sum(c * point[k] for k, c in coeffs)
+        if val:
+            rows[i][j] = val
+            if skew:
+                rows[j][i] = -val
+    return rows
 
 
-def _randomized_rank(entries, shape, nvars, trials, seed, p, skew):
-    """(max rank over trials, specialization point attaining it)."""
+def _randomized_rank(entries, n, trials, seed, p, skew):
+    """(max rank over trials, the first trial point attaining it)."""
     entries_p = _entries_mod_p(entries, p)
-    best_rank = 0
-    best_point = [0] * nvars
+    best = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        point = [rng.randrange(p) for _ in range(nvars)]
-        r = _specialized_rank(entries_p, shape, point, p, skew)
-        if r > best_rank:
-            best_rank = r
-            best_point = point
-    return best_rank, best_point
+        point = [rng.randrange(p) for _ in range(n)]
+        r = rank_mod_p(_form_rows(entries_p, point, n, skew), p)
+        if best is None or r > best[0]:
+            best = r, point
+    return best
 
 
 def certified_generic_rank(
@@ -148,7 +146,7 @@ def generic_rank(
     if certify:
         return certified_generic_rank(sm, dim_limit)
     p = _check_prime(prime)
-    r, _ = _randomized_rank(sm.entries, (sm.n, sm.n), sm.n, trials, seed, p, skew=True)
+    r, _ = _randomized_rank(sm.entries, sm.n, trials, seed, p, skew=True)
     return r
 
 
@@ -168,13 +166,8 @@ def _b_ell_rows(g: LieAlgebra, ell: LinearFunctional) -> list[dict[int, Fraction
     """Sparse rows {j: ell([x_i, x_j])} of the skew form, read off the brackets."""
     if len(ell) != g.dim:
         raise ValueError("functional length does not match algebra dimension")
-    rows = [{} for _ in range(g.dim)]
-    for (i, j), coeffs in g.brackets.items():
-        val = sum((c * ell.coords[k] for k, c in coeffs.items()), Fraction(0))
-        if val:
-            rows[i][j] = val
-            rows[j][i] = -val
-    return rows
+    entries = ((i, j, coeffs.items()) for (i, j), coeffs in g.brackets.items())
+    return _form_rows(entries, ell.coords, g.dim, skew=True)
 
 
 def b_ell_matrix(g: LieAlgebra, ell: LinearFunctional) -> list[list[Fraction]]:
@@ -191,7 +184,6 @@ def _form_rank(g: LieAlgebra, ell: LinearFunctional) -> int:
 @dataclass(frozen=True)
 class StabilizerResult:
     functional: LinearFunctional
-    b_ell: tuple
     stabilizer: Subspace
 
     @property
@@ -200,11 +192,10 @@ class StabilizerResult:
 
 
 def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
-    b = b_ell_matrix(g, ell)
-    sub = Subspace(g.dim, SparseEchelon(map(_sparse, b)).kernel(g.dim))
+    sub = Subspace(g.dim, SparseEchelon(_b_ell_rows(g, ell)).kernel(g.dim))
     if (g.dim - sub.dim) % 2:
         raise RuntimeError("skew form has odd rank; this is a bug")
-    return StabilizerResult(ell, tuple(tuple(row) for row in b), sub)
+    return StabilizerResult(ell, sub)
 
 
 @dataclass(frozen=True)
@@ -236,9 +227,7 @@ def index(
         r = certified_generic_rank(sm, dim_limit)
         method = {"mode": "certified", "dim_limit": dim_limit}
     else:
-        r, best_point = _randomized_rank(
-            sm.entries, (n, n), n, trials, seed, p, skew=True
-        )
+        r, best_point = _randomized_rank(sm.entries, n, trials, seed, p, skew=True)
         method = {
             "mode": "randomized",
             "trials": trials,
@@ -249,9 +238,7 @@ def index(
     witness = None
     if want_witness and n:
         if best_point is None:
-            rr, best_point = _randomized_rank(
-                sm.entries, (n, n), n, trials, seed, p, skew=True
-            )
+            rr, best_point = _randomized_rank(sm.entries, n, trials, seed, p, skew=True)
             if rr != r:
                 raise RuntimeError(
                     "randomized search did not reach the certified rank; "
@@ -260,7 +247,12 @@ def index(
         witness = LinearFunctional.of(best_point)
         exact = _form_rank(g, witness)
         if exact != r:
-            raise RuntimeError("witness confirmation failed: lifted point lost rank")
+            # The point is integral and every denominator is prime to p, so a
+            # nonzero minor mod p lifts to Q: the exact rank can only be larger.
+            raise RuntimeError(
+                f"witness confirmation failed: exact rank {exact} at the witness "
+                f"exceeds the modular rank {r}; the modulus is bad for this input"
+            )
     chi = n - r
     z = center(g).dim
     if r % 2:
@@ -320,14 +312,12 @@ def ooms_criterion(
     _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
-    entries = sorted(
-        (i, t, tuple(sorted(w.items())))
+    entries = (
+        (i, t, w.items())
         for t, hv in enumerate(h.basis)
         for i, w in g.ad_images(_sparse(hv)).items()
     )
-    r, _ = _randomized_rank(
-        tuple(entries), (n, h.dim), n, trials, seed, p, skew=False
-    )
+    r, _ = _randomized_rank(entries, n, trials, seed, p, skew=False)
     required = n - h.dim
     holds = r == required
     return OomsResult(holds, r, required, 2 * h.dim - n if holds else None)

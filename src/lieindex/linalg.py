@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Dense matrices are row-major lists of lists.  Rational entries are
-`fractions.Fraction` (ints are accepted and promoted); prime-field entries
-are plain ints reduced mod p.  No floating point anywhere.  Matrices built
-from structure constants are sparse, so every elimination over Q (rank,
-kernels, spans, coordinates) goes through SparseEchelon, which eliminates
-{column: Fraction} rows.
+Every elimination works on sparse rows {column: value}, since the matrices
+built from structure constants are sparse; no dense matrix is eliminated.
+Rational values are `fractions.Fraction` (ints are accepted and promoted),
+prime-field values plain ints.  No floating point anywhere.  SparseEchelon
+is the one elimination over Q (rank, kernels, spans, coordinates), and
+rank_mod_p the one over F_p.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 # Default modulus for randomized rank: the 61-bit Mersenne prime.  Minors of
-# the matrices we specialize have degree <= n <= ~100, so the per-trial
-# Schwartz-Zippel failure bound n/p is below 2^-54.
+# the matrices we specialize have degree <= n <= 500 (the dimension ceiling),
+# so the per-trial Schwartz-Zippel failure bound n/p is below 2^-52.
 DEFAULT_PRIME = (1 << 61) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -46,11 +46,6 @@ def is_probable_prime(n: int) -> bool:
 
 def _sparse(v) -> dict:
     return {c: x for c, x in enumerate(v) if x}
-
-
-def rank(rows) -> int:
-    """Rank over Q."""
-    return len(SparseEchelon(_sparse(row) for row in rows).rows)
 
 
 def _subtract(target: dict, f: Fraction, row: dict) -> None:
@@ -121,28 +116,27 @@ class SparseEchelon:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p.  Entries are ints (any residues; reduced here)."""
-    m = [[x % p for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        for i in range(r + 1, nr):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                mr = m[r]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], mr)]
-        r += 1
-        if r == nr:
-            break
-    return r
+    """Rank over F_p of sparse rows {column: int} (any residues; reduced here).
 
+    Each row is reduced on its leading (largest) column against the pivot
+    rows found so far until it vanishes or brings a new pivot.  Only the
+    rank is wanted, so pivot rows are never reduced against later ones.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        w = {c: r for c, x in row.items() if (r := x % p)}
+        while w:
+            lead = max(w)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(w[lead], p - 2, p)
+                pivots[lead] = {c: x * inv % p for c, x in w.items()}
+                break
+            f = w[lead]
+            for c, x in prow.items():
+                y = (w.get(c, 0) - f * x) % p
+                if y:
+                    w[c] = y
+                else:
+                    w.pop(c, None)
+    return len(pivots)

@@ -63,7 +63,6 @@ from .index import (
     stabilizer,
     structure_matrix,
 )
-from .linalg import rank
 
 
 @dataclass(frozen=True)
@@ -587,7 +586,7 @@ def _two_step_alpha_cases() -> list[_Row]:
             for i in range(g)
             for j in range(i + 1, g)
         ]
-        upper_ok = rank(pair_matrix) == comb(g, 2)
+        upper_ok = Subspace.from_vectors(alg.dim, pair_matrix).dim == comb(g, 2)
         computed = candidate.dim if lower_ok and upper_ok else None
         cases.append((
             f"prop3.1/g={g}",

@@ -153,6 +153,15 @@ class TestIndex:
         assert code == 1 and out == ""
         assert err.startswith("lieindex: ") and "witness" in err
 
+    def test_bad_modulus_witness_exits_one(self, capsys, tmp_path):
+        # Every trial ranks 0 mod the default prime; the witness check ranks
+        # the first trial point over Q, finds 2, and refuses the report.
+        alg = LieAlgebra(3, None, {(0, 1): {2: (1 << 61) - 1}})
+        path = write_algebra(tmp_path, alg)
+        code, out, err = run(capsys, "index", path, "--witness")
+        assert code == 1 and out == ""
+        assert err.startswith("lieindex: ") and "modulus is bad" in err
+
     def test_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
             raise RuntimeError("witness confirmation failed")

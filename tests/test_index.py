@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -10,7 +12,9 @@ from lieindex.algebra import (
     Subspace,
     derived_subalgebra_pair,
 )
+from lieindex.filiform import build_G
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
+from lieindex.graphs import SimpleGraph, build_graph_algebra
 from lieindex.index import (
     CertifySizeError,
     IndexReport,
@@ -25,7 +29,8 @@ from lieindex.index import (
     stabilizer,
     structure_matrix,
 )
-from lieindex.linalg import DEFAULT_PRIME, rank
+from lieindex.linalg import DEFAULT_PRIME
+from lieindex.serialize import dumps, report_to_dict
 
 
 def heisenberg():
@@ -103,13 +108,40 @@ class TestIndexReport:
         for g in (heisenberg(), build_free_nilpotent(3, 3).algebra):
             rep = index(g, want_witness=True)
             assert rep.witness is not None
-            assert rank(b_ell_matrix(g, rep.witness)) == rep.generic_rank
+            assert sympy.Matrix(b_ell_matrix(g, rep.witness)).rank() == rep.generic_rank
 
     def test_witness_with_certification(self):
         alg = build_free_nilpotent(2, 4).algebra
         rep = index(alg, certify=True, want_witness=True)
         assert rep.witness is not None
-        assert rank(b_ell_matrix(alg, rep.witness)) == rep.generic_rank
+        assert sympy.Matrix(b_ell_matrix(alg, rep.witness)).rank() == rep.generic_rank
+
+    def test_witness_report_bytes_stable(self):
+        # Pins which trial point becomes the witness, not only the rank.
+        golden = [
+            (build_free_nilpotent(3, 4).algebra, "73ec60f6d58dcd1a197d4d9f5c3e25149802a692775636280790ec6145da2128"),
+            (build_metabelian(3, 4).algebra, "6c4042d8de51943415ad46e10e46765fd37f331acdf5e3e4403814c259f635ae"),
+            (build_G(11, 5).algebra, "7da71449046be4e1e51aa415d7f5794888825e2e05702330ed31b7a5065fbe10"),
+            (
+                build_graph_algebra(SimpleGraph(5, tuple(combinations(range(5), 2)))),
+                "bb4459c3f99f7e18022e27b1b28c49d61f16e419f239f32f9cab109937d533e4",
+            ),
+        ]
+        for alg, digest in golden:
+            payload = dumps(report_to_dict(index(alg, want_witness=True)))
+            assert hashlib.sha256(payload.encode()).hexdigest() == digest, alg.dim
+
+    def test_bad_modulus_witness_is_refused(self):
+        # The constant vanishes mod the default prime, so every trial has
+        # rank 0; the witness is a real trial point, whose exact rank is 2.
+        alg = LieAlgebra(3, None, {(0, 1): {2: DEFAULT_PRIME}})
+        with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
+            index(alg, want_witness=True)
+
+    def test_abelian_witness_is_the_first_trial_point(self):
+        rep = index(LieAlgebra(2), want_witness=True)
+        assert rep.generic_rank == 0
+        assert rep.witness is not None and any(rep.witness.coords)
 
     def test_zero_dim(self):
         rep = index(LieAlgebra(0))
@@ -157,10 +189,11 @@ class TestSampling:
 class TestStabilizer:
     def test_heisenberg_center_functional(self):
         g = heisenberg()
-        res = stabilizer(g, LinearFunctional.of([0, 0, 1]))
+        ell = LinearFunctional.of([0, 0, 1])
+        res = stabilizer(g, ell)
         assert res.dim == 1
         assert res.stabilizer.contains_vector([0, 0, 1])
-        assert res.b_ell[0][1] == Fraction(1)
+        assert b_ell_matrix(g, ell)[0][1] == 1
 
     def test_zero_functional(self):
         g = heisenberg()

@@ -8,7 +8,6 @@ from lieindex.linalg import (
     DEFAULT_PRIME,
     SparseEchelon,
     is_probable_prime,
-    rank,
     rank_mod_p,
 )
 
@@ -39,14 +38,23 @@ def sympy_rref(rows, ncols):
     )
 
 
+def echelon_rank(m):
+    """Rank over Q as the package computes it: the pivot count of SparseEchelon."""
+    return len(SparseEchelon(sparse_rows(m)).rows)
+
+
+def sympy_rank(m, ncols):
+    return sympy_matrix(m, ncols).rank()
+
+
 class TestRank:
     def test_frozen_examples(self):
-        assert rank([]) == 0
-        assert rank([[0, 0], [0, 0]]) == 0
-        assert rank([[1, 0], [0, 1]]) == 2
-        assert rank([[1, 2], [2, 4]]) == 1
-        assert rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
-        assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+        assert echelon_rank([]) == 0
+        assert echelon_rank([[0, 0], [0, 0]]) == 0
+        assert echelon_rank([[1, 0], [0, 1]]) == 2
+        assert echelon_rank([[1, 2], [2, 4]]) == 1
+        assert echelon_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
+        assert echelon_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
 
     def test_against_sympy(self):
         rng = random.Random(101)
@@ -54,8 +62,7 @@ class TestRank:
             nrows = rng.randint(1, 7)
             ncols = rng.randint(1, 7)
             m = random_matrix(rng, nrows, ncols, fractions=(trial % 2 == 0))
-            expected = sympy.Matrix(nrows, ncols, [sympy.Rational(x) for row in m for x in row]).rank()
-            assert rank(m) == expected
+            assert echelon_rank(m) == sympy_rank(m, ncols)
 
     def test_low_rank_products(self):
         # u v^T + w z^T has rank at most 2; sympy confirms the exact value.
@@ -64,21 +71,33 @@ class TestRank:
             n = rng.randint(2, 8)
             u, v, w, z = ([rng.randint(-5, 5) for _ in range(n)] for _ in range(4))
             m = [[u[i] * v[j] + w[i] * z[j] for j in range(n)] for i in range(n)]
-            r = rank(m)
+            r = echelon_rank(m)
             assert r <= 2
             assert r == sympy.Matrix(m).rank()
 
     def test_matches_modular_rank(self):
+        # Entries stay below 21 in absolute value after reduction, so every
+        # minor is far below p (Hadamard) and the rank over Q is the exact
+        # reference.  Rows are sparse, some empty; entries are negative or
+        # shifted by multiples of p; shapes run from wide to tall.
+        p = DEFAULT_PRIME
         rng = random.Random(303)
-        for _ in range(30):
-            nrows = rng.randint(1, 6)
-            ncols = rng.randint(1, 6)
-            m = [[rng.randint(-20, 20) for _ in range(ncols)] for _ in range(nrows)]
-            assert rank(m) == rank_mod_p(m, DEFAULT_PRIME)
+        shapes = [(1, 1), (1, 9), (2, 9), (3, 12), (9, 2), (12, 3), (6, 6), (8, 5)]
+        for trial in range(60):
+            nrows, ncols = shapes[trial % len(shapes)]
+            m = [[rng.randint(-20, 20) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+                 for _ in range(nrows)]
+            if trial % 3 == 0:
+                m[rng.randrange(nrows)] = [0] * ncols
+            rows = [{c: x + p * rng.randint(-2, 2) for c, x in row.items()} for row in sparse_rows(m)]
+            rows += [{c: p * rng.randint(1, 3)} for c in range(ncols) if rng.random() < 0.3]
+            assert rank_mod_p(rows, p) == sympy_rank(m, ncols)
+        assert rank_mod_p([], p) == 0
+        assert rank_mod_p([{}, {}, {3: 0}], p) == 0
 
     def test_modular_rank_can_drop(self):
-        assert rank([[DEFAULT_PRIME]]) == 1
-        assert rank_mod_p([[DEFAULT_PRIME]], DEFAULT_PRIME) == 0
+        assert echelon_rank([[DEFAULT_PRIME]]) == 1
+        assert rank_mod_p([{0: DEFAULT_PRIME}], DEFAULT_PRIME) == 0
 
 
 class TestRref:
@@ -97,7 +116,7 @@ class TestRref:
             m = random_matrix(rng, rng.randint(1, 6), ncols, fractions=True)
             s = Subspace.from_vectors(ncols, m)
             assert s.basis == sympy_rref(m, ncols)
-            assert s.dim == rank(m)
+            assert s.dim == sympy_rank(m, ncols)
             assert Subspace.from_vectors(ncols, s.basis) == s
 
     def test_preserves_row_space(self):
@@ -106,7 +125,7 @@ class TestRref:
             ncols = rng.randint(1, 5)
             m = random_matrix(rng, rng.randint(1, 5), ncols)
             stacked = [list(r) for r in m] + [list(r) for r in Subspace.from_vectors(ncols, m).basis]
-            assert rank(stacked) == rank(m)
+            assert sympy_rank(stacked, ncols) == sympy_rank(m, ncols)
 
     def test_zero_duplicate_and_missing_rows(self):
         rng = random.Random(909)
@@ -129,16 +148,16 @@ class TestNullspace:
             ncols = rng.randint(1, 6)
             m = random_matrix(rng, nrows, ncols, fractions=True)
             kernel = SparseEchelon(sparse_rows(m)).kernel(ncols)
-            assert len(kernel) == ncols - rank(m)
+            assert len(kernel) == ncols - sympy_rank(m, ncols)
             for v in kernel:
                 assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
             if kernel:
-                assert rank(kernel) == len(kernel)
+                assert sympy_rank(kernel, ncols) == len(kernel)
 
     def test_zero_matrix(self):
         kernel = SparseEchelon().kernel(3)
         assert len(kernel) == 3
-        assert rank(kernel) == 3
+        assert sympy_rank(kernel, 3) == 3
 
     def test_kernel_is_its_own_rref(self):
         # center, centralizer and stabilizer use the kernel basis as a
