@@ -22,7 +22,7 @@ from .index import (
     IndexReport,
     LinearFunctional,
     _check_trials,
-    _form_rank,
+    _form_ranks,
     index,
 )
 from .free_nilpotent import _check_ceiling
@@ -261,4 +261,5 @@ def graph_index(
 def matching_stabilizer_dim(graph: SimpleGraph, matching) -> int:
     """dim of the stabilizer of the matching functional, via exact rank."""
     alg = build_graph_algebra(graph)
-    return alg.dim - _form_rank(alg, matching_functional(graph, matching))
+    [rank] = _form_ranks(alg, [matching_functional(graph, matching).coords])
+    return alg.dim - rank

@@ -7,6 +7,10 @@ random specialization over a large prime field (the rank can only be
 underestimated, never overestimated, so the maximum over trials is a sound
 lower bound that is correct with overwhelming probability) or by certified
 fraction-free elimination on the polynomial entries.
+
+The exact rank over Q of one functional's form (witness check, sampling,
+matchings) clears denominators to integer rows and takes their rank modulo
+DEFAULT_PRIME when Hadamard's bound makes that exact, over Q otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     LieAlgebra,
@@ -91,7 +96,7 @@ def _entries_mod_p(entries, p: int):
             den = c.denominator % p
             if den == 0:
                 raise ValueError("coefficient denominator divisible by the modulus")
-            row.append((k, c.numerator % p * pow(den, p - 2, p) % p))
+            row.append((k, c.numerator % p * pow(den, -1, p) % p))
         out.append((i, j, row))
     return out
 
@@ -176,9 +181,32 @@ def b_ell_matrix(g: LieAlgebra, ell: LinearFunctional) -> list[list[Fraction]]:
     return [[row.get(j, zero) for j in range(g.dim)] for row in _b_ell_rows(g, ell)]
 
 
-def _form_rank(g: LieAlgebra, ell: LinearFunctional) -> int:
-    """Rank over Q of the skew form of ell, without building the dense matrix."""
-    return len(SparseEchelon(_b_ell_rows(g, ell)).rows)
+def _form_ranks(g: LieAlgebra, points):
+    """Ranks over Q of the skew forms (x, y) -> ell([x, y]) of g at points ell.
+
+    Scaling the constants and each point to integers keeps every rank.  Let
+    H be the product of the Euclidean norms of the nonzero integer rows.  By
+    Hadamard's inequality no minor exceeds H in absolute value.  The rank
+    mod p is never above the rank r over Q, and when H < p a nonzero r x r
+    minor is not a multiple of p, so the rank mod p = DEFAULT_PRIME is r.
+    Otherwise the rows are eliminated over Q.
+    """
+    d = lcm(*(c.denominator for cc in g.brackets.values() for c in cc.values()))
+    entries = [
+        (i, j, [(k, c.numerator * (d // c.denominator)) for k, c in cc.items()])
+        for (i, j), cc in g.brackets.items()
+    ]
+    limit = DEFAULT_PRIME * DEFAULT_PRIME
+    for point in points:
+        e = lcm(*(x.denominator for x in point))
+        scaled = [x.numerator * (e // x.denominator) for x in point]
+        rows = _form_rows(entries, scaled, g.dim, skew=True)
+        h2 = 1
+        for row in rows:
+            h2 *= sum(x * x for x in row.values()) or 1
+            if h2 >= limit:
+                break
+        yield rank_mod_p(rows, DEFAULT_PRIME) if h2 < limit else len(SparseEchelon(rows).rows)
 
 
 @dataclass(frozen=True)
@@ -245,7 +273,7 @@ def index(
                     "raise trials to find a witness"
                 )
         witness = LinearFunctional.of(best_point)
-        exact = _form_rank(g, witness)
+        [exact] = _form_ranks(g, [witness.coords])
         if exact != r:
             # The point is integral and every denominator is prime to p, so a
             # nonzero minor mod p lifts to Q: the exact rank can only be larger.
@@ -273,15 +301,8 @@ def index_by_sampling(
     structure-matrix path; with enough samples it is exact.
     """
     rng = random.Random(seed)
-    best = g.dim
-    for _ in range(samples):
-        ell = LinearFunctional.of(
-            [rng.randint(-bound, bound) for _ in range(g.dim)]
-        )
-        d = g.dim - _form_rank(g, ell)
-        if d < best:
-            best = d
-    return best
+    points = ([rng.randint(-bound, bound) for _ in range(g.dim)] for _ in range(samples))
+    return g.dim - max(_form_ranks(g, points), default=0)
 
 
 @dataclass(frozen=True)

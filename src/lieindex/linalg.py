@@ -5,7 +5,8 @@ built from structure constants are sparse; no dense matrix is eliminated.
 Rational values are `fractions.Fraction` (ints are accepted and promoted),
 prime-field values plain ints.  No floating point anywhere.  SparseEchelon
 is the one elimination over Q (rank, kernels, spans, coordinates), and
-rank_mod_p the one over F_p.
+rank_mod_p the one over F_p; on integer rows whose Hadamard bound is below
+the prime, the rank mod p is also the rank over Q.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 
 # Default modulus for randomized rank: the 61-bit Mersenne prime.  Minors of
 # the matrices we specialize have degree <= n <= 500 (the dimension ceiling),
-# so the per-trial Schwartz-Zippel failure bound n/p is below 2^-52.
+# so the per-trial Schwartz-Zippel failure bound n/p is below 2^-52.  It also
+# gives exact ranks over Q of integer rows whose norms multiply to below p.
 DEFAULT_PRIME = (1 << 61) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -129,7 +131,7 @@ def rank_mod_p(rows, p: int) -> int:
             lead = max(w)
             prow = pivots.get(lead)
             if prow is None:
-                inv = pow(w[lead], p - 2, p)
+                inv = pow(w[lead], -1, p)
                 pivots[lead] = {c: x * inv % p for c, x in w.items()}
                 break
             f = w[lead]

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from lieindex.index import (
     CertifySizeError,
     IndexReport,
     LinearFunctional,
+    _form_ranks,
     alpha_sandwich,
     b_ell_matrix,
     certified_generic_rank,
@@ -186,6 +188,52 @@ class TestSampling:
         assert index_by_sampling(alg, samples=1) >= index(alg).index
 
 
+class TestFormRank:
+    # _form_ranks takes the rank mod p when Hadamard's bound H < p makes it
+    # exact, and eliminates over Q otherwise; both must give sympy's rank.
+
+    @staticmethod
+    def _scalar(rng, size, rational):
+        num = rng.randint(-size, size)
+        return Fraction(num, rng.randint(1, size)) if rational else num
+
+    def test_matches_sympy_on_random_forms(self, monkeypatch):
+        module = importlib.import_module("lieindex.index")
+        modular = []
+        original = module.rank_mod_p
+        monkeypatch.setattr(module, "rank_mod_p", lambda rows, p: modular.append(p) or original(rows, p))
+        rng = random.Random(11)
+        forms = 0
+        for size in (9, 1 << 20, 1 << 40):
+            for rational in (False, True):
+                for _ in range(8):
+                    dim = rng.randint(2, 8)
+                    brackets = {
+                        (i, j): {k: self._scalar(rng, size, rational) for k in rng.sample(range(dim), 2)}
+                        for i, j in combinations(range(dim), 2)
+                        if rng.random() < 0.5
+                    }
+                    alg = LieAlgebra(dim, None, brackets)
+                    for point_rational in (False, True):
+                        ell = LinearFunctional.of(
+                            [self._scalar(rng, size, point_rational) for _ in range(dim)]
+                        )
+                        [r] = _form_ranks(alg, [ell.coords])
+                        assert r == sympy.Matrix(b_ell_matrix(alg, ell)).rank()
+                        forms += 1
+        assert 0 < len(modular) < forms, (len(modular), forms)
+
+    @pytest.mark.parametrize(
+        "c", [DEFAULT_PRIME, DEFAULT_PRIME**2, Fraction(1, DEFAULT_PRIME)], ids=["p", "p^2", "1/p"]
+    )
+    def test_constants_at_the_modulus(self, c):
+        # Mod p the first two forms vanish: rank 0 without the bound.
+        alg = LieAlgebra(3, None, {(0, 1): {2: c}})
+        ell = LinearFunctional.of([0, 0, 1])
+        [r] = _form_ranks(alg, [ell.coords])
+        assert r == sympy.Matrix(b_ell_matrix(alg, ell)).rank() == 2
+
+
 class TestStabilizer:
     def test_heisenberg_center_functional(self):
         g = heisenberg()
@@ -205,8 +253,6 @@ class TestStabilizer:
             stabilizer(heisenberg(), LinearFunctional.of([1, 2]))
 
     def test_codim_is_even_on_random_functionals(self):
-        import random
-
         rng = random.Random(7)
         for g, c in [(2, 3), (3, 3)]:
             alg = build_free_nilpotent(g, c).algebra

@@ -36,3 +36,27 @@ def test_no_module_level_caches():
                 and any(_decorator_name(dec) in ("lru_cache", "cache") for dec in d.decorator_list)
             ]
     assert not found, f"module-level caches in the package: {found}"
+
+
+def _is_fermat_inverse(node) -> bool:
+    """A three-argument pow whose exponent is <name> - 2: a Fermat inverse."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow" and len(node.args) == 3):
+        return False
+    e = node.args[1]
+    return (
+        isinstance(e, ast.BinOp)
+        and isinstance(e.op, ast.Sub)
+        and isinstance(e.left, ast.Name)
+        and isinstance(e.right, ast.Constant)
+        and e.right.value == 2
+    )
+
+
+def test_no_fermat_inverses():
+    # pow(x, -1, p) inverts by the extended Euclidean algorithm; the Fermat
+    # inverse pow(x, p - 2, p) costs a modular exponentiation per call.
+    found = []
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _is_fermat_inverse(node)]
+    assert not found, f"Fermat inverses in the package: {found}"
