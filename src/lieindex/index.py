@@ -8,9 +8,9 @@ underestimated, never overestimated, so the maximum over trials is a sound
 lower bound that is correct with overwhelming probability) or by certified
 fraction-free elimination on the polynomial entries.
 
-The exact rank over Q of one functional's form (witness check, sampling,
-matchings) clears denominators to integer rows and takes their rank modulo
-DEFAULT_PRIME when Hadamard's bound makes that exact, over Q otherwise.
+The exact rank over Q of one functional's form (the check of every
+randomized index at its best trial point, sampling, matchings) clears
+denominators to integer rows and takes their fraction-free linalg.rank.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .algebra import (
     abelian_witness,
     center,
 )
-from .linalg import DEFAULT_PRIME, SparseEchelon, _sparse, is_probable_prime, rank_mod_p
+from .linalg import DEFAULT_PRIME, SparseEchelon, _sparse, is_probable_prime, rank, rank_mod_p
 from .polynomials import Poly, bareiss_rank
 
 DEFAULT_TRIALS = 3
@@ -184,29 +184,18 @@ def b_ell_matrix(g: LieAlgebra, ell: LinearFunctional) -> list[list[Fraction]]:
 def _form_ranks(g: LieAlgebra, points):
     """Ranks over Q of the skew forms (x, y) -> ell([x, y]) of g at points ell.
 
-    Scaling the constants and each point to integers keeps every rank.  Let
-    H be the product of the Euclidean norms of the nonzero integer rows.  By
-    Hadamard's inequality no minor exceeds H in absolute value.  The rank
-    mod p is never above the rank r over Q, and when H < p a nonzero r x r
-    minor is not a multiple of p, so the rank mod p = DEFAULT_PRIME is r.
-    Otherwise the rows are eliminated over Q.
+    Scaling the constants and each point to integers keeps every rank, and
+    linalg.rank eliminates the integer rows fraction-free, exactly.
     """
     d = lcm(*(c.denominator for cc in g.brackets.values() for c in cc.values()))
     entries = [
         (i, j, [(k, c.numerator * (d // c.denominator)) for k, c in cc.items()])
         for (i, j), cc in g.brackets.items()
     ]
-    limit = DEFAULT_PRIME * DEFAULT_PRIME
     for point in points:
         e = lcm(*(x.denominator for x in point))
         scaled = [x.numerator * (e // x.denominator) for x in point]
-        rows = _form_rows(entries, scaled, g.dim, skew=True)
-        h2 = 1
-        for row in rows:
-            h2 *= sum(x * x for x in row.values()) or 1
-            if h2 >= limit:
-                break
-        yield rank_mod_p(rows, DEFAULT_PRIME) if h2 < limit else len(SparseEchelon(rows).rows)
+        yield rank(_form_rows(entries, scaled, g.dim, skew=True))
 
 
 @dataclass(frozen=True)
@@ -263,24 +252,23 @@ def index(
             "prime": p,
             "failure_bound": format((n / p) ** trials, ".3e") if n else "0",
         }
-    witness = None
-    if want_witness and n:
-        if best_point is None:
-            rr, best_point = _randomized_rank(sm.entries, n, trials, seed, p, skew=True)
-            if rr != r:
-                raise RuntimeError(
-                    "randomized search did not reach the certified rank; "
-                    "raise trials to find a witness"
-                )
-        witness = LinearFunctional.of(best_point)
-        [exact] = _form_ranks(g, [witness.coords])
+    if want_witness and n and best_point is None:
+        rr, best_point = _randomized_rank(sm.entries, n, trials, seed, p, skew=True)
+        if rr != r:
+            raise RuntimeError(
+                "randomized search did not reach the certified rank; "
+                "raise trials to find a witness"
+            )
+    if best_point is not None:
+        [exact] = _form_ranks(g, [best_point])
         if exact != r:
             # The point is integral and every denominator is prime to p, so a
             # nonzero minor mod p lifts to Q: the exact rank can only be larger.
             raise RuntimeError(
-                f"witness confirmation failed: exact rank {exact} at the witness "
-                f"exceeds the modular rank {r}; the modulus is bad for this input"
+                f"exact rank {exact} at the best trial point exceeds the modular "
+                f"rank {r}; the modulus is bad for this input"
             )
+    witness = LinearFunctional.of(best_point) if want_witness and n else None
     chi = n - r
     z = center(g).dim
     if r % 2:

@@ -2,21 +2,20 @@
 
 Every elimination works on sparse rows {column: value}, since the matrices
 built from structure constants are sparse; no dense matrix is eliminated.
-Rational values are `fractions.Fraction` (ints are accepted and promoted),
-prime-field values plain ints.  No floating point anywhere.  SparseEchelon
-is the one elimination over Q (rank, kernels, spans, coordinates), and
-rank_mod_p the one over F_p; on integer rows whose Hadamard bound is below
-the prime, the rank mod p is also the rank over Q.
+No floating point anywhere.  SparseEchelon, on `fractions.Fraction` rows
+(ints are promoted), carries kernels, spans and coordinates over Q.  The
+rank of integer rows, over Q (`rank`) or over F_p (`rank_mod_p`), is one
+fraction-free loop, exact over Q without a prime count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 # Default modulus for randomized rank: the 61-bit Mersenne prime.  Minors of
 # the matrices we specialize have degree <= n <= 500 (the dimension ceiling),
-# so the per-trial Schwartz-Zippel failure bound n/p is below 2^-52.  It also
-# gives exact ranks over Q of integer rows whose norms multiply to below p.
+# so the per-trial Schwartz-Zippel failure bound n/p is below 2^-52.
 DEFAULT_PRIME = (1 << 61) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -117,28 +116,58 @@ class SparseEchelon:
         return tuple(basis)
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of sparse rows {column: int} (any residues; reduced here).
+def _rank(rows, p: int) -> int:
+    """Rank of sparse integer rows {column: int} over F_p, or over Q if p == 0.
 
-    Each row is reduced on its leading (largest) column against the pivot
-    rows found so far until it vanishes or brings a new pivot.  Only the
-    rank is wanted, so pivot rows are never reduced against later ones.
+    Each row w is reduced on its leading (largest) column by the pivot row
+    there, w <- a*w - b*prow with a, b their leading entries over their gcd,
+    until it vanishes or brings a new pivot; pivots never meet later rows.
+    Over F_p a pivot is scaled to leading entry 1, so a = 1; over Q each
+    reduced row is divided by the gcd of its entries.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        w = {c: r for c, x in row.items() if (r := x % p)}
+        w = {c: r for c, x in row.items() if (r := x % p if p else x)}
         while w:
             lead = max(w)
             prow = pivots.get(lead)
             if prow is None:
-                inv = pow(w[lead], -1, p)
-                pivots[lead] = {c: x * inv % p for c, x in w.items()}
+                if p:
+                    inv = pow(w[lead], -1, p)
+                    w = {c: x * inv % p for c, x in w.items()}
+                pivots[lead] = w
                 break
-            f = w[lead]
+            a, b = prow[lead], w[lead]
+            if not p:
+                d = gcd(a, b)
+                a, b = a // d, b // d
+                if a != 1:
+                    w = {c: a * x for c, x in w.items()}
             for c, x in prow.items():
-                y = (w.get(c, 0) - f * x) % p
+                y = w.get(c, 0) - b * x
+                if p:
+                    y %= p
                 if y:
                     w[c] = y
                 else:
                     w.pop(c, None)
+            if not p and (d := gcd(*w.values())) > 1:
+                w = {c: x // d for c, x in w.items()}
     return len(pivots)
+
+
+def rank(rows) -> int:
+    """Rank over Q of sparse integer rows {column: int}.
+
+    Exact and polynomial in size: a reduced row lies in the span of m input
+    rows and vanishes on m - 1 columns (the pivot leads behind it) where they
+    have rank m - 1, so by Cramer's rule it is proportional to m x m minors
+    of the input, and its primitive part, the one kept, obeys Hadamard's
+    bound, as an elimination over Fraction does.
+    """
+    return _rank(rows, 0)
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of sparse integer rows {column: int} (any residues)."""
+    return _rank(rows, p)

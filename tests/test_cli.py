@@ -162,6 +162,13 @@ class TestIndex:
         assert code == 1 and out == ""
         assert err.startswith("lieindex: ") and "modulus is bad" in err
 
+    def test_bad_modulus_exits_one_without_witness(self, capsys, tmp_path):
+        alg = LieAlgebra(3, None, {(0, 1): {2: (1 << 61) - 1}})
+        path = write_algebra(tmp_path, alg)
+        code, out, err = run(capsys, "index", path)
+        assert code == 1 and out == ""
+        assert err.startswith("lieindex: ") and "modulus is bad" in err
+
     def test_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
             raise RuntimeError("witness confirmation failed")

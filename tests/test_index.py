@@ -140,6 +140,13 @@ class TestIndexReport:
         with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
             index(alg, want_witness=True)
 
+    @pytest.mark.parametrize("c", [DEFAULT_PRIME, DEFAULT_PRIME**2], ids=["p", "p^2"])
+    def test_bad_modulus_is_refused_without_a_witness(self, c):
+        # Every trial ranks 0 mod p; the exact rank at the best trial point is 2.
+        alg = LieAlgebra(3, None, {(0, 1): {2: c}})
+        with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
+            index(alg)
+
     def test_abelian_witness_is_the_first_trial_point(self):
         rep = index(LieAlgebra(2), want_witness=True)
         assert rep.generic_rank == 0
@@ -189,8 +196,8 @@ class TestSampling:
 
 
 class TestFormRank:
-    # _form_ranks takes the rank mod p when Hadamard's bound H < p makes it
-    # exact, and eliminates over Q otherwise; both must give sympy's rank.
+    # _form_ranks clears denominators and takes linalg.rank of the integer
+    # rows, with entries from a few bits to far beyond the default prime.
 
     @staticmethod
     def _scalar(rng, size, rational):
@@ -199,9 +206,9 @@ class TestFormRank:
 
     def test_matches_sympy_on_random_forms(self, monkeypatch):
         module = importlib.import_module("lieindex.index")
-        modular = []
-        original = module.rank_mod_p
-        monkeypatch.setattr(module, "rank_mod_p", lambda rows, p: modular.append(p) or original(rows, p))
+        ranked = []
+        original = module.rank
+        monkeypatch.setattr(module, "rank", lambda rows: ranked.append(rows) or original(rows))
         rng = random.Random(11)
         forms = 0
         for size in (9, 1 << 20, 1 << 40):
@@ -221,13 +228,13 @@ class TestFormRank:
                         [r] = _form_ranks(alg, [ell.coords])
                         assert r == sympy.Matrix(b_ell_matrix(alg, ell)).rank()
                         forms += 1
-        assert 0 < len(modular) < forms, (len(modular), forms)
+        assert len(ranked) == forms == 96
 
     @pytest.mark.parametrize(
         "c", [DEFAULT_PRIME, DEFAULT_PRIME**2, Fraction(1, DEFAULT_PRIME)], ids=["p", "p^2", "1/p"]
     )
     def test_constants_at_the_modulus(self, c):
-        # Mod p the first two forms vanish: rank 0 without the bound.
+        # Mod p the first two forms vanish; over Q each has rank 2.
         alg = LieAlgebra(3, None, {(0, 1): {2: c}})
         ell = LinearFunctional.of([0, 0, 1])
         [r] = _form_ranks(alg, [ell.coords])

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 
-from lieindex.algebra import Subspace
+from lieindex.algebra import LieAlgebra, Subspace
+from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
+from lieindex.index import _b_ell_rows, _form_ranks, index
 from lieindex.linalg import (
     DEFAULT_PRIME,
     SparseEchelon,
     is_probable_prime,
+    rank,
     rank_mod_p,
 )
 
@@ -95,9 +99,64 @@ class TestRank:
         assert rank_mod_p([], p) == 0
         assert rank_mod_p([{}, {}, {3: 0}], p) == 0
 
+    def test_integer_rank_against_sympy(self):
+        # Entries of both signs up to 2^64 and beyond, some rows scaled by a
+        # common factor, zero and empty rows, wide and tall shapes.  Half the
+        # matrices are products of narrow factors, so their rank is below the
+        # shape's and the elimination must cancel big entries exactly.
+        rng = random.Random(707)
+        shapes = [(1, 1), (1, 9), (2, 9), (3, 12), (9, 2), (12, 3), (6, 6), (8, 5), (10, 10)]
+        for trial in range(72):
+            nrows, ncols = shapes[trial % len(shapes)]
+            bits = (4, 32, 64)[trial % 3]
+
+            def entries(r, c):
+                return [[rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.6 else 0
+                         for _ in range(c)] for _ in range(r)]
+
+            if trial % 2:
+                k = rng.randint(1, min(nrows, ncols))
+                a, b = entries(nrows, k), entries(k, ncols)
+                m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+            else:
+                m = entries(nrows, ncols)
+            f = rng.randint(2, 1 << 20)
+            m[rng.randrange(nrows)] = [f * x for x in m[rng.randrange(nrows)]]
+            if trial % 4 == 0:
+                m[rng.randrange(nrows)] = [0] * ncols
+            assert rank(sparse_rows(m) + [{}]) == sympy_rank(m, ncols), trial
+        assert rank([]) == 0
+        assert rank([{}, {}, {3: 0}]) == 0
+
     def test_modular_rank_can_drop(self):
         assert echelon_rank([[DEFAULT_PRIME]]) == 1
+        assert rank([{0: DEFAULT_PRIME}]) == 1
         assert rank_mod_p([{0: DEFAULT_PRIME}], DEFAULT_PRIME) == 0
+
+
+def unitriangular_copy(g, q):
+    """g on the basis e'_a = e_a + q*e_(a+1); the inverse change has entries (-q)^m."""
+    n = g.dim
+    cols = [[Fraction(int(i == a)) + (q if i == a + 1 else 0) for i in range(n)] for a in range(n)]
+    brackets = {}
+    for a, b in combinations(range(n), 2):
+        w = g.bracket(cols[a], cols[b])
+        coeffs = {r: c for r in range(n) if (c := sum((-q) ** (r - k) * w[k] for k in range(r + 1)))}
+        if coeffs:
+            brackets[(a, b)] = coeffs
+    return LieAlgebra(n, None, brackets)
+
+
+class TestFormRankDifferential:
+    # The two routes over Q, fraction-free integer rows and SparseEchelon on
+    # the Fraction rows, at the 61-bit best trial points of index(), where
+    # Hadamard's bound on the cleared rows is 850-1,900 bits.
+    def test_integer_rank_matches_rational_echelon(self):
+        f34 = build_free_nilpotent(3, 4).algebra
+        for g in (f34, build_metabelian(3, 4).algebra, unitriangular_copy(f34, Fraction(3, 7))):
+            rep = index(g, want_witness=True)
+            [r] = _form_ranks(g, [rep.witness.coords])
+            assert r == len(SparseEchelon(_b_ell_rows(g, rep.witness)).rows) == rep.generic_rank
 
 
 class TestRref:

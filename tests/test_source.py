@@ -60,3 +60,26 @@ def test_no_fermat_inverses():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _is_fermat_inverse(node)]
     assert not found, f"Fermat inverses in the package: {found}"
+
+
+def _is_echelon_rank(node) -> bool:
+    """len(SparseEchelon(...).rows): a rank over Q by rational elimination."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len" and len(node.args) == 1):
+        return False
+    arg = node.args[0]
+    return (
+        isinstance(arg, ast.Attribute)
+        and arg.attr == "rows"
+        and isinstance(arg.value, ast.Call)
+        and getattr(arg.value.func, "id", None) == "SparseEchelon"
+    )
+
+
+def test_rank_over_q_goes_through_linalg_rank():
+    # A rank over Q of integer rows is linalg.rank's fraction-free
+    # elimination; Fraction arithmetic on the same rows is several times slower.
+    found = []
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _is_echelon_rank(node)]
+    assert not found, f"ranks by SparseEchelon pivot count in the package: {found}"
