@@ -72,10 +72,10 @@ class Subspace:
     @classmethod
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
         """Span of sparse vectors {coordinate: value}, with its canonical basis."""
-        ech = SparseEchelon(_flip(ambient_dim, v) for v in vectors)
+        red = SparseEchelon(_flip(ambient_dim, v) for v in vectors).rref()
         return cls(ambient_dim, tuple(
-            tuple(ech.rows[p].get(ambient_dim - 1 - c, Fraction(0)) for c in range(ambient_dim))
-            for p in sorted(ech.rows, reverse=True)
+            tuple(red[p].get(ambient_dim - 1 - c, Fraction(0)) for c in range(ambient_dim))
+            for p in sorted(red, reverse=True)
         ))
 
     @classmethod
@@ -275,9 +275,10 @@ def nilpotency_class(g: LieAlgebra) -> int:
 
 
 def derived_subalgebra_pair(g: LieAlgebra) -> tuple[Subspace, Subspace]:
-    full = Subspace.full(g.dim)
-    d1 = bracket_span(g, full, full)
-    d2 = bracket_span(g, d1, d1)
+    """([g, g], [d, d]): d is spanned by the [x_i, x_j], [d, d] by brackets of basis pairs."""
+    d1 = Subspace.span(g.dim, g.brackets.values())
+    vs = [_sparse(v) for v in d1.basis]
+    d2 = Subspace.span(g.dim, (g.sparse_bracket(u, vs[t]) for s, u in enumerate(vs) for t in range(s)))
     return d1, d2
 
 

@@ -8,9 +8,10 @@ underestimated, never overestimated, so the maximum over trials is a sound
 lower bound that is correct with overwhelming probability) or by certified
 fraction-free elimination on the polynomial entries.
 
-The exact rank over Q of one functional's form (the check of every
-randomized index at its best trial point, sampling, matchings) clears
-denominators to integer rows and takes their fraction-free linalg.rank.
+The structure constants are scaled to integers by the lcm of their
+denominators.  The trials rank the integer rows mod p; the exact rank over Q
+of one functional's form (the check of every randomized index at its best
+trial point, sampling, matchings) is linalg.rank of the same rows.
 """
 
 from __future__ import annotations
@@ -88,17 +89,13 @@ def structure_matrix(g: LieAlgebra) -> StructureMatrix:
     return StructureMatrix.of(g)
 
 
-def _entries_mod_p(entries, p: int):
-    out = []
-    for i, j, coeffs in entries:
-        row = []
-        for k, c in coeffs:
-            den = c.denominator % p
-            if den == 0:
-                raise ValueError("coefficient denominator divisible by the modulus")
-            row.append((k, c.numerator % p * pow(den, -1, p) % p))
-        out.append((i, j, row))
-    return out
+def _integer_entries(entries) -> list:
+    """Entries (i, j, ((k, c), ...)) times the lcm d of all denominators, which
+    keeps every rank over Q, and over F_p when p does not divide d."""
+    entries = [(i, j, list(coeffs)) for i, j, coeffs in entries]
+    d = lcm(*(c.denominator for _, _, coeffs in entries for _, c in coeffs))
+    return [(i, j, [(k, c.numerator * (d // c.denominator)) for k, c in coeffs])
+            for i, j, coeffs in entries]
 
 
 def _form_rows(entries, point, n: int, skew: bool) -> list[dict]:
@@ -116,13 +113,12 @@ def _form_rows(entries, point, n: int, skew: bool) -> list[dict]:
 
 
 def _randomized_rank(entries, n, trials, seed, p, skew):
-    """(max rank over trials, the first trial point attaining it)."""
-    entries_p = _entries_mod_p(entries, p)
+    """(max rank over trials, the first trial point attaining it); integer entries."""
     best = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         point = [rng.randrange(p) for _ in range(n)]
-        r = rank_mod_p(_form_rows(entries_p, point, n, skew), p)
+        r = rank_mod_p(_form_rows(entries, point, n, skew), p)
         if best is None or r > best[0]:
             best = r, point
     return best
@@ -151,8 +147,7 @@ def generic_rank(
     if certify:
         return certified_generic_rank(sm, dim_limit)
     p = _check_prime(prime)
-    r, _ = _randomized_rank(sm.entries, sm.n, trials, seed, p, skew=True)
-    return r
+    return _randomized_rank(_integer_entries(sm.entries), sm.n, trials, seed, p, skew=True)[0]
 
 
 @dataclass(frozen=True)
@@ -182,20 +177,10 @@ def b_ell_matrix(g: LieAlgebra, ell: LinearFunctional) -> list[list[Fraction]]:
 
 
 def _form_ranks(g: LieAlgebra, points):
-    """Ranks over Q of the skew forms (x, y) -> ell([x, y]) of g at points ell.
-
-    Scaling the constants and each point to integers keeps every rank, and
-    linalg.rank eliminates the integer rows fraction-free, exactly.
-    """
-    d = lcm(*(c.denominator for cc in g.brackets.values() for c in cc.values()))
-    entries = [
-        (i, j, [(k, c.numerator * (d // c.denominator)) for k, c in cc.items()])
-        for (i, j), cc in g.brackets.items()
-    ]
+    """Ranks over Q of the skew forms (x, y) -> ell([x, y]) of g at points ell."""
+    entries = _integer_entries((i, j, cc.items()) for (i, j), cc in g.brackets.items())
     for point in points:
-        e = lcm(*(x.denominator for x in point))
-        scaled = [x.numerator * (e // x.denominator) for x in point]
-        yield rank(_form_rows(entries, scaled, g.dim, skew=True))
+        yield rank(_form_rows(entries, point, g.dim, skew=True))
 
 
 @dataclass(frozen=True)
@@ -240,11 +225,12 @@ def index(
     n = g.dim
     sm = structure_matrix(g)
     best_point = None
+    entries = _integer_entries(sm.entries)
     if certify:
         r = certified_generic_rank(sm, dim_limit)
         method = {"mode": "certified", "dim_limit": dim_limit}
     else:
-        r, best_point = _randomized_rank(sm.entries, n, trials, seed, p, skew=True)
+        r, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True)
         method = {
             "mode": "randomized",
             "trials": trials,
@@ -253,17 +239,17 @@ def index(
             "failure_bound": format((n / p) ** trials, ".3e") if n else "0",
         }
     if want_witness and n and best_point is None:
-        rr, best_point = _randomized_rank(sm.entries, n, trials, seed, p, skew=True)
+        rr, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True)
         if rr != r:
             raise RuntimeError(
                 "randomized search did not reach the certified rank; "
                 "raise trials to find a witness"
             )
     if best_point is not None:
-        [exact] = _form_ranks(g, [best_point])
+        exact = rank(_form_rows(entries, best_point, n, skew=True))
         if exact != r:
-            # The point is integral and every denominator is prime to p, so a
-            # nonzero minor mod p lifts to Q: the exact rank can only be larger.
+            # The point and the scaled constants are integral, so a nonzero
+            # minor mod p lifts to Q: the exact rank can only be larger.
             raise RuntimeError(
                 f"exact rank {exact} at the best trial point exceeds the modular "
                 f"rank {r}; the modulus is bad for this input"
@@ -326,7 +312,7 @@ def ooms_criterion(
         for t, hv in enumerate(h.basis)
         for i, w in g.ad_images(_sparse(hv)).items()
     )
-    r, _ = _randomized_rank(entries, n, trials, seed, p, skew=False)
+    r, _ = _randomized_rank(_integer_entries(entries), n, trials, seed, p, skew=False)
     required = n - h.dim
     holds = r == required
     return OomsResult(holds, r, required, 2 * h.dim - n if holds else None)

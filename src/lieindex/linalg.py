@@ -2,16 +2,16 @@
 
 Every elimination works on sparse rows {column: value}, since the matrices
 built from structure constants are sparse; no dense matrix is eliminated.
-No floating point anywhere.  SparseEchelon, on `fractions.Fraction` rows
-(ints are promoted), carries kernels, spans and coordinates over Q.  The
-rank of integer rows, over Q (`rank`) or over F_p (`rank_mod_p`), is one
-fraction-free loop, exact over Q without a prime count.
+No floating point anywhere.  One fraction-free echelon, SparseEchelon, on
+integer rows over Q (Fraction denominators cleared on entry) or residues
+mod p, gives ranks (`rank`, `rank_mod_p`), membership and coordinates
+(`reduce`), and the canonical bases of kernels and spans (`rref`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # Default modulus for randomized rank: the 61-bit Mersenne prime.  Minors of
 # the matrices we specialize have degree <= n <= 500 (the dimension ceiling),
@@ -49,125 +49,136 @@ def _sparse(v) -> dict:
     return {c: x for c, x in enumerate(v) if x}
 
 
-def _subtract(target: dict, f: Fraction, row: dict) -> None:
-    """target -= f * row for sparse vectors, in place, dropping zeros."""
+def _subtract(target: dict, f, row: dict, p: int = 0) -> None:
+    """target -= f * row for sparse vectors, in place, mod p if p, dropping zeros."""
     for c, x in row.items():
         y = target.get(c, 0) - f * x
+        if p:
+            y %= p
         if y:
             target[c] = y
         else:
             target.pop(c, None)
 
 
-class SparseEchelon:
-    """Reduced echelon form of sparse rational rows {column: Fraction}.
+def _entry(v, p: int) -> tuple[dict[int, int], int]:
+    """(w, d) with w = d*v an integer row over Q (p == 0), or w = v mod p and d = 1."""
+    if p:
+        return {c: r for c, x in v.items() if (r := x % p)}, 1
+    w = dict(v)
+    if 0 in w.values():
+        w = {c: x for c, x in w.items() if x}
+    if Fraction not in map(type, w.values()):
+        return w, 1
+    d = lcm(*(x.denominator for x in w.values()))
+    return {c: x.numerator * (d // x.denominator) for c, x in w.items()}, d
 
-    Each row's pivot is its last nonzero column, scaled to 1, and every
-    pivot column is zero in all other rows.  The non-pivot columns are then
-    the lexicographically first coordinate vectors completing the span.
+
+def _step(w: dict, prow: dict, c: int, p: int):
+    """(w', a, d): d*w' = a*w - b*prow with b/a = w[c]/prow[c], zero at column c.
+    Over F_p prow[c] = 1 and a = d = 1; over Q a > 0 and d is the content."""
+    a, b = prow[c], w[c]
+    d = 1
+    if not p:
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            w = {k: a * x for k, x in w.items()}
+    _subtract(w, b, prow, p)
+    if not p and w and (d := gcd(*w.values())) > 1:
+        w = {k: x // d for k, x in w.items()}
+    return w, a, d
+
+
+class SparseEchelon:
+    """Echelon form of sparse rows {column: value} over Q (p == 0) or F_p.
+
+    A new row is reduced on its leading (last nonzero) column by `_step` until
+    it vanishes or becomes the pivot row there, led by 1 over F_p; stored rows
+    never change.  The non-pivot columns complete the span lexicographically first.
     """
 
-    def __init__(self, rows=()):
-        self.rows: dict[int, dict[int, Fraction]] = {}  # pivot -> row
-        for row in rows:
-            self.add(row)
+    def __init__(self, rows=(), p: int = 0):
+        self.p = p
+        self.rows: dict[int, dict[int, int]] = {}  # pivot -> row
+        self._insert(rows)
 
-    def reduce(self, v) -> dict[int, Fraction]:
-        """v minus an element of the span, zero on every pivot; empty iff v is in the span."""
-        out = {c: Fraction(x) for c, x in v.items() if x}
-        # Rows vanish on each other's pivots, so one pass over v's pivots suffices.
-        for p in [c for c in out if c in self.rows]:
-            _subtract(out, out[p], self.rows[p])
+    def add(self, v) -> dict[int, int] | None:
+        """Insert v; returns its stored row, or None if v was already in the span."""
+        return self._insert((v,))
+
+    def _insert(self, vs) -> dict[int, int] | None:
+        """Insert the rows vs in turn; returns the last one's stored row, or None."""
+        rows, p = self.rows, self.p
+        w = None
+        for v in vs:
+            w = _entry(v, p)[0] if v else None
+            while w:
+                c = max(w)
+                prow = rows.get(c)
+                if prow is None:
+                    if p and w[c] != 1:
+                        inv = pow(w[c], -1, p)
+                        w = {k: x * inv % p for k, x in w.items()}
+                    rows[c] = w
+                    break
+                w = _step(w, prow, c, p)[0]
+        return w or None
+
+    def reduce(self, v) -> dict:
+        """v minus an element of the span, zero on every pivot; empty iff v is in the span.
+        Columns are cleared in descending order, each pivot by its row, which lies below it."""
+        p = self.p
+        w, den = _entry(v, p)
+        num, out = 1, {}
+        while w:
+            c = max(w)
+            if c in self.rows:
+                w, a, d = _step(w, self.rows[c], c, p)
+                num, den = num * d, den * a
+            else:
+                x = w.pop(c)
+                out[c] = x if p else Fraction(x * num, den)
         return out
 
-    def add(self, v) -> dict[int, Fraction] | None:
-        """Insert v; returns its row (later insertions reduce it in place), or
-        None if v was already in the span."""
-        w = self.reduce(v)
-        if not w:
-            return None
-        p = max(w)
-        inv = w[p]
-        if inv != 1:
-            w = {c: x / inv for c, x in w.items()}
-        for row in self.rows.values():
-            if p in row:
-                _subtract(row, row[p], w)
-        self.rows[p] = w
-        return w
+    def rref(self) -> dict[int, dict]:
+        """{pivot: row} of the reduced row-echelon form: leading entry 1 at the
+        pivot, zero on every other pivot."""
+        red = {}
+        for c, row in self.rows.items():
+            tail = self.reduce({k: x for k, x in row.items() if k != c})
+            if not self.p:  # over F_p row[c] is 1
+                tail = {k: x / row[c] for k, x in tail.items()}
+            red[c] = {c: 1 if self.p else Fraction(1), **tail}
+        return red
 
-    def kernel(self, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of {x : row . x = 0 for every row}: e_f minus the rows' column f, per free f.
-
-        A row holds f only if f precedes its pivot, so each vector's leading
-        entry is the 1 on its own free column, and that column is zero in the
-        others: in order of f, the basis is already the reduced row-echelon
-        form of the kernel.
-        """
-        basis = []
-        for f in range(ncols):
-            if f not in self.rows:
-                v = [Fraction(0)] * ncols
-                v[f] = Fraction(1)
-                for p, row in self.rows.items():
-                    if f in row:
-                        v[p] = -row[f]
-                basis.append(tuple(v))
-        return tuple(basis)
-
-
-def _rank(rows, p: int) -> int:
-    """Rank of sparse integer rows {column: int} over F_p, or over Q if p == 0.
-
-    Each row w is reduced on its leading (largest) column by the pivot row
-    there, w <- a*w - b*prow with a, b their leading entries over their gcd,
-    until it vanishes or brings a new pivot; pivots never meet later rows.
-    Over F_p a pivot is scaled to leading entry 1, so a = 1; over Q each
-    reduced row is divided by the gcd of its entries.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        w = {c: r for c, x in row.items() if (r := x % p if p else x)}
-        while w:
-            lead = max(w)
-            prow = pivots.get(lead)
-            if prow is None:
-                if p:
-                    inv = pow(w[lead], -1, p)
-                    w = {c: x * inv % p for c, x in w.items()}
-                pivots[lead] = w
-                break
-            a, b = prow[lead], w[lead]
-            if not p:
-                d = gcd(a, b)
-                a, b = a // d, b // d
-                if a != 1:
-                    w = {c: a * x for c, x in w.items()}
-            for c, x in prow.items():
-                y = w.get(c, 0) - b * x
-                if p:
-                    y %= p
-                if y:
-                    w[c] = y
-                else:
-                    w.pop(c, None)
-            if not p and (d := gcd(*w.values())) > 1:
-                w = {c: x // d for c, x in w.items()}
-    return len(pivots)
+    def kernel(self, ncols: int) -> tuple[tuple, ...]:
+        """Basis of {x : row . x = 0 for every row}: per free column f, e_f minus the
+        rref rows' column f; rows hold f only before their pivot, so the basis is in rref."""
+        p, red = self.p, self.rref()
+        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+        free = (f for f in range(ncols) if f not in red)
+        basis = {f: [zero] * f + [one] + [zero] * (ncols - 1 - f) for f in free}
+        for c, row in red.items():
+            for f, x in row.items():
+                if f != c:
+                    basis[f][c] = -x % p if p else -x
+        return tuple(tuple(v) for v in basis.values())
 
 
 def rank(rows) -> int:
-    """Rank over Q of sparse integer rows {column: int}.
+    """Rank over Q of sparse rows {column: int or Fraction}.
 
     Exact and polynomial in size: a reduced row lies in the span of m input
-    rows and vanishes on m - 1 columns (the pivot leads behind it) where they
-    have rank m - 1, so by Cramer's rule it is proportional to m x m minors
-    of the input, and its primitive part, the one kept, obeys Hadamard's
-    bound, as an elimination over Fraction does.
+    rows and vanishes on m - 1 columns where they have rank m - 1, so by
+    Cramer's rule it is proportional to m x m minors of the (cleared) input,
+    and its primitive part, the one kept, obeys Hadamard's bound.
     """
-    return _rank(rows, 0)
+    echelon = SparseEchelon(rows)
+    return len(echelon.rows)
 
 
 def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p of sparse integer rows {column: int} (any residues)."""
-    return _rank(rows, p)
+    echelon = SparseEchelon(rows, p)
+    return len(echelon.rows)

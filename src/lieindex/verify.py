@@ -23,10 +23,10 @@ from math import comb
 from .algebra import (
     LieAlgebra,
     Subspace,
-    bracket_span,
     center,
     check_jacobi,
     derived_subalgebra_pair,
+    is_abelian_subalgebra,
 )
 from .filiform import (
     FiliformAlgebra,
@@ -579,7 +579,7 @@ def _two_step_alpha_cases() -> list[_Row]:
         candidate = z.sum_with(Subspace.from_vectors(alg.dim, [alg.basis_vector(0)]))
         lower_ok = (
             candidate.dim == comb(g, 2) + 1
-            and bracket_span(alg, candidate, candidate).dim == 0
+            and is_abelian_subalgebra(alg, candidate)
         )
         pair_matrix = [
             alg.bracket(alg.basis_vector(i), alg.basis_vector(j))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -168,6 +169,14 @@ class TestIndex:
         code, out, err = run(capsys, "index", path)
         assert code == 1 and out == ""
         assert err.startswith("lieindex: ") and "modulus is bad" in err
+
+    def test_denominator_at_the_modulus(self, capsys, tmp_path):
+        alg = LieAlgebra(3, None, {(0, 1): {2: Fraction(1, (1 << 61) - 1)}})
+        path = write_algebra(tmp_path, alg)
+        code, out, err = run(capsys, "index", path, "--witness")
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["index"] == 1 and rep["generic_rank"] == 2
 
     def test_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
         def failing(*args, **kwargs):

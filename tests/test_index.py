@@ -147,6 +147,25 @@ class TestIndexReport:
         with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
             index(alg)
 
+    @pytest.mark.parametrize(
+        "c", [Fraction(1, DEFAULT_PRIME), Fraction(3, DEFAULT_PRIME**2)], ids=["1/p", "3/p^2"]
+    )
+    def test_denominator_at_the_modulus(self, c):
+        # Scaled by the lcm of the denominators, the constant is a unit mod p.
+        alg = LieAlgebra(3, None, {(0, 1): {2: c}})
+        rep = index(alg)
+        assert rep.index == index(alg, certify=True).index == 1
+        assert rep.generic_rank == 2
+        assert index(alg, want_witness=True).witness is not None
+
+    def test_denominator_that_stays_bad_is_refused(self):
+        # Scaled by p, [x2, x3] = p*x4 vanishes mod p: the trials rank 2, the
+        # exact rank at the best trial point is 4.
+        alg = LieAlgebra(5, None, {(0, 1): {4: Fraction(1, DEFAULT_PRIME)}, (2, 3): {4: 1}})
+        assert index(alg, certify=True).index == 1
+        with pytest.raises(RuntimeError, match="exact rank 4 .* exceeds the modular rank 2"):
+            index(alg)
+
     def test_abelian_witness_is_the_first_trial_point(self):
         rep = index(LieAlgebra(2), want_witness=True)
         assert rep.generic_rank == 0

@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import sympy
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from lieindex.algebra import LieAlgebra, Subspace
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
-from lieindex.index import _b_ell_rows, _form_ranks, index
+from lieindex.index import _form_ranks, b_ell_matrix, index
 from lieindex.linalg import (
     DEFAULT_PRIME,
     SparseEchelon,
@@ -148,15 +150,145 @@ def unitriangular_copy(g, q):
 
 
 class TestFormRankDifferential:
-    # The two routes over Q, fraction-free integer rows and SparseEchelon on
-    # the Fraction rows, at the 61-bit best trial points of index(), where
-    # Hadamard's bound on the cleared rows is 850-1,900 bits.
-    def test_integer_rank_matches_rational_echelon(self):
+    # linalg.rank through _form_ranks against sympy's exact rank of the same
+    # form, at the 61-bit best trial points of index(), where Hadamard's bound
+    # on the cleared rows is 850-1,900 bits.
+    def test_integer_rank_matches_sympy(self):
         f34 = build_free_nilpotent(3, 4).algebra
         for g in (f34, build_metabelian(3, 4).algebra, unitriangular_copy(f34, Fraction(3, 7))):
             rep = index(g, want_witness=True)
             [r] = _form_ranks(g, [rep.witness.coords])
-            assert r == len(SparseEchelon(_b_ell_rows(g, rep.witness)).rows) == rep.generic_rank
+            reference = DomainMatrix.from_Matrix(sympy.Matrix(b_ell_matrix(g, rep.witness))).rank()
+            assert r == reference == rep.generic_rank
+
+
+def ascending_rows(rng, nrows, ncols, entry):
+    """Rows with distinct, increasing leading (last nonzero) columns, the
+    other entries drawn below the lead: entered in order, each brings a new
+    pivot at once, so the echelon stores every row as it stands."""
+    rows = []
+    for lead in sorted(rng.sample(range(ncols), nrows)):
+        row = {c: x for c in range(lead) if rng.random() < 0.6 and (x := entry())}
+        row[lead] = entry() or 1
+        rows.append(row)
+    return rows
+
+
+def mixed_entry(rng):
+    # ints, Fractions with denominator 1 and proper Fractions, of both signs.
+    num = rng.randint(-9, 9)
+    kind = rng.randrange(3)
+    return num if kind == 0 else Fraction(num) if kind == 1 else Fraction(num, rng.randint(2, 7))
+
+
+def dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+def gf_rank(m, q):
+    return DomainMatrix.from_Matrix(sympy.Matrix(m)).convert_to(GF(q)).rank()
+
+
+class TestUnreducedEchelon:
+    # Stored rows are never reduced against later pivots, so reduce, kernel
+    # and Subspace.span must finish the elimination themselves.
+    def test_rows_are_stored_unreduced(self):
+        rng = random.Random(1111)
+        rows = ascending_rows(rng, 5, 8, lambda: mixed_entry(rng))
+        ech = SparseEchelon(rows)
+        for row in rows:
+            stored = ech.rows[max(row)]
+            assert set(stored) == {c for c, x in row.items() if x}
+            assert all(type(x) is int for x in stored.values())
+            lead = max(row)
+            assert all(stored[c] * row[lead] == row[c] * stored[lead] for c in stored)
+
+    def test_reduce_against_sympy(self):
+        # reduce(u) is zero on every pivot and differs from u by an element of
+        # the span; the two properties fix it uniquely.
+        rng = random.Random(1212)
+        for _ in range(40):
+            ncols = rng.randint(2, 9)
+            rows = ascending_rows(rng, rng.randint(1, ncols), ncols, lambda: mixed_entry(rng))
+            ech = SparseEchelon(rows)
+            m = dense(rows, ncols)
+            for _ in range(4):
+                u = {c: x for c in range(ncols) if (x := mixed_entry(rng))}
+                if rng.random() < 0.3:  # a vector of the span
+                    u = {c: x for c in range(ncols)
+                         if (x := sum(rng.randint(-3, 3) * r[c] for r in m))}
+                r = ech.reduce(u)
+                assert not set(r) & set(ech.rows)
+                diff = [u.get(c, 0) - r.get(c, 0) for c in range(ncols)]
+                assert sympy_rank(m + [diff], ncols) == sympy_rank(m, ncols)
+                in_span = sympy_rank(m + [[u.get(c, 0) for c in range(ncols)]], ncols) == len(ech.rows)
+                assert (not r) == in_span
+                assert all(type(x) is Fraction for x in r.values())
+
+    def test_kernel_against_sympy(self):
+        rng = random.Random(1313)
+        for _ in range(40):
+            ncols = rng.randint(1, 9)
+            rows = ascending_rows(rng, rng.randint(1, ncols), ncols, lambda: mixed_entry(rng))
+            m = dense(rows, ncols)
+            kernel = SparseEchelon(rows).kernel(ncols)
+            reference = [list(v) for v in sympy_matrix(m, ncols).nullspace()]
+            assert kernel == sympy_rref(reference, ncols)
+            assert all(type(x) is Fraction for v in kernel for x in v)
+
+    def test_span_against_sympy(self):
+        # Subspace.span pivots on the first nonzero column, so rows whose
+        # first nonzero columns decrease are the ones it stores unreduced.
+        rng = random.Random(1414)
+        for _ in range(40):
+            ncols = rng.randint(1, 9)
+            rows = [{ncols - 1 - c: x for c, x in row.items()}
+                    for row in ascending_rows(rng, rng.randint(1, ncols), ncols, lambda: mixed_entry(rng))]
+            basis = Subspace.span(ncols, rows).basis
+            assert basis == sympy_rref(dense(rows, ncols), ncols)
+            assert all(type(x) is Fraction for v in basis for x in v)
+
+
+class TestEchelonModP:
+    PRIMES = (2, 3, 5, 7, 13)
+
+    @staticmethod
+    def residues(rng, q, nrows, ncols):
+        # Negative residues and residues >= q, some rows vanishing mod q.
+        m = [[rng.randint(-3 * q, 3 * q) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+             for _ in range(nrows)]
+        if rng.random() < 0.3:
+            m[rng.randrange(nrows)] = [q * rng.randint(-2, 2) for _ in range(ncols)]
+        return m
+
+    def test_rank_against_sympy_gf(self):
+        rng = random.Random(1515)
+        for trial in range(100):
+            q = self.PRIMES[trial % len(self.PRIMES)]
+            ncols = rng.randint(1, 8)
+            m = self.residues(rng, q, rng.randint(1, 8), ncols)
+            assert rank_mod_p(sparse_rows(m), q) == gf_rank(m, q), (trial, q)
+
+    def test_unreduced_rows_kernel_and_reduce(self):
+        rng = random.Random(1616)
+        for trial in range(60):
+            q = self.PRIMES[trial % len(self.PRIMES)]
+            ncols = rng.randint(1, 8)
+            rows = ascending_rows(rng, rng.randint(1, ncols), ncols,
+                                  lambda: rng.choice([0, rng.randint(-3 * q, 3 * q)]))
+            rows = [row for row in rows if row[max(row)] % q]  # leads stay leads mod q
+            ech = SparseEchelon(rows, q)
+            m = dense(rows, ncols)
+            assert len(ech.rows) == gf_rank(m, q) == len(rows)
+            kernel = ech.kernel(ncols)
+            assert len(kernel) == ncols - len(rows)
+            assert all(sum(a * b for a, b in zip(row, v)) % q == 0 for row in m for v in kernel)
+            assert all(0 <= x < q for v in kernel for x in v)
+            u = {c: rng.randint(-3 * q, 3 * q) for c in range(ncols)}
+            r = ech.reduce(u)
+            assert not set(r) & set(ech.rows) and all(0 < x < q for x in r.values())
+            diff = [u[c] - r.get(c, 0) for c in range(ncols)]
+            assert gf_rank(m + [diff], q) == len(rows)
 
 
 class TestRref:
