@@ -6,12 +6,12 @@ linear form sum_k c_ijk * y_k.  Generic rank is obtained either by seeded
 random specialization over a large prime field (the rank can only be
 underestimated, never overestimated, so the maximum over trials is a sound
 lower bound that is correct with overwhelming probability) or by certified
-fraction-free elimination on the polynomial entries.
+sparse fraction-free elimination on the entries, as polynomials over Z.
 
 The structure constants are scaled to integers by the lcm of their
 denominators.  The trials rank the integer rows mod p; the exact rank over Q
-of one functional's form (the check of every randomized index at its best
-trial point, sampling, matchings) is linalg.rank of the same rows.
+at one point (the check of every randomized index and Ooms criterion at its
+best trial point, sampling, matchings) is linalg.rank of the same rows.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import (
-    LieAlgebra,
-    NotAbelianError,
-    Subspace,
-    abelian_witness,
-    center,
-)
+from .algebra import LieAlgebra, NotAbelianError, Subspace, _center_rows, abelian_witness
 from .linalg import DEFAULT_PRIME, SparseEchelon, _sparse, is_probable_prime, rank, rank_mod_p
 from .polynomials import Poly, bareiss_rank
 
@@ -77,10 +71,10 @@ class StructureMatrix:
         return cls(g.dim, items)
 
     def to_poly_matrix(self) -> list[list[Poly]]:
-        m = [[Poly.zero() for _ in range(self.n)] for _ in range(self.n)]
-        for i, j, coeffs in self.entries:
-            form = Poly.linear_form(dict(coeffs))
-            m[i][j] = form
+        # Over Z[y]: M(g) times the lcm of the denominators, of the same rank.
+        m = [[Poly.zero()] * self.n for _ in range(self.n)]
+        for i, j, coeffs in _integer_entries(self.entries):
+            form = m[i][j] = Poly.linear_form(dict(coeffs))
             m[j][i] = -form
         return m
 
@@ -124,6 +118,20 @@ def _randomized_rank(entries, n, trials, seed, p, skew):
     return best
 
 
+def _check_modulus(entries, n, skew, r, point) -> None:
+    """Refuse a modular rank r below the exact rank over Q at its trial point.
+
+    The point and the constants are integral, so a nonzero minor mod p lifts
+    to Q: the exact rank can only be larger, and then p is bad for the input.
+    """
+    exact = rank(_form_rows(entries, point, n, skew))
+    if exact != r:
+        raise RuntimeError(
+            f"exact rank {exact} at the best trial point exceeds the modular "
+            f"rank {r}; the modulus is bad for this input"
+        )
+
+
 def certified_generic_rank(
     sm: StructureMatrix, dim_limit: int = CERTIFY_DIM_LIMIT
 ) -> int:
@@ -162,23 +170,27 @@ class LinearFunctional:
         return len(self.coords)
 
 
-def _b_ell_rows(g: LieAlgebra, ell: LinearFunctional) -> list[dict[int, Fraction]]:
-    """Sparse rows {j: ell([x_i, x_j])} of the skew form, read off the brackets."""
-    if len(ell) != g.dim:
+def _bracket_entries(g: LieAlgebra):
+    return ((i, j, coeffs.items()) for (i, j), coeffs in g.brackets.items())
+
+
+def _b_ell_rows(g: LieAlgebra, coords, entries) -> list[dict]:
+    """Sparse rows {j: ell([x_i, x_j])} of the skew form at ell = coords."""
+    if len(coords) != g.dim:
         raise ValueError("functional length does not match algebra dimension")
-    entries = ((i, j, coeffs.items()) for (i, j), coeffs in g.brackets.items())
-    return _form_rows(entries, ell.coords, g.dim, skew=True)
+    return _form_rows(entries, coords, g.dim, skew=True)
 
 
 def b_ell_matrix(g: LieAlgebra, ell: LinearFunctional) -> list[list[Fraction]]:
     """Skew bilinear form (x, y) -> ell([x, y]) on the chosen basis."""
     zero = Fraction(0)
-    return [[row.get(j, zero) for j in range(g.dim)] for row in _b_ell_rows(g, ell)]
+    rows = _b_ell_rows(g, ell.coords, _bracket_entries(g))
+    return [[row.get(j, zero) for j in range(g.dim)] for row in rows]
 
 
 def _form_ranks(g: LieAlgebra, points):
     """Ranks over Q of the skew forms (x, y) -> ell([x, y]) of g at points ell."""
-    entries = _integer_entries((i, j, cc.items()) for (i, j), cc in g.brackets.items())
+    entries = _integer_entries(_bracket_entries(g))
     for point in points:
         yield rank(_form_rows(entries, point, g.dim, skew=True))
 
@@ -194,7 +206,12 @@ class StabilizerResult:
 
 
 def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
-    sub = Subspace(g.dim, SparseEchelon(_b_ell_rows(g, ell)).kernel(g.dim))
+    # Integer rows: the constants and ell each scaled by the lcm of their
+    # denominators, which leaves the kernel as it is.
+    d = lcm(*(c.denominator for c in ell.coords))
+    point = [c.numerator * (d // c.denominator) for c in ell.coords]
+    rows = _b_ell_rows(g, point, _integer_entries(_bracket_entries(g)))
+    sub = Subspace(g.dim, SparseEchelon(rows).kernel(g.dim))
     if (g.dim - sub.dim) % 2:
         raise RuntimeError("skew form has odd rank; this is a bug")
     return StabilizerResult(ell, sub)
@@ -231,6 +248,7 @@ def index(
         method = {"mode": "certified", "dim_limit": dim_limit}
     else:
         r, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True)
+        _check_modulus(entries, n, True, r, best_point)
         method = {
             "mode": "randomized",
             "trials": trials,
@@ -245,18 +263,9 @@ def index(
                 "randomized search did not reach the certified rank; "
                 "raise trials to find a witness"
             )
-    if best_point is not None:
-        exact = rank(_form_rows(entries, best_point, n, skew=True))
-        if exact != r:
-            # The point and the scaled constants are integral, so a nonzero
-            # minor mod p lifts to Q: the exact rank can only be larger.
-            raise RuntimeError(
-                f"exact rank {exact} at the best trial point exceeds the modular "
-                f"rank {r}; the modulus is bad for this input"
-            )
     witness = LinearFunctional.of(best_point) if want_witness and n else None
     chi = n - r
-    z = center(g).dim
+    z = n - rank(_center_rows(g))
     if r % 2:
         raise RuntimeError("generic rank of a skew matrix came out odd; this is a bug")
     if not z <= chi <= n:
@@ -312,7 +321,9 @@ def ooms_criterion(
         for t, hv in enumerate(h.basis)
         for i, w in g.ad_images(_sparse(hv)).items()
     )
-    r, _ = _randomized_rank(_integer_entries(entries), n, trials, seed, p, skew=False)
+    entries = _integer_entries(entries)
+    r, point = _randomized_rank(entries, n, trials, seed, p, skew=False)
+    _check_modulus(entries, n, False, r, point)
     required = n - h.dim
     holds = r == required
     return OomsResult(holds, r, required, 2 * h.dim - n if holds else None)

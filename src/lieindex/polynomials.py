@@ -1,9 +1,9 @@
-"""Sparse multivariate polynomials over Q and fraction-free matrix rank.
+"""Sparse multivariate polynomials over Z or Q and fraction-free matrix rank.
 
 Support for the certified rank path: entries of a structure matrix are
-linear forms in the dual coordinates, and Bareiss elimination keeps all
-intermediate values as polynomials (exact divisions only), so the computed
-rank is the true generic rank, with no probabilistic caveat.
+integer linear forms in the dual coordinates, and sparse Bareiss elimination
+keeps every intermediate value in Z[y] (exact divisions only), so the
+computed rank is the true generic rank, with no probabilistic caveat.
 
 A monomial is a tuple of (variable, exponent) pairs, sorted by variable,
 exponents > 0.  The empty tuple is the constant monomial.
@@ -12,6 +12,7 @@ exponents > 0.  The empty tuple is the constant monomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -41,19 +42,22 @@ def _div_monomials(a: Monomial, b: Monomial) -> Monomial | None:
     return tuple(sorted(exps.items()))
 
 
-def _grlex_key(m: Monomial, nvars: int):
-    # Graded lex with x0 > x1 > ...: compare total degree, then the dense
-    # exponent vector.  Multiplication-compatible, as exact_div requires.
-    dense = [0] * nvars
-    deg = 0
-    for v, e in m:
-        dense[v] = e
-        deg += e
-    return (deg, tuple(dense))
+def _grlex_key(m: Monomial):
+    # Ascending in this key is descending in graded lex with x0 > x1 > ...:
+    # total degree, then the exponent of the first variable where two monomials
+    # of equal degree differ.  Multiplication-compatible, as exact_div requires.
+    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+
+
+def _div(c, d):
+    """c / d exactly: an int when both are ints and d divides c, else a Fraction."""
+    if type(c) is int and type(d) is int and not c % d:
+        return c // d
+    return Fraction(c, d)
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial over Fraction."""
+    """Immutable-by-convention sparse polynomial, coefficients int or Fraction."""
 
     __slots__ = ("terms",)
 
@@ -75,7 +79,7 @@ class Poly:
 
     @staticmethod
     def linear_form(coeffs: dict[int, Fraction]) -> "Poly":
-        return Poly({((v, 1),): Fraction(c) for v, c in coeffs.items() if c})
+        return Poly({((v, 1),): c for v, c in coeffs.items() if c})
 
     @property
     def is_zero(self) -> bool:
@@ -128,63 +132,51 @@ class Poly:
                         del out[m]
         return Poly(out)
 
-    def _nvars(self) -> int:
-        n = 0
-        for m in self.terms:
-            for v, _ in m:
-                if v + 1 > n:
-                    n = v + 1
-        return n
-
-    def leading(self, nvars: int | None = None):
+    def leading(self):
         """(monomial, coefficient) maximal under graded lex."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        if nvars is None:
-            nvars = self._nvars()
-        m = max(self.terms, key=lambda mm: _grlex_key(mm, nvars))
+        m = min(self.terms, key=_grlex_key)
         return m, self.terms[m]
 
     def exact_div(self, d: "Poly") -> "Poly":
         """Quotient self / d when the division is exact; raises otherwise.
 
         When d | self the leading term of every partial remainder stays
-        divisible by lt(d), so the naive reduction loop terminates with
-        remainder zero.
+        divisible by lt(d), so the reduction loop terminates with remainder
+        zero.  Each remainder term gets its graded-lex key once, on a heap.
         """
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return Poly({})
-        nvars = max(self._nvars(), d._nvars())
-        dm, dc = d.leading(nvars)
-        if len(d) == 1:
-            # Monomial divisor: divide term by term (common case: pivot 1x1).
-            out = {}
-            for m, c in self.terms.items():
-                q = _div_monomials(m, dm)
-                if q is None:
-                    raise ArithmeticError("inexact polynomial division")
-                out[q] = c / dc
-            return Poly(out)
+        dm, dc = d.leading()
+        if len(d) == 1:  # a monomial divides term by term, in any order
+            quot = {_div_monomials(m, dm): _div(c, dc) for m, c in self.terms.items()}
+            if None in quot:
+                raise ArithmeticError("inexact polynomial division")
+            return Poly(quot)
         rem = dict(self.terms)
+        heap = [(_grlex_key(m), m) for m in rem]
+        heapify(heap)
         quot: dict[Monomial, Fraction] = {}
-        while rem:
-            r = Poly(rem)
-            m, c = r.leading(nvars)
+        while rem:  # the heap holds each key of rem once
+            m = heappop(heap)[1]
+            c = rem.pop(m)
+            if not c:
+                continue
             qm = _div_monomials(m, dm)
             if qm is None:
                 raise ArithmeticError("inexact polynomial division")
-            qc = c / dc
-            quot[qm] = quot.get(qm, Fraction(0)) + qc
-            step = Poly({qm: qc}) * d
-            for sm, sc in step.terms.items():
-                s = rem.get(sm, Fraction(0)) - sc
-                if s:
-                    rem[sm] = s
-                else:
-                    rem.pop(sm, None)
-        return Poly({m: c for m, c in quot.items() if c})
+            # Terms come out in descending order, each quotient term once.
+            qc = quot[qm] = _div(c, dc)
+            for tm, tc in d.terms.items():
+                if tm != dm:
+                    sm = _mul_monomials(qm, tm)
+                    if sm not in rem:
+                        heappush(heap, (_grlex_key(sm), sm))
+                    rem[sm] = rem.get(sm, 0) - qc * tc
+        return Poly(quot)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -197,40 +189,32 @@ class Poly:
 
 
 def bareiss_rank(matrix: list[list[Poly]]) -> int:
-    """Rank of a polynomial matrix by fraction-free Gaussian elimination.
+    """Rank of a polynomial matrix by sparse fraction-free Gaussian elimination.
 
-    Full (row and column) pivoting; among nonzero candidates the pivot with
-    the fewest terms is chosen to keep intermediate minors small.  Every
-    division is exact by the Sylvester identity, and Q[y] is a domain, so
-    the count of pivots is exactly the rank.
+    Rows are kept as {column: nonzero entry}, zero rows dropped.  The pivot is
+    a nonzero entry with the fewest terms, to keep intermediate minors small.
+    Each other row becomes (piv*a - mir*b) / prev, mir its entry in the pivot
+    column (piv*a / prev where it has none), prev the previous pivot.  By
+    Sylvester's identity every entry is a minor of the input, so each division
+    is exact (integral over Z[y]); Q[y] is a domain, so the pivots count the rank.
     """
-    m = [row[:] for row in matrix]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    prev = Poly.constant(1)
+    rows = [r for r in ({j: e for j, e in enumerate(row) if e.terms} for row in matrix) if r]
+    prev = None
     r = 0
-    while r < nr and r < nc:
-        best = None
-        for i in range(r, nr):
-            for j in range(r, nc):
-                if not m[i][j].is_zero:
-                    if best is None or len(m[i][j]) < len(m[best[0]][best[1]]):
-                        best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != r:
-            m[r], m[bi] = m[bi], m[r]
-        if bj != r:
-            for row in m:
-                row[r], row[bj] = row[bj], row[r]
-        piv = m[r][r]
-        for i in range(r + 1, nr):
-            mir = m[i][r]
-            for j in range(r + 1, nc):
-                num = piv * m[i][j] - mir * m[r][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][r] = Poly.zero()
-        prev = piv
+    while rows:
+        _, bi, bj = min((len(e), i, j) for i, row in enumerate(rows) for j, e in row.items())
+        prow = rows.pop(bi)
+        piv = prow.pop(bj)
+        reduced = []
+        for row in rows:
+            mir = row.pop(bj, None)
+            new = {j: piv * a for j, a in row.items()}
+            if mir is not None:
+                for j, b in prow.items():
+                    new[j] = new[j] - mir * b if j in new else -(mir * b)
+            new = {j: e.exact_div(prev) if prev else e for j, e in new.items() if e.terms}
+            if new:
+                reduced.append(new)
+        rows, prev = reduced, piv
         r += 1
     return r

@@ -11,6 +11,7 @@ from lieindex.algebra import (
     LieAlgebra,
     NotAbelianError,
     Subspace,
+    center,
     derived_subalgebra_pair,
 )
 from lieindex.filiform import build_G
@@ -37,6 +38,16 @@ from lieindex.serialize import dumps, report_to_dict
 
 def heisenberg():
     return LieAlgebra(3, None, {(0, 1): {2: 1}})
+
+
+def rescaled(g):
+    """g on the basis e'_a = d_a e_a, with rational d_a: rational constants."""
+    d = [Fraction(a + 2, 2 * a + 3) for a in range(g.dim)]
+    return LieAlgebra(
+        g.dim,
+        None,
+        {(a, b): {k: c * d[a] * d[b] / d[k] for k, c in cc.items()} for (a, b), cc in g.brackets.items()},
+    )
 
 
 class TestStructureMatrix:
@@ -175,6 +186,21 @@ class TestIndexReport:
         rep = index(LieAlgebra(0))
         assert rep.dim == 0 and rep.index == 0 and rep.center_dim == 0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_free_nilpotent(4, 4).algebra,
+            lambda: build_free_nilpotent(3, 5).algebra,
+            lambda: build_metabelian(3, 5).algebra,
+        ],
+        ids=["F(4,4)", "F(3,5)", "M(3,5)"],
+    )
+    def test_center_dim_matches_center(self, build):
+        # index() ranks the center's constraint rows instead of building its
+        # basis; test_algebra checks the same on a rational basis change.
+        g = build()
+        assert index(g).center_dim == center(g).dim
+
     def test_parity_and_bounds(self):
         for g, c in [(2, 3), (3, 2), (2, 4), (3, 3)]:
             alg = build_free_nilpotent(g, c).algebra
@@ -187,7 +213,7 @@ class TestIndexReport:
         # The z <= index check holds independently of the center routine, so
         # an oversized center must stop the report, also under python -O.
         module = importlib.import_module("lieindex.index")
-        monkeypatch.setattr(module, "center", lambda g: Subspace.full(g.dim))
+        monkeypatch.setattr(module, "_center_rows", lambda g: [])
         with pytest.raises(RuntimeError, match="center dimension"):
             index(heisenberg())
 
@@ -278,6 +304,19 @@ class TestStabilizer:
         with pytest.raises(ValueError):
             stabilizer(heisenberg(), LinearFunctional.of([1, 2]))
 
+    def test_integer_rows_keep_the_kernel(self):
+        # The constants and ell are scaled to integers; the stabilizer is the
+        # kernel of the true rational form all the same.
+        g = rescaled(build_free_nilpotent(2, 4).algebra)
+        rng = random.Random(5)
+        for _ in range(6):
+            ell = LinearFunctional.of(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(g.dim)]
+            )
+            null = sympy.Matrix(b_ell_matrix(g, ell)).nullspace()
+            expected = Subspace.from_vectors(g.dim, [[Fraction(int(x.p), int(x.q)) for x in v] for v in null])
+            assert stabilizer(g, ell).stabilizer == expected
+
     def test_codim_is_even_on_random_functionals(self):
         rng = random.Random(7)
         for g, c in [(2, 3), (3, 3)]:
@@ -324,6 +363,21 @@ class TestOoms:
         alg = build_free_nilpotent(2, 3).algebra
         with pytest.raises(NotAbelianError):
             ooms_criterion(alg, Subspace.full(5))
+
+    H = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("c", [1, Fraction(1, DEFAULT_PRIME)], ids=["1", "1/p"])
+    def test_holds_on_the_heisenberg_algebra(self, c):
+        res = ooms_criterion(LieAlgebra(3, None, {(0, 1): {2: c}}), self.H)
+        assert res.holds and res.rect_rank == res.required_rank == 1
+        assert res.claimed_index == 1
+
+    @pytest.mark.parametrize("c", [DEFAULT_PRIME, DEFAULT_PRIME**2], ids=["p", "p^2"])
+    def test_bad_modulus_is_refused(self, c):
+        # Every trial ranks 0 mod p; over Q the rectangular matrix has rank 1.
+        alg = LieAlgebra(3, None, {(0, 1): {2: c}})
+        with pytest.raises(RuntimeError, match="exact rank 1 .* exceeds the modular rank 0"):
+            ooms_criterion(alg, self.H)
 
 
 class TestAlphaSandwich:
