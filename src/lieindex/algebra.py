@@ -238,19 +238,14 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     return Subspace(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
 
 
-def _center_rows(g: LieAlgebra):
-    """Sparse rows whose kernel is the center: per (j, k), x -> coordinate k of [x, x_j]."""
+def center(g: LieAlgebra) -> Subspace:
+    """The centralizer of g, its constraint rows read straight off the brackets."""
     rows: dict[tuple[int, int], Coeffs] = {}
     for (i, j), coeffs in g.brackets.items():
         for k, c in coeffs.items():
             rows.setdefault((j, k), {})[i] = c
             rows.setdefault((i, k), {})[j] = -c
-    return rows.values()
-
-
-def center(g: LieAlgebra) -> Subspace:
-    """The centralizer of g, its constraint rows read straight off the brackets."""
-    return Subspace(g.dim, SparseEchelon(_center_rows(g)).kernel(g.dim))
+    return Subspace(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:

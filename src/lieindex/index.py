@@ -21,8 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import LieAlgebra, NotAbelianError, Subspace, _center_rows, abelian_witness
-from .linalg import DEFAULT_PRIME, SparseEchelon, _sparse, is_probable_prime, rank, rank_mod_p
+from .algebra import (
+    LieAlgebra,
+    NotAbelianError,
+    Subspace,
+    abelian_witness,
+    center,
+)
+from .linalg import DEFAULT_PRIME, SparseEchelon, _clear_denominators, _sparse
+from .linalg import is_probable_prime, rank, rank_mod_p
 from .polynomials import Poly, bareiss_rank
 
 DEFAULT_TRIALS = 3
@@ -71,9 +78,8 @@ class StructureMatrix:
         return cls(g.dim, items)
 
     def to_poly_matrix(self) -> list[list[Poly]]:
-        # Over Z[y]: M(g) times the lcm of the denominators, of the same rank.
         m = [[Poly.zero()] * self.n for _ in range(self.n)]
-        for i, j, coeffs in _integer_entries(self.entries):
+        for i, j, coeffs in self.entries:
             form = m[i][j] = Poly.linear_form(dict(coeffs))
             m[j][i] = -form
         return m
@@ -119,11 +125,8 @@ def _randomized_rank(entries, n, trials, seed, p, skew):
 
 
 def _check_modulus(entries, n, skew, r, point) -> None:
-    """Refuse a modular rank r below the exact rank over Q at its trial point.
-
-    The point and the constants are integral, so a nonzero minor mod p lifts
-    to Q: the exact rank can only be larger, and then p is bad for the input.
-    """
+    """Refuse a modular rank r below the exact rank over Q at its trial point:
+    with an integral point and constants a nonzero minor mod p lifts to Q."""
     exact = rank(_form_rows(entries, point, n, skew))
     if exact != r:
         raise RuntimeError(
@@ -139,7 +142,9 @@ def certified_generic_rank(
         raise CertifySizeError(
             f"certified rank gated at dimension {dim_limit}; this algebra has {sm.n}"
         )
-    return bareiss_rank(sm.to_poly_matrix())
+    # M(g) times the lcm of the denominators: the same rank, over Z[y].
+    integral = StructureMatrix(sm.n, tuple(_integer_entries(sm.entries)))
+    return bareiss_rank(integral.to_poly_matrix())
 
 
 def generic_rank(
@@ -206,10 +211,8 @@ class StabilizerResult:
 
 
 def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
-    # Integer rows: the constants and ell each scaled by the lcm of their
-    # denominators, which leaves the kernel as it is.
-    d = lcm(*(c.denominator for c in ell.coords))
-    point = [c.numerator * (d // c.denominator) for c in ell.coords]
+    # Integer rows, the constants and ell cleared of denominators: the same kernel.
+    point, _ = _clear_denominators(dict(enumerate(ell.coords)))
     rows = _b_ell_rows(g, point, _integer_entries(_bracket_entries(g)))
     sub = Subspace(g.dim, SparseEchelon(rows).kernel(g.dim))
     if (g.dim - sub.dim) % 2:
@@ -265,7 +268,7 @@ def index(
             )
     witness = LinearFunctional.of(best_point) if want_witness and n else None
     chi = n - r
-    z = n - rank(_center_rows(g))
+    z = center(g).dim
     if r % 2:
         raise RuntimeError("generic rank of a skew matrix came out odd; this is a bug")
     if not z <= chi <= n:
@@ -316,12 +319,11 @@ def ooms_criterion(
     _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
-    entries = (
+    entries = _integer_entries(
         (i, t, w.items())
         for t, hv in enumerate(h.basis)
         for i, w in g.ad_images(_sparse(hv)).items()
     )
-    entries = _integer_entries(entries)
     r, point = _randomized_rank(entries, n, trials, seed, p, skew=False)
     _check_modulus(entries, n, False, r, point)
     required = n - h.dim

@@ -70,6 +70,11 @@ def _entry(v, p: int) -> tuple[dict[int, int], int]:
         w = {c: x for c, x in w.items() if x}
     if Fraction not in map(type, w.values()):
         return w, 1
+    return _clear_denominators(w)
+
+
+def _clear_denominators(w: dict) -> tuple[dict, int]:
+    """(d*w, d) for d the lcm of the denominators of the rational values of w."""
     d = lcm(*(x.denominator for x in w.values()))
     return {c: x.numerator * (d // x.denominator) for c, x in w.items()}, d
 

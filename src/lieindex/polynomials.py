@@ -11,8 +11,8 @@ exponents > 0.  The empty tuple is the constant monomial.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -43,10 +43,10 @@ def _div_monomials(a: Monomial, b: Monomial) -> Monomial | None:
 
 
 def _grlex_key(m: Monomial):
-    # Ascending in this key is descending in graded lex with x0 > x1 > ...:
-    # total degree, then the exponent of the first variable where two monomials
-    # of equal degree differ.  Multiplication-compatible, as exact_div requires.
-    return (-sum(e for _, e in m), tuple((v, -e) for v, e in m))
+    # Ascending in the flat key (-deg, v0, -e0, v1, -e1, ...) is descending in
+    # graded lex with x0 > x1 > ...: degree, then the exponent of the first variable
+    # where equal-degree monomials differ.  Multiplication-compatible, as exact_div needs.
+    return (-sum(e for _, e in m), *(x for v, e in m for x in (v, -e)))
 
 
 def _div(c, d):
@@ -144,7 +144,7 @@ class Poly:
 
         When d | self the leading term of every partial remainder stays
         divisible by lt(d), so the reduction loop terminates with remainder
-        zero.  Each remainder term gets its graded-lex key once, on a heap.
+        zero.  Each remainder term gets its graded-lex key once, kept sorted.
         """
         if d.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -157,11 +157,10 @@ class Poly:
                 raise ArithmeticError("inexact polynomial division")
             return Poly(quot)
         rem = dict(self.terms)
-        heap = [(_grlex_key(m), m) for m in rem]
-        heapify(heap)
+        todo = sorted((_grlex_key(m), m) for m in rem)
         quot: dict[Monomial, Fraction] = {}
-        while rem:  # the heap holds each key of rem once
-            m = heappop(heap)[1]
+        while rem:  # todo holds each key of rem once, the leading term first
+            m = todo.pop(0)[1]
             c = rem.pop(m)
             if not c:
                 continue
@@ -174,7 +173,7 @@ class Poly:
                 if tm != dm:
                     sm = _mul_monomials(qm, tm)
                     if sm not in rem:
-                        heappush(heap, (_grlex_key(sm), sm))
+                        insort(todo, (_grlex_key(sm), sm))
                     rem[sm] = rem.get(sm, 0) - qc * tc
         return Poly(quot)
 
@@ -199,8 +198,7 @@ def bareiss_rank(matrix: list[list[Poly]]) -> int:
     is exact (integral over Z[y]); Q[y] is a domain, so the pivots count the rank.
     """
     rows = [r for r in ({j: e for j, e in enumerate(row) if e.terms} for row in matrix) if r]
-    prev = None
-    r = 0
+    prev, r = None, 0
     while rows:
         _, bi, bj = min((len(e), i, j) for i, row in enumerate(rows) for j, e in row.items())
         prow = rows.pop(bi)
@@ -215,6 +213,5 @@ def bareiss_rank(matrix: list[list[Poly]]) -> int:
             new = {j: e.exact_div(prev) if prev else e for j, e in new.items() if e.terms}
             if new:
                 reduced.append(new)
-        rows, prev = reduced, piv
-        r += 1
+        rows, prev, r = reduced, piv, r + 1
     return r

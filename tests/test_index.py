@@ -11,7 +11,6 @@ from lieindex.algebra import (
     LieAlgebra,
     NotAbelianError,
     Subspace,
-    center,
     derived_subalgebra_pair,
 )
 from lieindex.filiform import build_G
@@ -63,6 +62,17 @@ class TestStructureMatrix:
             assert m[i][i].is_zero
             for j in range(sm.n):
                 assert m[i][j] == -m[j][i]
+
+    def test_poly_matrix_keeps_rational_constants(self):
+        # to_poly_matrix is M(g) itself; only the certified rank scales it to Z[y].
+        g = rescaled(build_free_nilpotent(2, 4).algebra)
+        sm = structure_matrix(g)
+        m = sm.to_poly_matrix()
+        for i, j, coeffs in sm.entries:
+            assert m[i][j].terms == {((k, 1),): c for k, c in coeffs}
+            assert any(c.denominator > 1 for _, c in coeffs)
+        g0 = build_free_nilpotent(2, 4).algebra
+        assert certified_generic_rank(sm) == certified_generic_rank(structure_matrix(g0))
 
 
 class TestGenericRank:
@@ -186,21 +196,6 @@ class TestIndexReport:
         rep = index(LieAlgebra(0))
         assert rep.dim == 0 and rep.index == 0 and rep.center_dim == 0
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: build_free_nilpotent(4, 4).algebra,
-            lambda: build_free_nilpotent(3, 5).algebra,
-            lambda: build_metabelian(3, 5).algebra,
-        ],
-        ids=["F(4,4)", "F(3,5)", "M(3,5)"],
-    )
-    def test_center_dim_matches_center(self, build):
-        # index() ranks the center's constraint rows instead of building its
-        # basis; test_algebra checks the same on a rational basis change.
-        g = build()
-        assert index(g).center_dim == center(g).dim
-
     def test_parity_and_bounds(self):
         for g, c in [(2, 3), (3, 2), (2, 4), (3, 3)]:
             alg = build_free_nilpotent(g, c).algebra
@@ -213,7 +208,7 @@ class TestIndexReport:
         # The z <= index check holds independently of the center routine, so
         # an oversized center must stop the report, also under python -O.
         module = importlib.import_module("lieindex.index")
-        monkeypatch.setattr(module, "_center_rows", lambda g: [])
+        monkeypatch.setattr(module, "center", lambda g: Subspace.full(g.dim))
         with pytest.raises(RuntimeError, match="center dimension"):
             index(heisenberg())
 
