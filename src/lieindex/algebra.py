@@ -2,9 +2,12 @@
 
 A LieAlgebra's public `brackets` is a dict keyed by basis index pairs (i, j)
 with i < j; values are sparse coefficient dicts {k: c} meaning
-[x_i, x_j] = sum_k c * x_k.  Zero coefficients are never stored.  A private
-adjoint table holds every nonzero [x_i, x_j] in both orders, so bracket
-lookups, ad x_i and the images {a: [x_a, v]} read it without an order branch.
+[x_i, x_j] = sum_k c * x_k.  Zero coefficients are never stored.  Each c is
+an int when it is integral and an exact Fraction otherwise; LieAlgebra is
+the one place that decides, so builders pass plain integers.  No floats.
+A private adjoint table holds every nonzero [x_i, x_j] in both orders, so
+bracket lookups, ad x_i and the images {a: [x_a, v]} read it without an
+order branch.
 
 Nothing here assumes nilpotency; the constructions elsewhere in the package
 produce nilpotent algebras, and check_jacobi is the validity gate for any
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 from .linalg import SparseEchelon, _sparse, _subtract
 
-Coeffs = dict[int, Fraction]
+Coeffs = dict[int, int | Fraction]  # exact values: int when integral
 
 
 def _flip(n: int, v: Coeffs) -> Coeffs:
@@ -135,7 +138,7 @@ class LieAlgebra:
                     raise ValueError(f"coefficient index {k} out of range")
                 c = Fraction(c)
                 if c:
-                    cc[int(k)] = c
+                    cc[int(k)] = c.numerator if c.denominator == 1 else c
             if cc:
                 clean[(i, j)] = cc
         self.brackets = clean
@@ -219,7 +222,7 @@ def check_jacobi(g: LieAlgebra):
     triple = min((t for t, r in res.items() if r), default=None)
     if triple is None:
         return None
-    vec = [Fraction(0)] * g.dim
+    vec = [0] * g.dim
     for m, cm in res[triple].items():
         vec[m] = cm
     return triple, vec

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    Coeffs,
     LieAlgebra,
     Subspace,
     check_jacobi,
@@ -40,7 +41,7 @@ class FiliformAlgebra:
     algebra: LieAlgebra
     family: str
     k: int | None
-    alpha_coeffs: tuple[Fraction, ...]
+    alpha_coeffs: tuple[int | Fraction, ...]
 
     @property
     def n(self) -> int:
@@ -53,7 +54,7 @@ def adapted_violation(alg: LieAlgebra) -> str | None:
     if n < 3:
         return "need dimension at least 3"
     for i in range(2, n):
-        if alg.structure_coeffs(0, i - 1) != {i: Fraction(1)}:
+        if alg.structure_coeffs(0, i - 1) != {i: 1}:
             return f"[e1,e{i}] != e{i + 1}"
     if alg.structure_coeffs(0, n - 1):
         return "[e1,en] != 0"
@@ -81,7 +82,7 @@ def make_filiform(alg: LieAlgebra, family: str = "adapted", k: int | None = None
         raise ValueError(f"not an adapted filiform algebra: {reason}")
     n = alg.dim
     alphas = tuple(
-        alg.structure_coeffs(i - 1, n - i - 1).get(n - 1, Fraction(0))
+        alg.structure_coeffs(i - 1, n - i - 1).get(n - 1, 0)
         for i in range(1, n)
     )
     return FiliformAlgebra(alg, family, k, alphas)
@@ -92,7 +93,7 @@ def build_L(n: int) -> FiliformAlgebra:
     if n < 3:
         raise ValueError("the L family needs dimension >= 3")
     _check_ceiling(n, f"filiform algebra L{n}")
-    brackets = {(0, i): {i + 1: Fraction(1)} for i in range(1, n - 1)}
+    brackets = {(0, i): {i + 1: 1} for i in range(1, n - 1)}
     return make_filiform(LieAlgebra(n, _labels(n), brackets), "L")
 
 
@@ -101,16 +102,9 @@ def build_Q(n: int) -> FiliformAlgebra:
     if n < 4 or n % 2:
         raise ValueError("the Q family needs even dimension >= 4")
     _check_ceiling(n, f"filiform algebra Q{n}")
-    brackets = {(0, i): {i + 1: Fraction(1)} for i in range(1, n - 1)}
-    for i in range(2, n // 2 + 1):
-        key = (i - 1, n - i)
-        extra = {n - 1: Fraction((-1) ** i)}
-        if key in brackets:
-            cur = dict(brackets[key])
-            cur[n - 1] = cur.get(n - 1, Fraction(0)) + extra[n - 1]
-            brackets[key] = cur
-        else:
-            brackets[key] = extra
+    brackets = {(0, i): {i + 1: 1} for i in range(1, n - 1)}
+    for i in range(2, n // 2 + 1):  # i >= 2: the key misses every chain key (0, i)
+        brackets[(i - 1, n - i)] = {n - 1: (-1) ** i}
     return make_filiform(LieAlgebra(n, _labels(n), brackets), "Q")
 
 
@@ -125,37 +119,37 @@ def build_G(n: int, k: int) -> FiliformAlgebra:
         raise ValueError("need odd k with 3 <= k <= n")
     _check_ceiling(n, f"filiform algebra G{n},{k}")
     core_dim = n - 1  # coordinates t_2 .. t_n, index t -> t - 2
-    core: dict[tuple[int, int], dict[int, Fraction]] = {}
+    core: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(2, k):
         j = k - i
         if i < j <= n:
-            core[(i - 2, j - 2)] = {core_dim - 1: Fraction((-1) ** i)}
+            core[(i - 2, j - 2)] = {core_dim - 1: (-1) ** i}
 
-    def core_bracket(a: int, b: int) -> dict[int, Fraction]:
+    def core_bracket(a: int, b: int) -> dict[int, int]:
         if a == b:
             return {}
         if a < b:
             return core.get((a, b), {})
         return {m: -c for m, c in core.get((b, a), {}).items()}
 
-    def shift(vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def shift(vec: dict[int, int]) -> dict[int, int]:
         return {m + 1: c for m, c in vec.items() if m + 1 < core_dim}
 
     for a in range(core_dim):
         for b in range(a + 1, core_dim):
             lhs = shift(core_bracket(a, b))
-            rhs: dict[int, Fraction] = {}
+            rhs: dict[int, int] = {}
             for m, c in core_bracket(a + 1, b).items() if a + 1 < core_dim else ():
-                rhs[m] = rhs.get(m, Fraction(0)) + c
+                rhs[m] = rhs.get(m, 0) + c
             for m, c in core_bracket(a, b + 1).items() if b + 1 < core_dim else ():
-                rhs[m] = rhs.get(m, Fraction(0)) + c
+                rhs[m] = rhs.get(m, 0) + c
             rhs = {m: c for m, c in rhs.items() if c}
             if lhs != rhs:
                 raise RuntimeError("shift map is not a derivation of the core")
 
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, int]] = {}
     for i in range(1, n - 1):  # [e_1, e_{i+1}] = e_{i+2} from the action
-        brackets[(0, i)] = {i + 1: Fraction(1)}
+        brackets[(0, i)] = {i + 1: 1}
     for (a, b), coeffs in core.items():
         brackets[(a + 1, b + 1)] = {m + 1: c for m, c in coeffs.items()}
     return make_filiform(LieAlgebra(n, _labels(n), brackets), "G", k)
@@ -230,20 +224,20 @@ def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlge
     rng = random.Random(seed)
     cols = []
     for lead in (0, 1):
-        col = {lead: Fraction(1)}
+        col = {lead: 1}
         for j in range(2, n):
             c = rng.randint(-2, 2)
             if c:
-                col[j] = Fraction(c)
+                col[j] = c
         cols.append(col)
     for _ in range(2, n):
         cols.append(g.sparse_bracket(cols[0], cols[-1]))
     # Row m is e'_m tagged with e_m in front of it.  Every column of the
     # vector part becomes a pivot, so reducing a vector w there leaves minus
     # its coordinates on the new basis in the tags.
-    ech = SparseEchelon({m: Fraction(1), **{n + r: c for r, c in col.items()}}
+    ech = SparseEchelon({m: 1, **{n + r: c for r, c in col.items()}}
                         for m, col in enumerate(cols))
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], Coeffs] = {}
     for s in range(n):
         for t in range(s + 1, n):
             w = g.sparse_bracket(cols[s], cols[t])

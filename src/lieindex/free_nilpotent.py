@@ -15,7 +15,6 @@ pair (left, right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     LieAlgebra,
@@ -218,7 +217,7 @@ def build_free_nilpotent(
                 continue
             coeffs = builder.bracket_coeffs(i, j)
             if coeffs:
-                brackets[(i, j)] = {k: Fraction(v) for k, v in coeffs.items()}
+                brackets[(i, j)] = coeffs
     alg = LieAlgebra(total, tuple(e.label for e in elements), brackets)
     return FreeNilpotentAlgebra(g, c, alg, elements, offsets)
 
@@ -275,19 +274,16 @@ def build_fg3_explicit_basis(g: int) -> FreeNilpotentAlgebra:
     )
     pair_at = {p: g + t for t, p in enumerate(pairs)}
     triple_at = {t: g + len(pairs) + s for s, t in enumerate(triples)}
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, int]] = {}
     for (i, j) in pairs:
-        brackets[(i - 1, j - 1)] = {pair_at[(i, j)]: Fraction(1)}
+        brackets[(i - 1, j - 1)] = {pair_at[(i, j)]: 1}
     for (j, k) in pairs:
         col = pair_at[(j, k)]
         for i in range(1, g + 1):
             if i <= k:
-                coeffs = {triple_at[(i, j, k)]: Fraction(1)}
+                coeffs = {triple_at[(i, j, k)]: 1}
             else:
-                coeffs = {
-                    triple_at[(j, k, i)]: Fraction(-1),
-                    triple_at[(k, j, i)]: Fraction(1),
-                }
+                coeffs = {triple_at[(j, k, i)]: -1, triple_at[(k, j, i)]: 1}
             brackets[(i - 1, col)] = coeffs
     alg = LieAlgebra(len(labels), tuple(labels), brackets)
     trees = (

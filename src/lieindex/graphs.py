@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import LieAlgebra
@@ -78,9 +77,7 @@ def build_graph_algebra(graph: SimpleGraph) -> LieAlgebra:
     labels = [f"v{i + 1}" for i in range(n)] + [
         f"v{i + 1}^v{j + 1}" for (i, j) in graph.edges
     ]
-    brackets = {
-        (i, j): {n + e: Fraction(1)} for e, (i, j) in enumerate(graph.edges)
-    }
+    brackets = {(i, j): {n + e: 1} for e, (i, j) in enumerate(graph.edges)}
     return LieAlgebra(n + m, tuple(labels), brackets)
 
 
@@ -217,10 +214,10 @@ def matching_functional(graph: SimpleGraph, matching) -> LinearFunctional:
     """Sum of duals of the wedge coordinates of the matched edges."""
     matching = validate_matching(graph, matching)
     n = graph.vertex_count
-    coords = [Fraction(0)] * (n + len(graph.edges))
+    coords = [0] * (n + len(graph.edges))
     pos = {e: n + t for t, e in enumerate(graph.edges)}
     for e in matching:
-        coords[pos[e]] = Fraction(1)
+        coords[pos[e]] = 1
     return LinearFunctional.of(coords)
 
 

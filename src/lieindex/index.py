@@ -67,7 +67,7 @@ class StructureMatrix:
     """Upper triangle of M(g); entry (i, j) with i < j maps k -> c_ijk."""
 
     n: int
-    entries: tuple  # ((i, j, ((k, Fraction), ...)), ...)
+    entries: tuple  # ((i, j, ((k, c_ijk), ...)), ...), c_ijk int or Fraction
 
     @classmethod
     def of(cls, g: LieAlgebra) -> "StructureMatrix":
@@ -160,7 +160,10 @@ def generic_rank(
     if certify:
         return certified_generic_rank(sm, dim_limit)
     p = _check_prime(prime)
-    return _randomized_rank(_integer_entries(sm.entries), sm.n, trials, seed, p, skew=True)[0]
+    entries = _integer_entries(sm.entries)
+    r, point = _randomized_rank(entries, sm.n, trials, seed, p, skew=True)
+    _check_modulus(entries, sm.n, True, r, point)
+    return r
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -184,8 +183,8 @@ _CORPUS = _Corpus()
 
 
 def _e_n_star(f: FiliformAlgebra) -> LinearFunctional:
-    coords = [Fraction(0)] * f.n
-    coords[f.n - 1] = Fraction(1)
+    coords = [0] * f.n
+    coords[f.n - 1] = 1
     return LinearFunctional.of(coords)
 
 
@@ -238,10 +237,10 @@ def _fg3_chi(g: int) -> int:
 
 def _fg3_functional(g: int) -> LinearFunctional:
     built = _CORPUS.explicit[g].built
-    coords = [Fraction(0)] * built.dim
+    coords = [0] * built.dim
     for pos in built.layer_range(3):
         i, (j, k) = built.hall_basis[pos].tree
-        coords[pos] = Fraction(i + j + k + 3)  # trees store 0-based generators
+        coords[pos] = i + j + k + 3  # trees store 0-based generators
     return LinearFunctional.of(coords)
 
 
@@ -616,7 +615,7 @@ def _q_pattern_cases() -> list[_Row]:
             name = f"Q{n}+s{s:02d}"
             entry = _CORPUS.filiform[name]
             pattern = all(
-                entry.algebra.structure_coeffs(i - 1, n - i) == {n - 1: Fraction((-1) ** i)}
+                entry.algebra.structure_coeffs(i - 1, n - i) == {n - 1: (-1) ** i}
                 for i in range(2, n)
                 if i - 1 != n - i
             )

@@ -21,8 +21,10 @@ from lieindex.algebra import (
     quotient,
     subalgebra_generated,
 )
-from lieindex.filiform import build_G, build_L
-from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
+from lieindex.filiform import build_G, build_L, build_Q, random_adapted_deformation
+from lieindex.free_nilpotent import build_fg3_explicit_basis, build_free_nilpotent, build_metabelian
+from lieindex.graphs import SimpleGraph, build_graph_algebra
+from lieindex.serialize import algebra_from_dict, algebra_to_dict, dumps
 
 
 def heisenberg():
@@ -139,6 +141,12 @@ def jacobi_oracle(g):
     return None
 
 
+def as_fractions(g):
+    # The same algebra with every structure constant handed in as a Fraction.
+    brackets = {key: {k: Fraction(c) for k, c in coeffs.items()} for key, coeffs in g.brackets.items()}
+    return LieAlgebra(g.dim, g.labels, brackets)
+
+
 def built_algebras():
     return [
         heisenberg(),
@@ -220,6 +228,50 @@ class TestConstruction:
             3: Fraction(-1),
             4: Fraction(-1),
         }
+
+
+INTEGRAL_BUILDS = [
+    pytest.param(lambda: build_free_nilpotent(3, 3).algebra, id="F3,3"),
+    pytest.param(lambda: build_fg3_explicit_basis(3).algebra, id="F3,3-explicit"),
+    pytest.param(lambda: build_metabelian(3, 4).algebra, id="M3,4"),
+    pytest.param(lambda: build_graph_algebra(SimpleGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))), id="C4"),
+    pytest.param(lambda: build_L(6).algebra, id="L6"),
+    pytest.param(lambda: build_Q(8).algebra, id="Q8"),
+    pytest.param(lambda: build_G(9, 5).algebra, id="G9,5"),
+    pytest.param(lambda: random_adapted_deformation(build_Q(8), 3).algebra, id="Q8-deformed"),
+    pytest.param(lambda: random_adapted_deformation(build_G(9, 5), 4).algebra, id="G9,5-deformed"),
+]
+
+
+class TestConstantTypes:
+    @pytest.mark.parametrize("build", INTEGRAL_BUILDS)
+    def test_builders_give_int_constants(self, build):
+        g = build()
+        assert g.brackets
+        assert {type(c) for coeffs in g.brackets.values() for c in coeffs.values()} == {int}
+        assert g == as_fractions(g)
+
+    def test_integral_fraction_becomes_int(self):
+        g = LieAlgebra(3, None, {(0, 1): {2: Fraction(4, 2)}})
+        assert g.brackets == {(0, 1): {2: 2}}
+        assert type(g.brackets[(0, 1)][2]) is int
+        assert type(g.structure_coeffs(1, 0)[2]) is int
+
+    def test_non_integral_fraction_stays_exact(self):
+        g = LieAlgebra(3, None, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: Fraction(-6, 3)}})
+        assert g.brackets == {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: -2}}
+        assert type(g.brackets[(0, 1)][2]) is Fraction
+        assert type(g.brackets[(0, 2)][1]) is int
+
+    @pytest.mark.parametrize("build", INTEGRAL_BUILDS[:3] + [
+        pytest.param(lambda: change_basis(build_free_nilpotent(2, 4).algebra, rational_basis_change(8)),
+                     id="F2,4-rational"),
+    ])
+    def test_serialized_bytes_do_not_depend_on_the_input_type(self, build):
+        g = build()
+        payload = dumps(algebra_to_dict(g))
+        assert dumps(algebra_to_dict(as_fractions(g))) == payload
+        assert dumps(algebra_to_dict(algebra_from_dict(algebra_to_dict(g)))) == payload
 
 
 class TestJacobi:

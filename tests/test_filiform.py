@@ -100,6 +100,14 @@ class TestAdaptedBasisChecks:
         assert f.family == "adapted" and f.k is None
         assert f.alpha_coeffs == build_L(5).alpha_coeffs
 
+    def test_alphas_keep_the_constant_type(self):
+        for f in (build_L(5), build_Q(8), build_G(9, 5), random_adapted_deformation(build_Q(8), 3)):
+            assert {type(a) for a in f.alpha_coeffs} == {int}
+        chain = {(0, i): {i + 1: 1} for i in range(1, 4)}
+        f = make_filiform(LieAlgebra(5, None, {**chain, (1, 2): {4: Fraction(1, 2)}}))
+        assert f.alpha_coeffs == (1, Fraction(1, 2), Fraction(-1, 2), -1)
+        assert [type(a) for a in f.alpha_coeffs] == [int, Fraction, Fraction, int]
+
     def test_shape_forces_filiform_series(self):
         # Random constants respecting the filtration, Jacobi or not.
         rng = random.Random(3)

@@ -167,6 +167,10 @@ class TestIndexReport:
         alg = LieAlgebra(3, None, {(0, 1): {2: c}})
         with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
             index(alg)
+        sm = structure_matrix(alg)
+        assert generic_rank(sm, certify=True) == 2
+        with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
+            generic_rank(sm)
 
     @pytest.mark.parametrize(
         "c", [Fraction(1, DEFAULT_PRIME), Fraction(3, DEFAULT_PRIME**2)], ids=["1/p", "3/p^2"]
@@ -178,6 +182,8 @@ class TestIndexReport:
         assert rep.index == index(alg, certify=True).index == 1
         assert rep.generic_rank == 2
         assert index(alg, want_witness=True).witness is not None
+        sm = structure_matrix(alg)
+        assert generic_rank(sm) == generic_rank(sm, certify=True) == 2
 
     def test_denominator_that_stays_bad_is_refused(self):
         # Scaled by p, [x2, x3] = p*x4 vanishes mod p: the trials rank 2, the

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lieindex.algebra import LieAlgebra
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
+from lieindex.graphs import SimpleGraph
 from lieindex.index import LinearFunctional, index, stabilizer
 from lieindex.serialize import (
     algebra_from_dict,
@@ -148,3 +151,18 @@ class TestDumps:
         for build, gens, cls, digest in golden:
             payload = dumps(algebra_to_dict(build(gens, cls).algebra))
             assert hashlib.sha256(payload.encode()).hexdigest() == digest, (build.__name__, gens, cls)
+
+
+def test_readme_json_examples_load():
+    # The README's "JSON formats" section shows an algebra, a functional and a
+    # graph file, in that order.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## JSON formats", 1)[1].split("\n## ", 1)[0]
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", section, re.S)]
+    assert len(blocks) == 3
+    alg = algebra_from_dict(blocks[0])
+    ell = functional_from_dict(blocks[1])
+    graph = SimpleGraph.from_dict(blocks[2])
+    assert alg == LieAlgebra(3, ("x", "y", "z"), {(0, 1): {2: 1}})
+    assert stabilizer(alg, ell).dim == 1
+    assert graph.vertex_count == 4 and len(graph.edges) == 4
