@@ -136,7 +136,7 @@ class LieAlgebra:
             for k, c in coeffs.items():
                 if not 0 <= int(k) < dim:
                     raise ValueError(f"coefficient index {k} out of range")
-                c = Fraction(c)
+                c = c if type(c) is int else Fraction(c)
                 if c:
                     cc[int(k)] = c.numerator if c.denominator == 1 else c
             if cc:

@@ -287,11 +287,19 @@ def index_by_sampling(
     """Minimum stabilizer dimension over seeded small-integer functionals.
 
     An upper-bound oracle for the index that is independent of the
-    structure-matrix path; with enough samples it is exact.
+    structure-matrix path; with enough samples it is exact.  No form rank
+    passes n - dim z(g) rounded down to even, since z(g) lies in the kernel
+    of every form ell([x, y]) and a skew form has even rank.  So sampling
+    stops at the first rank at that ceiling, with the full-sample minimum.
     """
+    ceiling = (g.dim - center(g).dim) & ~1
     rng = random.Random(seed)
     points = ([rng.randint(-bound, bound) for _ in range(g.dim)] for _ in range(samples))
-    return g.dim - max(_form_ranks(g, points), default=0)
+    best = 0
+    for r in _form_ranks(g, points):
+        if (best := max(best, r)) == ceiling:
+            break
+    return g.dim - best
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,14 @@ _SCALAR_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
 
 def format_scalar(x: Fraction | int) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))  # "p" when integral, else "p/q"
 
 
-def parse_scalar(s: Any) -> Fraction:
+def parse_scalar(s: Any) -> int | Fraction:
+    """The exact value of "p" (an int) or "p/q" (a Fraction)."""
     if not isinstance(s, str) or not _SCALAR_RE.match(s):
         raise ValueError(f"malformed rational {s!r}; expected 'p' or 'p/q'")
-    return Fraction(s)
+    return Fraction(s) if "/" in s else int(s)
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
@@ -57,7 +55,7 @@ def algebra_from_dict(d: Any) -> LieAlgebra:
         labels = tuple(labels)
     raw = d.get("brackets", [])
     _expect(isinstance(raw, list), "brackets must be a list")
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for entry in raw:
         _expect(isinstance(entry, dict), "each bracket must be an object")
         i, j, c = entry.get("i"), entry.get("j"), entry.get("c")
@@ -78,7 +76,7 @@ def functional_to_dict(ell: LinearFunctional) -> dict:
 
 def functional_from_dict(d: Any) -> LinearFunctional:
     _expect(isinstance(d, dict) and isinstance(d.get("coords"), list), "functional payload must have a coords list")
-    return LinearFunctional(tuple(parse_scalar(c) for c in d["coords"]))
+    return LinearFunctional.of(parse_scalar(c) for c in d["coords"])
 
 
 def report_to_dict(report: IndexReport) -> dict:

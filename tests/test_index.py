@@ -2,7 +2,7 @@ import hashlib
 import importlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 import sympy
@@ -13,7 +13,7 @@ from lieindex.algebra import (
     Subspace,
     derived_subalgebra_pair,
 )
-from lieindex.filiform import build_G
+from lieindex.filiform import build_G, build_L
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
 from lieindex.graphs import SimpleGraph, build_graph_algebra
 from lieindex.index import (
@@ -239,6 +239,42 @@ class TestSampling:
     def test_few_samples_only_overestimate(self):
         alg = build_free_nilpotent(3, 3).algebra
         assert index_by_sampling(alg, samples=1) >= index(alg).index
+
+    # Sampling stops at the rank ceiling n - dim z(g), rounded down to even.
+    # The first four algebras reach it (L4: n - dim z = 3, rank 2), the next
+    # three miss it.
+    CEILING_CASES = {
+        "heisenberg": heisenberg,
+        "L4": lambda: build_L(4).algebra,
+        "F(2,3)": lambda: build_free_nilpotent(2, 3).algebra,
+        "F(3,3)": lambda: build_free_nilpotent(3, 3).algebra,
+        "S4": lambda: build_graph_algebra(SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])),
+        "L6": lambda: build_L(6).algebra,
+        "M(2,5)": lambda: build_metabelian(2, 5).algebra,
+        "abelian": lambda: LieAlgebra(4),
+        "zero": lambda: LieAlgebra(0),
+    }
+
+    @pytest.mark.parametrize("name", CEILING_CASES)
+    def test_early_stop_keeps_the_full_sample_minimum(self, name):
+        g = self.CEILING_CASES[name]()
+        # bound=1 gives many degenerate samples, so a rank below the maximum
+        # often follows it.
+        for samples, seed, bound in product((0, 1, 5, 50), (0, 1, 7), (1, 9)):
+            rng = random.Random(seed)
+            points = [[rng.randint(-bound, bound) for _ in range(g.dim)] for _ in range(samples)]
+            full = g.dim - max(_form_ranks(g, points), default=0)
+            assert index_by_sampling(g, samples, seed, bound) == full
+
+    @pytest.mark.parametrize("name, calls", [("heisenberg", 1), ("L4", 1), ("S4", 10)])
+    def test_rank_calls_stop_at_the_ceiling(self, name, calls, monkeypatch):
+        module = importlib.import_module("lieindex.index")
+        ranked = []
+        original = module.rank
+        monkeypatch.setattr(module, "rank", lambda rows: ranked.append(rows) or original(rows))
+        g = self.CEILING_CASES[name]()
+        index_by_sampling(g, samples=10)
+        assert len(ranked) == calls
 
 
 class TestFormRank:

@@ -35,9 +35,16 @@ class TestScalars:
         assert parse_scalar("4/8") == Fraction(1, 2)
 
     def test_parse_rejects_malformed(self):
-        for bad in ["", "1/0", "01", "+3", "1.5", "3/-2", " 3", "a", 3, None, "1/00"]:
+        for bad in ["", "1/0", "01", "+3", "1.5", "3/-2", " 3", "a", 3, None, "1/00", True, False, 1.5]:
             with pytest.raises(ValueError):
                 parse_scalar(bad)
+
+    def test_parse_keeps_integers_int(self):
+        # "p" parses to an int, "p/q" to a Fraction, even when q divides p.
+        for s, value in [("7", 7), ("-0", 0), ("-12", -12)]:
+            assert type(parse_scalar(s)) is int and parse_scalar(s) == value
+        assert type(parse_scalar("4/8")) is Fraction and parse_scalar("4/8") == Fraction(1, 2)
+        assert type(parse_scalar("4/2")) is Fraction and parse_scalar("4/2") == 2
 
 
 class TestAlgebraPayload:
@@ -60,6 +67,12 @@ class TestAlgebraPayload:
             "labels": ["x1", "x2", "x3"],
             "brackets": [{"i": 0, "j": 1, "c": {"2": "1"}}],
         }
+
+    def test_integral_constants_load_as_int(self):
+        brackets = [{"i": 0, "j": 1, "c": {"2": "4/2"}}, {"i": 0, "j": 2, "c": {"1": "-3"}}]
+        g = algebra_from_dict({"dim": 3, "brackets": brackets})
+        assert g.brackets == {(0, 1): {2: 2}, (0, 2): {1: -3}}
+        assert all(type(c) is int for cc in g.brackets.values() for c in cc.values())
 
     def test_labels_optional(self):
         g = algebra_from_dict({"dim": 2, "brackets": []})
@@ -98,6 +111,11 @@ class TestFunctionalPayload:
     def test_round_trip(self):
         ell = LinearFunctional.of([0, Fraction(1, 3), -2])
         assert functional_from_dict(functional_to_dict(ell)) == ell
+
+    def test_coords_are_fractions(self):
+        ell = functional_from_dict({"coords": ["0", "-3", "4/2", "1/3"]})
+        assert all(type(c) is Fraction for c in ell.coords)
+        assert ell.coords == (0, -3, 2, Fraction(1, 3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
