@@ -10,7 +10,6 @@ rank-based); disagreement between them is a hard internal error.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +24,7 @@ from .index import (
     index,
 )
 from .free_nilpotent import _check_ceiling
+from .matching import blossom_matching
 
 Edge = tuple[int, int]
 
@@ -63,13 +63,6 @@ class SimpleGraph:
     def to_dict(self) -> dict:
         return {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges]}
 
-    def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.vertex_count)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
 
 def build_graph_algebra(graph: SimpleGraph) -> LieAlgebra:
     n, m = graph.vertex_count, len(graph.edges)
@@ -83,77 +76,7 @@ def build_graph_algebra(graph: SimpleGraph) -> LieAlgebra:
 
 def maximum_matching(graph: SimpleGraph) -> tuple[Edge, ...]:
     """A maximum matching via augmenting paths with blossom contraction."""
-    n = graph.vertex_count
-    adj = graph.adjacency()
-    match = [-1] * n
-    parent = [-1] * n
-    base = list(range(n))
-
-    def lca(a: int, b: int) -> int:
-        used = [False] * n
-        while True:
-            a = base[a]
-            used[a] = True
-            if match[a] == -1:
-                break
-            a = parent[match[a]]
-        while True:
-            b = base[b]
-            if used[b]:
-                return b
-            b = parent[match[b]]
-
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]):
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
-
-    def find_path(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    # Odd cycle: contract the blossom at the common base.
-                    curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        return False
-
-    for v in range(n):
-        if match[v] == -1:
-            find_path(v)
-    return tuple(sorted((v, match[v]) for v in range(n) if v < match[v]))
+    return blossom_matching(graph.vertex_count, graph.edges)
 
 
 def matching_number(graph: SimpleGraph) -> tuple[int, tuple[Edge, ...]]:

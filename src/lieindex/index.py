@@ -12,6 +12,14 @@ The structure constants are scaled to integers by the lcm of their
 denominators.  The trials rank the integer rows mod p; the exact rank over Q
 at one point (the check of every randomized index and Ooms criterion at its
 best trial point, sampling, matchings) is linalg.rank of the same rows.
+
+No rank of M(g) at a point passes min(2 nu, n - dim z(g) rounded down to
+even), nu the matching number of the bracket graph B (an edge {i, j} per
+nonzero [x_i, x_j]): a nonzero principal r x r minor of a skew matrix is a
+squared Pfaffian, a signed sum over the perfect matchings in B of its rows
+(Tutte 1947; Lovasz 1979), and z(g) lies in the kernel of every form.  As
+rank mod p <= exact rank at the point <= generic rank <= ceiling, a trial
+at the ceiling ends the trials, and the exact check at its point is skipped.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .algebra import (
     abelian_witness,
     center,
 )
+from .matching import blossom_matching
 from .linalg import DEFAULT_PRIME, SparseEchelon, _clear_denominators, _sparse
 from .linalg import is_probable_prime, rank, rank_mod_p
 from .polynomials import Poly, bareiss_rank
@@ -112,8 +121,9 @@ def _form_rows(entries, point, n: int, skew: bool) -> list[dict]:
     return rows
 
 
-def _randomized_rank(entries, n, trials, seed, p, skew):
-    """(max rank over trials, the first trial point attaining it); integer entries."""
+def _randomized_rank(entries, n, trials, seed, p, skew, ceiling=None):
+    """(max rank over trials, the first trial point attaining it); integer
+    entries.  The trials stop at a rank equal to the ceiling."""
     best = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -121,6 +131,8 @@ def _randomized_rank(entries, n, trials, seed, p, skew):
         r = rank_mod_p(_form_rows(entries, point, n, skew), p)
         if best is None or r > best[0]:
             best = r, point
+        if r == ceiling:
+            break
     return best
 
 
@@ -133,6 +145,11 @@ def _check_modulus(entries, n, skew, r, point) -> None:
             f"exact rank {exact} at the best trial point exceeds the modular "
             f"rank {r}; the modulus is bad for this input"
         )
+
+
+def _rank_ceiling(n: int, pairs, z: int = 0) -> int:
+    """The rank ceiling of the module docstring, B the graph of the edges pairs."""
+    return min(2 * len(blossom_matching(n, pairs)), (n - z) & ~1)
 
 
 def certified_generic_rank(
@@ -161,8 +178,10 @@ def generic_rank(
         return certified_generic_rank(sm, dim_limit)
     p = _check_prime(prime)
     entries = _integer_entries(sm.entries)
-    r, point = _randomized_rank(entries, sm.n, trials, seed, p, skew=True)
-    _check_modulus(entries, sm.n, True, r, point)
+    ceiling = _rank_ceiling(sm.n, ((i, j) for i, j, _ in sm.entries))
+    r, point = _randomized_rank(entries, sm.n, trials, seed, p, skew=True, ceiling=ceiling)
+    if r != ceiling:
+        _check_modulus(entries, sm.n, True, r, point)
     return r
 
 
@@ -249,12 +268,15 @@ def index(
     sm = structure_matrix(g)
     best_point = None
     entries = _integer_entries(sm.entries)
+    z = center(g).dim
     if certify:
         r = certified_generic_rank(sm, dim_limit)
         method = {"mode": "certified", "dim_limit": dim_limit}
     else:
-        r, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True)
-        _check_modulus(entries, n, True, r, best_point)
+        ceiling = _rank_ceiling(n, g.brackets, z)
+        r, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True, ceiling=ceiling)
+        if r != ceiling:
+            _check_modulus(entries, n, True, r, best_point)
         method = {
             "mode": "randomized",
             "trials": trials,
@@ -263,7 +285,7 @@ def index(
             "failure_bound": format((n / p) ** trials, ".3e") if n else "0",
         }
     if want_witness and n and best_point is None:
-        rr, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True)
+        rr, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True, ceiling=r)
         if rr != r:
             raise RuntimeError(
                 "randomized search did not reach the certified rank; "
@@ -271,7 +293,6 @@ def index(
             )
     witness = LinearFunctional.of(best_point) if want_witness and n else None
     chi = n - r
-    z = center(g).dim
     if r % 2:
         raise RuntimeError("generic rank of a skew matrix came out odd; this is a bug")
     if not z <= chi <= n:
@@ -288,11 +309,11 @@ def index_by_sampling(
 
     An upper-bound oracle for the index that is independent of the
     structure-matrix path; with enough samples it is exact.  No form rank
-    passes n - dim z(g) rounded down to even, since z(g) lies in the kernel
-    of every form ell([x, y]) and a skew form has even rank.  So sampling
-    stops at the first rank at that ceiling, with the full-sample minimum.
+    passes min(2 nu(B(g)), n - dim z(g) rounded down to even), the ceiling
+    of the module docstring (nu(B(g)) the bracket graph's matching number).
+    So sampling stops at the first rank at it, with the full-sample minimum.
     """
-    ceiling = (g.dim - center(g).dim) & ~1
+    ceiling = _rank_ceiling(g.dim, g.brackets, center(g).dim)
     rng = random.Random(seed)
     points = ([rng.randint(-bound, bound) for _ in range(g.dim)] for _ in range(samples))
     best = 0

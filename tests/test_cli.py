@@ -1,15 +1,18 @@
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from lieindex import cli
+from lieindex import cli, graphs
 from lieindex.algebra import LieAlgebra
 from lieindex.free_nilpotent import build_free_nilpotent
 from lieindex.serialize import algebra_to_dict, dumps
 from lieindex.verify import VerificationCase
+
+index_module = importlib.import_module("lieindex.index")  # lieindex.index is the function
 
 
 def run(capsys, *argv):
@@ -261,6 +264,20 @@ class TestGraphIndex:
         assert res["via_matching"] == res["via_rank"] == 6
         assert len(res["matching"]) == 2
         assert res["report"]["dim"] == 10
+
+    def test_short_matching_is_a_mismatch(self, capsys, tmp_path, monkeypatch):
+        # The blossom core also gives index()'s rank ceiling.  A matching one
+        # edge short lowers that ceiling below every trial's rank, so the
+        # rank route stays exact and the two routes disagree.
+        core = graphs.blossom_matching
+        for module in (graphs, index_module):
+            monkeypatch.setattr(module, "blossom_matching", lambda n, edges: core(n, edges)[1:])
+        with pytest.raises(RuntimeError, match=r"graph index mismatch .*\(5 vs 3\)"):
+            graphs.graph_index(graphs.SimpleGraph(4, ((0, 1), (1, 2), (2, 3))))
+        gpath = tmp_path / "p4.json"
+        gpath.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+        code, out, err = run(capsys, "graph-index", str(gpath))
+        assert code == 1 and out == "" and "mismatch" in err
 
     def test_bad_graph(self, capsys, tmp_path):
         gpath = tmp_path / "bad.json"

@@ -7,13 +7,15 @@ from itertools import combinations, product
 import pytest
 import sympy
 
+from lieindex import verify
 from lieindex.algebra import (
     LieAlgebra,
     NotAbelianError,
     Subspace,
+    center,
     derived_subalgebra_pair,
 )
-from lieindex.filiform import build_G, build_L
+from lieindex.filiform import build_G, build_L, random_adapted_deformation
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
 from lieindex.graphs import SimpleGraph, build_graph_algebra
 from lieindex.index import (
@@ -21,6 +23,7 @@ from lieindex.index import (
     IndexReport,
     LinearFunctional,
     _form_ranks,
+    _rank_ceiling,
     alpha_sandwich,
     b_ell_matrix,
     certified_generic_rank,
@@ -33,6 +36,8 @@ from lieindex.index import (
 )
 from lieindex.linalg import DEFAULT_PRIME
 from lieindex.serialize import dumps, report_to_dict
+
+index_module = importlib.import_module("lieindex.index")  # lieindex.index is the function
 
 
 def heisenberg():
@@ -47,6 +52,45 @@ def rescaled(g):
         None,
         {(a, b): {k: c * d[a] * d[b] / d[k] for k, c in cc.items()} for (a, b), cc in g.brackets.items()},
     )
+
+
+def shifted(g):
+    """g on the basis e'_0 = e_0, e'_j = e_j + e_{j-1}: integer constants and a
+    denser bracket graph, whose matching bound is often loose."""
+    n = g.dim
+
+    def bracket(a, b):
+        if a < b:
+            return g.brackets.get((a, b), {})
+        return {k: -c for k, c in g.brackets.get((b, a), {}).items()}
+
+    out = {}
+    for i, j in combinations(range(n), 2):
+        v = [0] * n
+        for a in (i, i - 1)[: 1 + (i > 0)]:
+            for b in (j, j - 1)[: 1 + (j > 0)]:
+                for k, c in bracket(a, b).items():
+                    v[k] += c
+        # Solve v = sum_k x_k (e_k + e_{k-1}) from the top: x_k = v_k - x_{k+1}.
+        x, coeffs = 0, {}
+        for k in reversed(range(n)):
+            x = v[k] - x
+            if x:
+                coeffs[k] = x
+        if coeffs:
+            out[i, j] = coeffs
+    return LieAlgebra(n, None, out)
+
+
+def ceiling(g):
+    return _rank_ceiling(g.dim, g.brackets, center(g).dim)
+
+
+def catalogue_algebras():
+    """(name, algebra) for every construction the catalogue checks."""
+    c = verify._CORPUS
+    families = {"F": c.free, "F-explicit": c.explicit, "M": c.meta, "graph-": c.graphs, "filiform-": c.filiform}
+    return [(f"{fam}{key}", e.algebra) for fam, entries in families.items() for key, e in entries.items()]
 
 
 class TestStructureMatrix:
@@ -240,17 +284,20 @@ class TestSampling:
         alg = build_free_nilpotent(3, 3).algebra
         assert index_by_sampling(alg, samples=1) >= index(alg).index
 
-    # Sampling stops at the rank ceiling n - dim z(g), rounded down to even.
-    # The first four algebras reach it (L4: n - dim z = 3, rank 2), the next
-    # three miss it.
+    # Sampling stops at the rank ceiling min(2 nu(B(g)), n - dim z(g) rounded
+    # down to even).  Every algebra but the shifted L5 reaches it (shifted L4:
+    # 2 nu = 4, n - dim z = 3, rank 2, so it needs the rounding).  The shifted
+    # L5 misses both bounds: rank 2, 2 nu = n - dim z = 4.
     CEILING_CASES = {
         "heisenberg": heisenberg,
         "L4": lambda: build_L(4).algebra,
+        "L4-shifted": lambda: shifted(build_L(4).algebra),
         "F(2,3)": lambda: build_free_nilpotent(2, 3).algebra,
         "F(3,3)": lambda: build_free_nilpotent(3, 3).algebra,
         "S4": lambda: build_graph_algebra(SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])),
         "L6": lambda: build_L(6).algebra,
         "M(2,5)": lambda: build_metabelian(2, 5).algebra,
+        "L5-shifted": lambda: shifted(build_L(5).algebra),
         "abelian": lambda: LieAlgebra(4),
         "zero": lambda: LieAlgebra(0),
     }
@@ -266,7 +313,10 @@ class TestSampling:
             full = g.dim - max(_form_ranks(g, points), default=0)
             assert index_by_sampling(g, samples, seed, bound) == full
 
-    @pytest.mark.parametrize("name, calls", [("heisenberg", 1), ("L4", 1), ("S4", 10)])
+    @pytest.mark.parametrize(
+        "name, calls",
+        [("heisenberg", 1), ("L4", 1), ("L4-shifted", 1), ("S4", 1), ("L5-shifted", 10)],
+    )
     def test_rank_calls_stop_at_the_ceiling(self, name, calls, monkeypatch):
         module = importlib.import_module("lieindex.index")
         ranked = []
@@ -275,6 +325,111 @@ class TestSampling:
         g = self.CEILING_CASES[name]()
         index_by_sampling(g, samples=10)
         assert len(ranked) == calls
+
+
+class TestRankCeiling:
+    # No rank of M(g) passes min(2 nu(B(g)), n - dim z(g) rounded down to
+    # even); the randomized trials stop there.
+
+    def test_catalogue_ceiling_is_the_certified_rank(self):
+        # Equality on every catalogue algebra of dim <= 40 and F(2,6), so a
+        # regression in the matching or in a builder shows up.
+        small = [(name, g) for name, g in catalogue_algebras() if g.dim <= 40]
+        small.append(("F(2,6)", build_free_nilpotent(2, 6).algebra))
+        assert len(small) == 216
+        for name, g in small:
+            assert certified_generic_rank(structure_matrix(g)) == ceiling(g), name
+
+    @staticmethod
+    def _two_step(rng):
+        a, b = rng.randint(2, 4), rng.randint(1, 3)
+        brackets = {
+            (i, j): {a + k: rng.randint(-2, 2) for k in range(b) if rng.random() < 0.5}
+            for i, j in combinations(range(a), 2)
+            if rng.random() < 0.6
+        }
+        return LieAlgebra(a + b, None, brackets)
+
+    def test_ceiling_bounds_random_algebras(self):
+        rng = random.Random(5)
+        algebras = [
+            random_adapted_deformation(build_L(n) if s % 2 else build_G(n, 3), 4200 + s).algebra
+            for s, n in enumerate((5, 6, 7) * 2)
+        ]
+        algebras += [self._two_step(rng) for _ in range(12)]
+        loose = 0
+        for g in algebras + [shifted(g) for g in algebras]:
+            r, c = certified_generic_rank(structure_matrix(g)), ceiling(g)
+            assert r <= c
+            loose += r < c
+        assert loose >= 5
+
+    @pytest.mark.parametrize(
+        "build, rank",
+        [
+            (lambda: build_L(5).algebra, 2),
+            (lambda: build_G(11, 5).algebra, 4),
+            (lambda: build_free_nilpotent(2, 6).algebra, 8),
+            (lambda: build_metabelian(3, 4).algebra, 6),
+            (lambda: build_free_nilpotent(3, 4).algebra, 8),
+        ],
+        ids=["L5", "G(11,5)", "F(2,6)", "M(3,4)", "F(3,4)"],
+    )
+    def test_shifted_copies_stay_below_a_loose_ceiling(self, build, rank):
+        # Exact ranks over Q at integer points bound the generic rank from
+        # below; Bareiss is too slow on these dense copies.
+        g = shifted(build())
+        rng = random.Random(3)
+        points = [[rng.randint(-9, 9) for _ in range(g.dim)] for _ in range(3)]
+        assert max(_form_ranks(g, points)) == rank < ceiling(g)
+
+    @staticmethod
+    def _reports(algebras):
+        return [dumps(report_to_dict(index(g, want_witness=True))) for g in algebras]
+
+    @staticmethod
+    def _first_trial_degenerate():
+        # [x0, x1] = a x2 + b x3 vanishes at the first trial point of seed 0:
+        # that trial ranks 0 and the second reaches the ceiling 2.
+        rng = index_module._trial_rng(0, 0)
+        y = [rng.randrange(DEFAULT_PRIME) for _ in range(4)]
+        return LieAlgebra(4, None, {(0, 1): {2: y[3], 3: -y[2]}})
+
+    def test_early_stop_changes_nothing_but_the_work(self, monkeypatch):
+        degenerate = self._first_trial_degenerate()
+        assert index(degenerate).index == 2
+        algebras = [g for _, g in catalogue_algebras()] + [degenerate]
+        stopped = self._reports(algebras)
+        monkeypatch.setattr(index_module, "_rank_ceiling", lambda n, pairs, z=0: n + 1)
+        assert self._reports(algebras) == stopped
+
+    def test_bad_moduli_miss_the_ceiling(self, monkeypatch):
+        # Every trial of p*x2 and p^2*x2 ranks 0 mod p, below the ceiling 2,
+        # so the exact check still runs, with or without the early stop.
+        def outcome():
+            for c in (DEFAULT_PRIME, DEFAULT_PRIME**2):
+                with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
+                    index(LieAlgebra(3, None, {(0, 1): {2: c}}), want_witness=True)
+            rep = index(LieAlgebra(3, None, {(0, 1): {2: Fraction(1, DEFAULT_PRIME)}}), want_witness=True)
+            assert rep.index == 1
+            return dumps(report_to_dict(rep))
+
+        stopped = outcome()
+        monkeypatch.setattr(index_module, "_rank_ceiling", lambda n, pairs, z=0: n + 1)
+        assert outcome() == stopped
+
+    def test_one_trial_and_no_exact_rank_at_the_ceiling(self, monkeypatch):
+        calls = {"rank_mod_p": 0, "rank": 0}
+        for name in calls:
+            original = getattr(index_module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(index_module, name, counted)
+        index(build_free_nilpotent(3, 3).algebra)
+        assert calls == {"rank_mod_p": 1, "rank": 0}
 
 
 class TestFormRank:
