@@ -228,13 +228,19 @@ def check_jacobi(g: LieAlgebra):
     return triple, vec
 
 
+def _basis_rows(g: LieAlgebra, s: Subspace) -> list[Coeffs]:
+    """The basis of s as sparse vectors; s must be a subspace of g."""
+    if s.ambient_dim != g.dim:
+        raise ValueError(f"subspace of Q^{s.ambient_dim} is not in an algebra of dimension {g.dim}")
+    return [_sparse(v) for v in s.basis]
+
+
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     """{x : [x, v] = 0 for every v in s}: the kernel of one sparse row per
     (basis vector v of s, coordinate k), the form x -> coordinate k of [x, v].
     """
     rows: dict[tuple[int, int], Coeffs] = {}
-    for t, v in enumerate(s.basis):
-        v = _sparse(v)
+    for t, v in enumerate(_basis_rows(g, s)):
         for i, w in g.ad_images(v).items():
             for k, c in w.items():
                 rows.setdefault((t, k), {})[i] = c
@@ -252,8 +258,7 @@ def center(g: LieAlgebra) -> Subspace:
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    us = [_sparse(u) for u in a.basis]
-    vs = [_sparse(v) for v in b.basis]
+    us, vs = _basis_rows(g, a), _basis_rows(g, b)
     return Subspace.span(g.dim, (g.sparse_bracket(u, v) for u in us for v in vs))
 
 
@@ -287,7 +292,7 @@ def derived_subalgebra_pair(g: LieAlgebra) -> tuple[Subspace, Subspace]:
 
 def abelian_witness(g: LieAlgebra, s: Subspace):
     """None if s is abelian, else a basis pair (u, v) with [u, v] != 0."""
-    vs = [_sparse(v) for v in s.basis]
+    vs = _basis_rows(g, s)
     for p in range(len(vs)):
         for q in range(p + 1, len(vs)):
             if g.sparse_bracket(vs[p], vs[q]):
@@ -301,7 +306,7 @@ def is_abelian_subalgebra(g: LieAlgebra, s: Subspace) -> bool:
 
 def ideal_closure(g: LieAlgebra, s: Subspace) -> Subspace:
     ech = SparseEchelon()
-    todo = [_sparse(v) for v in s.basis]
+    todo = _basis_rows(g, s)
     while todo:
         # Every row that enters the echelon has its brackets queued, so the
         # final span is closed under ad x_i.
@@ -334,7 +339,7 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, list[list[Frac
     NotAnIdealError with a witness if [g, ideal] is not inside the ideal.
     """
     n = g.dim
-    sparse = [_sparse(v) for v in ideal.basis]
+    sparse = _basis_rows(g, ideal)
     ech = SparseEchelon(sparse)
     # (i, t) pairs are distinct, so the sort never compares the images.
     for i, t, w in sorted((i, t, w) for t, sv in enumerate(sparse) for i, w in g.ad_images(sv).items()):

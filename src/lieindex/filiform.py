@@ -23,6 +23,7 @@ from .algebra import (
     lower_central_series,
 )
 from .free_nilpotent import _check_ceiling
+from .index import index
 from .linalg import SparseEchelon
 
 
@@ -200,14 +201,9 @@ def lower_bound(f: FiliformAlgebra, k: int) -> int | None:
     return n - 2 * (k - 1)
 
 
-def achievable_indices(n: int, **index_options) -> list[int]:
+def achievable_indices(n: int) -> list[int]:
     """Sorted indices realized by the semidirect family in dimension n."""
-    from .index import index as _index
-
-    out = set()
-    for k in range(3, n + 1, 2):
-        out.add(_index(build_G(n, k).algebra, **index_options).index)
-    return sorted(out)
+    return sorted({index(build_G(n, k).algebra).index for k in range(3, n + 1, 2)})
 
 
 def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlgebra:

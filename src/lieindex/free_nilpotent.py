@@ -27,12 +27,12 @@ DEFAULT_MAX_DIM = 500
 
 
 class ResourceLimitError(RuntimeError):
-    """Construction would exceed the configured dimension ceiling."""
+    """Construction would exceed the dimension ceiling DEFAULT_MAX_DIM."""
 
 
-def _check_ceiling(dim: int, what: str, max_dim: int = DEFAULT_MAX_DIM) -> None:
-    if dim > max_dim:
-        raise ResourceLimitError(f"{what} has dimension {dim}, above the ceiling {max_dim}")
+def _check_ceiling(dim: int, what: str) -> None:
+    if dim > DEFAULT_MAX_DIM:
+        raise ResourceLimitError(f"{what} has dimension {dim}, above the ceiling {DEFAULT_MAX_DIM}")
 
 
 def mobius(n: int) -> int:
@@ -189,12 +189,10 @@ class HallBuilder:
         return {self.index_of[t]: c for t, c in out.items()}
 
 
-def build_free_nilpotent(
-    g: int, c: int, max_dim: int = DEFAULT_MAX_DIM
-) -> FreeNilpotentAlgebra:
+def build_free_nilpotent(g: int, c: int) -> FreeNilpotentAlgebra:
     """Free nilpotent-of-class-c Lie algebra on g generators."""
     total, _top = witt_dimension(g, c)
-    _check_ceiling(total, f"free nilpotent algebra with g={g}, c={c}", max_dim)
+    _check_ceiling(total, f"free nilpotent algebra with g={g}, c={c}")
     builder = HallBuilder(g, c)
     for w in range(1, c + 1):
         if len(builder.layers[w]) != witt_layer(g, w):
@@ -222,12 +220,10 @@ def build_free_nilpotent(
     return FreeNilpotentAlgebra(g, c, alg, elements, offsets)
 
 
-def build_metabelian(
-    g: int, c: int, max_dim: int = DEFAULT_MAX_DIM
-) -> FreeNilpotentAlgebra:
+def build_metabelian(g: int, c: int) -> FreeNilpotentAlgebra:
     """Free metabelian-and-nilpotent algebra: the class-c free algebra modulo
     the ideal generated by brackets of derived-subalgebra elements."""
-    free = build_free_nilpotent(g, c, max_dim)
+    free = build_free_nilpotent(g, c)
     _d1, d2 = derived_subalgebra_pair(free.algebra)
     ideal = ideal_closure(free.algebra, d2)
     qalg, _proj = quotient(free.algebra, ideal)

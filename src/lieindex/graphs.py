@@ -36,14 +36,14 @@ class SimpleGraph:
 
     def __post_init__(self):
         n = self.vertex_count
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if type(n) is not int or n < 0:  # bool is no count
+            raise ValueError("vertex count must be a nonnegative integer")
         seen = set()
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} must be a pair")
             i, j = e
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
+            if not (type(i) is type(j) is int and 0 <= i < j < n):  # bool is no vertex
                 raise ValueError(f"edge ({i},{j}) must satisfy 0 <= i < j < n")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
@@ -54,11 +54,10 @@ class SimpleGraph:
     def from_dict(cls, d: dict) -> "SimpleGraph":
         if not isinstance(d, dict) or "vertices" not in d or "edges" not in d:
             raise ValueError('graph JSON needs "vertices" and "edges"')
-        n = d["vertices"]
-        if not isinstance(n, int):
-            raise ValueError("vertex count must be an integer")
-        edges = [tuple(e) for e in d["edges"]]
-        return cls(n, tuple(edges))
+        edges = d["edges"]
+        if not (isinstance(edges, list) and all(isinstance(e, list) for e in edges)):
+            raise ValueError("edges must be a list of [i, j] lists")
+        return cls(d["vertices"], tuple(map(tuple, edges)))
 
     def to_dict(self) -> dict:
         return {"vertices": self.vertex_count, "edges": [list(e) for e in self.edges]}

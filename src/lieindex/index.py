@@ -47,7 +47,7 @@ CERTIFY_DIM_LIMIT = 40
 
 
 class CertifySizeError(ValueError):
-    """Certified rank was requested above the configured dimension gate."""
+    """Certified rank was requested above the dimension gate CERTIFY_DIM_LIMIT."""
 
 
 def _check_prime(prime: int | None) -> int:
@@ -78,14 +78,6 @@ class StructureMatrix:
     n: int
     entries: tuple  # ((i, j, ((k, c_ijk), ...)), ...), c_ijk int or Fraction
 
-    @classmethod
-    def of(cls, g: LieAlgebra) -> "StructureMatrix":
-        items = tuple(
-            (i, j, tuple(sorted(coeffs.items())))
-            for (i, j), coeffs in sorted(g.brackets.items())
-        )
-        return cls(g.dim, items)
-
     def to_poly_matrix(self) -> list[list[Poly]]:
         m = [[Poly.zero()] * self.n for _ in range(self.n)]
         for i, j, coeffs in self.entries:
@@ -95,7 +87,10 @@ class StructureMatrix:
 
 
 def structure_matrix(g: LieAlgebra) -> StructureMatrix:
-    return StructureMatrix.of(g)
+    return StructureMatrix(g.dim, tuple(
+        (i, j, tuple(sorted(coeffs.items())))
+        for (i, j), coeffs in sorted(g.brackets.items())
+    ))
 
 
 def _integer_entries(entries) -> list:
@@ -152,12 +147,10 @@ def _rank_ceiling(n: int, pairs, z: int = 0) -> int:
     return min(2 * len(blossom_matching(n, pairs)), (n - z) & ~1)
 
 
-def certified_generic_rank(
-    sm: StructureMatrix, dim_limit: int = CERTIFY_DIM_LIMIT
-) -> int:
-    if sm.n > dim_limit:
+def certified_generic_rank(sm: StructureMatrix) -> int:
+    if sm.n > CERTIFY_DIM_LIMIT:
         raise CertifySizeError(
-            f"certified rank gated at dimension {dim_limit}; this algebra has {sm.n}"
+            f"certified rank gated at dimension {CERTIFY_DIM_LIMIT}; this algebra has {sm.n}"
         )
     # M(g) times the lcm of the denominators: the same rank, over Z[y].
     integral = StructureMatrix(sm.n, tuple(_integer_entries(sm.entries)))
@@ -170,12 +163,8 @@ def generic_rank(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     prime: int | None = None,
-    certify: bool = False,
-    dim_limit: int = CERTIFY_DIM_LIMIT,
 ) -> int:
     _check_trials(trials)
-    if certify:
-        return certified_generic_rank(sm, dim_limit)
     p = _check_prime(prime)
     entries = _integer_entries(sm.entries)
     ceiling = _rank_ceiling(sm.n, ((i, j) for i, j, _ in sm.entries))
@@ -260,18 +249,16 @@ def index(
     prime: int | None = None,
     certify: bool = False,
     want_witness: bool = False,
-    dim_limit: int = CERTIFY_DIM_LIMIT,
 ) -> IndexReport:
     _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
-    sm = structure_matrix(g)
     best_point = None
-    entries = _integer_entries(sm.entries)
+    entries = _integer_entries(_bracket_entries(g))
     z = center(g).dim
     if certify:
-        r = certified_generic_rank(sm, dim_limit)
-        method = {"mode": "certified", "dim_limit": dim_limit}
+        r = certified_generic_rank(structure_matrix(g))
+        method = {"mode": "certified", "dim_limit": CERTIFY_DIM_LIMIT}
     else:
         ceiling = _rank_ceiling(n, g.brackets, z)
         r, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True, ceiling=ceiling)
@@ -376,9 +363,6 @@ def alpha_sandwich(
     candidate: Subspace,
     *,
     chi: int | None = None,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    prime: int | None = None,
 ) -> AlphaSandwich:
     """Bounds for the maximal abelian subalgebra dimension.
 
@@ -391,7 +375,7 @@ def alpha_sandwich(
     if w is not None:
         raise NotAbelianError(*w)
     if chi is None:
-        chi = index(g, trials=trials, seed=seed, prime=prime).index
+        chi = index(g).index
     lower = candidate.dim
     upper = (chi + g.dim) // 2
     certified = lower == upper

@@ -44,7 +44,7 @@ def _expect(cond: bool, msg: str) -> None:
 
 def algebra_from_dict(d: Any) -> LieAlgebra:
     _expect(isinstance(d, dict), "algebra payload must be an object")
-    _expect(isinstance(d.get("dim"), int) and not isinstance(d["dim"], bool), "dim must be an integer")
+    _expect(type(d.get("dim")) is int, "dim must be an integer")  # bool is not
     n = d["dim"]
     labels = d.get("labels")
     if labels is not None:
@@ -59,12 +59,12 @@ def algebra_from_dict(d: Any) -> LieAlgebra:
     for entry in raw:
         _expect(isinstance(entry, dict), "each bracket must be an object")
         i, j, c = entry.get("i"), entry.get("j"), entry.get("c")
-        _expect(isinstance(i, int) and isinstance(j, int), "bracket indices must be integers")
+        _expect(type(i) is type(j) is int, "bracket indices must be integers")
         _expect(isinstance(c, dict), "bracket coefficients must be an object")
         _expect((i, j) not in brackets, f"duplicate bracket entry for ({i}, {j})")
         coeffs = {}
         for k, v in c.items():
-            _expect(isinstance(k, str) and k.isdigit(), f"coefficient key {k!r} must be a digit string")
+            _expect(isinstance(k, str) and k.isascii() and k.isdigit(), f"coefficient key {k!r} must be a digit string")
             coeffs[int(k)] = parse_scalar(v)
         brackets[(i, j)] = coeffs
     return LieAlgebra(n, labels, brackets)

@@ -24,6 +24,7 @@ from lieindex.algebra import (
 from lieindex.filiform import build_G, build_L, build_Q, random_adapted_deformation
 from lieindex.free_nilpotent import build_fg3_explicit_basis, build_free_nilpotent, build_metabelian
 from lieindex.graphs import SimpleGraph, build_graph_algebra
+from lieindex.index import alpha_sandwich, ooms_criterion
 from lieindex.serialize import algebra_from_dict, algebra_to_dict, dumps
 
 
@@ -414,6 +415,28 @@ class TestSubalgebras:
         assert s.dim == 5
         t = subalgebra_generated(g, [g.basis_vector(0), g.basis_vector(2)])
         assert t == Subspace.from_vectors(5, [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            centralizer,
+            lambda g, h: bracket_span(g, Subspace.full(3), h),
+            abelian_witness,
+            is_abelian_subalgebra,
+            ideal_closure,
+            quotient,
+            ooms_criterion,
+            lambda g, h: alpha_sandwich(g, h, chi=1),
+        ],
+        ids=["centralizer", "bracket_span", "abelian_witness", "is_abelian_subalgebra",
+             "ideal_closure", "quotient", "ooms_criterion", "alpha_sandwich"],
+    )
+    def test_subspace_of_another_ambient_space(self, call):
+        # span(e3) in Q^4 is no subspace of the 3-dimensional Heisenberg
+        # algebra; each call once answered as if it were.
+        h = Subspace.from_vectors(4, [[0, 0, 1, 0]])
+        with pytest.raises(ValueError, match=r"subspace of Q\^4 is not in an algebra of dimension 3"):
+            call(heisenberg(), h)
 
 
 class TestQuotient:

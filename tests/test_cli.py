@@ -284,6 +284,26 @@ class TestGraphIndex:
         gpath.write_text(json.dumps({"vertices": 2, "edges": [[0, 0]]}))
         assert run(capsys, "graph-index", str(gpath))[0] == 2
 
+    @pytest.mark.parametrize("command", [["graph-index"], ["construct", "graph", "--input"]], ids=["graph-index", "construct"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"vertices": 3, "edges": 7},
+            {"vertices": 3, "edges": [5]},
+            {"vertices": 3, "edges": ["01"]},
+            {"vertices": True, "edges": []},
+            {"vertices": 3, "edges": [[False, True]]},
+        ],
+        ids=["edges-not-a-list", "edge-not-a-list", "edge-a-string", "bool-count", "bool-endpoints"],
+    )
+    def test_malformed_graph_json(self, capsys, tmp_path, command, payload):
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(json.dumps(payload))
+        code, out, err = run(capsys, *command, str(gpath))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("lieindex: ")
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_one_section_passes(self, capsys):

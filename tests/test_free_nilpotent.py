@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from lieindex import free_nilpotent
 from lieindex.algebra import (
     Subspace,
     center,
@@ -104,11 +105,15 @@ class TestFreeNilpotent:
         dims = [s.dim for s in lower_central_series(built.algebra)]
         assert dims == [14, 11, 8, 0]
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             build_free_nilpotent(5, 5)
-        with pytest.raises(ResourceLimitError):
-            build_free_nilpotent(3, 4, max_dim=31)
+        # F(3,7) has dimension 508, just above the cap of 500: both builders
+        # refuse it before any Hall rewriting starts.
+        monkeypatch.setattr(free_nilpotent, "HallBuilder", None)
+        for build in (build_free_nilpotent, build_metabelian):
+            with pytest.raises(ResourceLimitError, match="dimension 508, above the ceiling 500"):
+                build(3, 7)
 
     def test_builder_memo_is_order_independent(self):
         g, c = 3, 3

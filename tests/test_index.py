@@ -136,17 +136,17 @@ class TestGenericRank:
     def test_both_routes_agree(self, build, expected):
         sm = structure_matrix(build())
         assert generic_rank(sm) == expected
-        assert generic_rank(sm, certify=True) == expected
+        assert certified_generic_rank(sm) == expected
 
     def test_randomized_rank_is_stable_across_seeds(self):
         sm = structure_matrix(build_free_nilpotent(3, 3).algebra)
         assert {generic_rank(sm, seed=s) for s in range(5)} == {6}
 
     def test_certify_gate(self):
-        sm = structure_matrix(LieAlgebra(41))
-        with pytest.raises(CertifySizeError):
-            certified_generic_rank(sm)
-        assert certified_generic_rank(sm, dim_limit=41) == 0
+        # Both sides of the gate at CERTIFY_DIM_LIMIT = 40.
+        assert certified_generic_rank(structure_matrix(LieAlgebra(40))) == 0
+        with pytest.raises(CertifySizeError, match="gated at dimension 40; this algebra has 41"):
+            certified_generic_rank(structure_matrix(LieAlgebra(41)))
 
 
 class TestIndexReport:
@@ -212,7 +212,7 @@ class TestIndexReport:
         with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
             index(alg)
         sm = structure_matrix(alg)
-        assert generic_rank(sm, certify=True) == 2
+        assert certified_generic_rank(sm) == 2
         with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
             generic_rank(sm)
 
@@ -227,7 +227,7 @@ class TestIndexReport:
         assert rep.generic_rank == 2
         assert index(alg, want_witness=True).witness is not None
         sm = structure_matrix(alg)
-        assert generic_rank(sm) == generic_rank(sm, certify=True) == 2
+        assert generic_rank(sm) == certified_generic_rank(sm) == 2
 
     def test_denominator_that_stays_bad_is_refused(self):
         # Scaled by p, [x2, x3] = p*x4 vanishes mod p: the trials rank 2, the

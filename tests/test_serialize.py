@@ -106,6 +106,23 @@ class TestAlgebraPayload:
         with pytest.raises(ValueError):
             algebra_from_dict({"dim": 3, "brackets": [{"i": 1, "j": 0, "c": {"2": "1"}}]})
 
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [
+            ({"i": False, "j": True, "c": {"2": "1"}}, "bracket indices must be integers"),
+            ({"i": 0, "j": True, "c": {"2": "1"}}, "bracket indices must be integers"),
+            ({"i": 0, "j": 1, "c": {"\u0662": "1"}}, "must be a digit string"),  # Arabic-Indic two
+            ({"i": 0, "j": 1, "c": {"\u00b2": "1"}}, "must be a digit string"),  # superscript two
+        ],
+        ids=["bool-pair", "bool-j", "arabic-indic-digit", "superscript-digit"],
+    )
+    def test_rejects_non_json_integers(self, bracket, message):
+        # bool is an int subclass, and str.isdigit accepts non-ASCII digits:
+        # the booleans once loaded as the key (False, True), the Arabic-Indic
+        # two as coefficient index 2.
+        with pytest.raises(ValueError, match=message):
+            algebra_from_dict({"dim": 3, "brackets": [bracket]})
+
 
 class TestFunctionalPayload:
     def test_round_trip(self):

@@ -15,6 +15,21 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_no_function_level_imports():
+    # An import inside a function hides an import cycle, and compiles its
+    # module on the first call rather than at package import.
+    found = []
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert not found, f"imports below module level in the package: {found}"
+
+
 def _decorator_name(node) -> str:
     if isinstance(node, ast.Call):
         node = node.func
