@@ -5,7 +5,8 @@ built from structure constants are sparse; no dense matrix is eliminated.
 No floating point anywhere.  One fraction-free echelon, SparseEchelon, on
 integer rows over Q (Fraction denominators cleared on entry) or residues
 mod p, gives ranks (`rank`, `rank_mod_p`), membership and coordinates
-(`reduce`), and the canonical bases of kernels and spans (`rref`).
+(`reduce`), and the canonical bases of kernels and spans (`rref`).  It skips
+work that the rows' own support proves unneeded: see SparseEchelon.
 """
 
 from __future__ import annotations
@@ -101,22 +102,27 @@ class SparseEchelon:
     A new row is reduced on its leading (last nonzero) column by `_step` until
     it vanishes or becomes the pivot row there, led by 1 over F_p; stored rows
     never change.  The non-pivot columns complete the span lexicographically first.
+    The constructor stops once the pivots fill the C columns the rows' keys name:
+    triangular there, they span every remaining row (a zero value only adds to C).
     """
 
     def __init__(self, rows=(), p: int = 0):
         self.p = p
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> row
-        self._insert(rows)
+        rows = [v for v in rows if v]
+        self._insert(rows, len(set().union(*rows)))
 
     def add(self, v) -> dict[int, int] | None:
         """Insert v; returns its stored row, or None if v was already in the span."""
         return self._insert((v,))
 
-    def _insert(self, vs) -> dict[int, int] | None:
-        """Insert the rows vs in turn; returns the last one's stored row, or None."""
+    def _insert(self, vs, support: int = -1) -> dict[int, int] | None:
+        """Insert the rows vs until there are `support` pivots; returns the last one's stored row, or None."""
         rows, p = self.rows, self.p
         w = None
         for v in vs:
+            if len(rows) == support:
+                break
             w = _entry(v, p)[0] if v else None
             while w:
                 c = max(w)
@@ -148,13 +154,17 @@ class SparseEchelon:
 
     def rref(self) -> dict[int, dict]:
         """{pivot: row} of the reduced row-echelon form: leading entry 1 at the
-        pivot, zero on every other pivot."""
+        pivot, zero on every other pivot.  When every row lies on the pivots these are
+        the unit rows: triangular there, the rows span those coordinates."""
+        one = 1 if self.p else Fraction(1)
+        if all(k in self.rows for row in self.rows.values() for k in row):
+            return {c: {c: one} for c in self.rows}
         red = {}
         for c, row in self.rows.items():
             tail = self.reduce({k: x for k, x in row.items() if k != c})
             if not self.p:  # over F_p row[c] is 1
                 tail = {k: x / row[c] for k, x in tail.items()}
-            red[c] = {c: 1 if self.p else Fraction(1), **tail}
+            red[c] = {c: one, **tail}
         return red
 
     def kernel(self, ncols: int) -> tuple[tuple, ...]:

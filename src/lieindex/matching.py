@@ -1,15 +1,20 @@
 """Maximum matchings by augmenting paths with blossom contraction, for
-graphs.maximum_matching and the rank ceiling of index."""
+graphs.maximum_matching and the rank ceiling of index.  The search runs on the
+vertices with an edge, relabelled in order: isolated ones cost nothing."""
 
 from collections import deque
 
 
 def blossom_matching(n: int, edges) -> tuple[tuple[int, int], ...]:
     """A maximum matching of the graph on range(n) with the edges (i, j)."""
+    edges = list(edges)
+    vertices = sorted({v for e in edges for v in e})
+    label = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)  # from here on, vertices are the relabelled range(n)
     adj = [[] for _ in range(n)]
     for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
+        adj[label[i]].append(label[j])
+        adj[label[j]].append(label[i])
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -76,6 +81,6 @@ def blossom_matching(n: int, edges) -> tuple[tuple[int, int], ...]:
         return False
 
     for v in range(n):
-        if match[v] == -1 and adj[v]:
+        if match[v] == -1:
             find_path(v)
-    return tuple(sorted((v, match[v]) for v in range(n) if v < match[v]))
+    return tuple((vertices[v], vertices[match[v]]) for v in range(n) if v < match[v])

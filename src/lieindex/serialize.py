@@ -37,9 +37,9 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
     return {"dim": g.dim, "labels": list(g.labels), "brackets": brackets}
 
 
-def _expect(cond: bool, msg: str) -> None:
+def _expect(cond: bool, msg: str, *args) -> None:  # msg.format(*args) only on failure
     if not cond:
-        raise ValueError(msg)
+        raise ValueError(msg.format(*args))
 
 
 def algebra_from_dict(d: Any) -> LieAlgebra:
@@ -61,10 +61,10 @@ def algebra_from_dict(d: Any) -> LieAlgebra:
         i, j, c = entry.get("i"), entry.get("j"), entry.get("c")
         _expect(type(i) is type(j) is int, "bracket indices must be integers")
         _expect(isinstance(c, dict), "bracket coefficients must be an object")
-        _expect((i, j) not in brackets, f"duplicate bracket entry for ({i}, {j})")
+        _expect((i, j) not in brackets, "duplicate bracket entry for ({}, {})", i, j)
         coeffs = {}
         for k, v in c.items():
-            _expect(isinstance(k, str) and k.isascii() and k.isdigit(), f"coefficient key {k!r} must be a digit string")
+            _expect(isinstance(k, str) and k.isascii() and k.isdigit(), "coefficient key {!r} must be a digit string", k)
             coeffs[int(k)] = parse_scalar(v)
         brackets[(i, j)] = coeffs
     return LieAlgebra(n, labels, brackets)

@@ -132,6 +132,13 @@ class TestIndex:
         empty.write_text('{"dim": "x"}')
         assert run(capsys, "index", str(empty))[0] == 2
 
+    def test_duplicate_bracket_entry(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        entry = {"i": 0, "j": 1, "c": {"2": "1"}}
+        path.write_text(json.dumps({"dim": 3, "brackets": [entry, entry]}))
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 2 and out == "" and "duplicate bracket entry for (0, 1)" in err
+
     def test_certify_gate(self, capsys, tmp_path):
         path = write_algebra(tmp_path, LieAlgebra(41))
         code, _, err = run(capsys, "index", path, "--certify")

@@ -17,6 +17,7 @@ from lieindex.graphs import (
     validate_matching,
 )
 from lieindex.index import index, stabilizer
+from lieindex.matching import blossom_matching
 
 
 def complete(n):
@@ -124,6 +125,20 @@ class TestMatching:
             nu = matching_number(g)[0]
             assert nu == matching_number_exhaustive(g)
             assert nu == nx_matching_number(g)
+
+    def test_isolated_vertices_change_nothing(self):
+        # blossom_matching searches only the vertices that carry an edge, so
+        # interleaving isolated ones maps the compact graph's matching across.
+        rng = random.Random(2525)
+        for _ in range(60):
+            m = rng.randint(1, 9)
+            compact = tuple((i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.45)
+            n = m + rng.randint(0, 9)
+            at = sorted(rng.sample(range(n), m))  # compact vertex t is vertex at[t]
+            edges = tuple((at[i], at[j]) for i, j in compact)
+            got = blossom_matching(n, edges)
+            assert got == tuple((at[i], at[j]) for i, j in blossom_matching(m, compact))
+            assert len(got) == nx_matching_number(SimpleGraph(n, edges))
 
     def test_validate_matching_rejects(self):
         g = path(4)

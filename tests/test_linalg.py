@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 import sympy
-from sympy import GF
+from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
+from test_index import shifted
 
-from lieindex.algebra import LieAlgebra, Subspace
+from lieindex import linalg
+from lieindex.algebra import LieAlgebra, Subspace, center, centralizer
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
 from lieindex.index import _form_ranks, b_ell_matrix, index
 from lieindex.linalg import (
@@ -386,6 +389,173 @@ class TestSparseEchelon:
                     grown.append(e)
                 assert (not ech.reduce({j: 1})) == (dim(m + [e]) == dim(m))
             assert len(ech.rows) == dim(m)
+
+
+class TestSupportStop:
+    # The constructor stops once its pivots number the columns in the rows'
+    # keys; rref and kernel shortcut when every row lies on the pivots.  Each
+    # case is checked against sympy's DomainMatrix over QQ or GF(q), and the
+    # stop is watched through the rows the constructor reads (`_entry`).
+    FIELDS = (0, 2, 3, 5, 7, 13)
+
+    @staticmethod
+    def domain(q):
+        return QQ if q == 0 else GF(q)
+
+    @staticmethod
+    def to_domain(x, q):
+        x = Fraction(x)
+        return QQ(x.numerator, x.denominator) if q == 0 else GF(q)(int(x))
+
+    @staticmethod
+    def from_domain(x, q):
+        return Fraction(int(x.numerator), int(x.denominator)) if q == 0 else int(x) % q
+
+    @classmethod
+    def matrix(cls, rows, ncols, q):
+        dom = cls.domain(q)
+        return DomainMatrix(
+            [[cls.to_domain(row.get(c, 0), q) for c in range(ncols)] for row in rows],
+            (len(rows), ncols), dom,
+        )
+
+    @classmethod
+    def reference_rref(cls, rows, ncols, q):
+        """{pivot: row} with pivots on the last nonzero column, as SparseEchelon keeps them:
+        sympy's rref of the column-reversed matrix, reversed back."""
+        flipped = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
+        red, pivots = cls.matrix(flipped, ncols, q).rref()
+        red = red.to_list()
+        return {
+            ncols - 1 - p: {ncols - 1 - c: cls.from_domain(x, q) for c, x in enumerate(red[r]) if x}
+            for r, p in enumerate(pivots)
+        }
+
+    @classmethod
+    def reference_kernel(cls, rows, ncols, q):
+        null = cls.matrix(rows, ncols, q).nullspace()
+        if null.shape[0] == 0:
+            return ()
+        red, pivots = null.rref()
+        return tuple(tuple(cls.from_domain(x, q) for x in row) for row in red.to_list()[: len(pivots)])
+
+    @staticmethod
+    def entry(rng, q):
+        if q:
+            return rng.choice([r for r in range(-3 * q, 3 * q) if r % q])
+        return mixed_entry(rng) or 1
+
+    @classmethod
+    def spanning(cls, rng, q, ncols):
+        """Rows triangular on a random support, then combinations of them;
+        and the rows the constructor reads, the triangular ones."""
+        support = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
+        rows = []
+        for t, lead in enumerate(support):
+            row = {c: cls.entry(rng, q) for c in support[:t] if rng.random() < 0.5}
+            row[lead] = cls.entry(rng, q)
+            rows.append(row)
+        rng.shuffle(rows)
+        extra = []
+        for _ in range(rng.randint(1, 4)):
+            v = {}
+            for row in rows:
+                f = rng.randint(-2, 2)
+                for c, x in row.items():
+                    v[c] = v.get(c, 0) + f * x
+            extra.append({c: x for c, x in v.items() if (x % q if q else x)} or {support[0]: 1})
+        return rows + extra, len(support)
+
+    @classmethod
+    def with_dead_keys(cls, rng, q, ncols):
+        """Spanning rows plus a key, absent from the other rows, whose value is
+        0 (or a multiple of q): the true support is spanned, the keys are not."""
+        rows, _ = cls.spanning(rng, q, ncols - 1)
+        row = dict(rng.choice(rows))
+        row[ncols - 1] = q * rng.randint(-2, 2)
+        return rows + [row], len(rows) + 1
+
+    @classmethod
+    def short(cls, rng, q, ncols):
+        """Fewer rows than their support has columns: never spanning."""
+        support = rng.sample(range(ncols), rng.randint(2, ncols))
+        rows = [{} for _ in range(rng.randint(1, len(support) - 1))]
+        for c in support:
+            rng.choice(rows)[c] = cls.entry(rng, q)
+            for row in rows:
+                if rng.random() < 0.3:
+                    row[c] = cls.entry(rng, q)
+        rows = [row for row in rows if row]
+        return rows, len(rows)
+
+    @classmethod
+    def check(cls, rows, ncols, q, rng):
+        ech = SparseEchelon(rows, q)
+        rk = cls.matrix(rows, ncols, q).rank()
+        assert len(ech.rows) == (rank_mod_p(rows, q) if q else rank(rows)) == rk
+        red = ech.rref()
+        assert red == cls.reference_rref(rows, ncols, q)
+        assert all(type(x) is (int if q else Fraction) for row in red.values() for x in row.values())
+        assert ech.kernel(ncols) == cls.reference_kernel(rows, ncols, q)
+        for _ in range(3):
+            u = {c: x for c in range(ncols) if rng.random() < 0.6 and (x := cls.entry(rng, q))}
+            want = {c: Fraction(x) if not q else x % q for c, x in u.items()}
+            for c, row in red.items():
+                f = want.get(c, 0)
+                for k, x in row.items():
+                    want[k] = want.get(k, 0) - f * x
+            want = {c: x % q if q else x for c, x in want.items()}
+            assert ech.reduce(u) == {c: x for c, x in want.items() if x}
+
+    @pytest.mark.parametrize("q", FIELDS, ids=["Q", "F2", "F3", "F5", "F7", "F13"])
+    def test_against_domain_matrix(self, q, monkeypatch):
+        entered = []
+
+        def counted(v, p):
+            entered.append(v)
+            return entry(v, p)
+
+        entry = linalg._entry
+        monkeypatch.setattr(linalg, "_entry", counted)
+        rng = random.Random(1700 + q)
+        for _ in range(25):
+            ncols = rng.randint(2, 9)
+            for make, stops in ((self.spanning, True), (self.with_dead_keys, False), (self.short, False)):
+                rows, read = make(rng, q, ncols)
+                entered.clear()
+                SparseEchelon(rows, q)
+                assert len(entered) == read
+                assert (read < len(rows)) == stops
+                self.check(rows, ncols, q, rng)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_free_nilpotent(3, 4).algebra, lambda: build_metabelian(3, 4).algebra],
+        ids=["F(3,4)", "M(3,4)"],
+    )
+    def test_center_and_centralizer_on_a_shifted_basis(self, build):
+        # On the basis e'_j = e_j + e_{j-1} the center is no coordinate subspace.
+        g = shifted(build())
+        n = g.dim
+
+        def bracket(i, j):
+            if i < j:
+                return g.brackets.get((i, j), {})
+            return {k: -c for k, c in g.brackets.get((j, i), {}).items()}
+
+        def reference(vectors):
+            rows = [{i: c for i in range(n) if (c := sum(x * bracket(i, j).get(k, 0)
+                                                         for j, x in v.items()))}
+                    for v in vectors for k in range(n)]
+            return self.reference_kernel(rows, n, 0)
+
+        z = center(g)
+        assert z.basis == reference([{j: 1} for j in range(n)])
+        assert any(sum(map(bool, v)) > 1 for v in z.basis)  # not coordinate
+        rng = random.Random(1800)
+        vectors = [{j: rng.randint(-3, 3) for j in rng.sample(range(n), 3)} for _ in range(2)]
+        s = Subspace.span(n, vectors)
+        assert centralizer(g, s).basis == reference(vectors)
 
 
 class TestPrimality:

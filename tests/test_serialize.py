@@ -123,6 +123,12 @@ class TestAlgebraPayload:
         with pytest.raises(ValueError, match=message):
             algebra_from_dict({"dim": 3, "brackets": [bracket]})
 
+    def test_duplicate_entry_message(self):
+        entry = {"i": 0, "j": 2, "c": {"1": "1"}}
+        payload = {"dim": 3, "brackets": [entry, {**entry, "c": {"1": "2"}}]}
+        with pytest.raises(ValueError, match=r"^duplicate bracket entry for \(0, 2\)$"):
+            algebra_from_dict(payload)
+
 
 class TestFunctionalPayload:
     def test_round_trip(self):
