@@ -9,7 +9,9 @@ A private adjoint table holds every nonzero [x_i, x_j] in both orders, so
 bracket lookups, ad x_i and the images {a: [x_a, v]} read it without an
 order branch.
 
-Nothing here assumes nilpotency; the constructions elsewhere in the package
+Beyond the algebra itself, the module computes the invariants that back the
+index: center, centralizers, the lower central series, the derived pair and
+abelian witnesses.  Nothing here assumes nilpotency; the constructions elsewhere in the package
 produce nilpotent algebras, and check_jacobi is the validity gate for any
 externally supplied structure constants.
 """
@@ -31,18 +33,6 @@ def _flip(n: int, v: Coeffs) -> Coeffs:
     that is the leading column, the pivot of the reduced row-echelon form.
     """
     return {n - 1 - c: x for c, x in v.items()}
-
-
-class NotAnIdealError(ValueError):
-    """Raised by quotient() when the subspace is not an ideal."""
-
-    def __init__(self, basis_index: int, vector):
-        self.basis_index = basis_index
-        self.vector = vector
-        super().__init__(
-            f"subspace is not an ideal: [x_{basis_index}, v] leaves it "
-            f"for ideal basis vector v={vector}"
-        )
 
 
 class NotAbelianError(ValueError):
@@ -302,60 +292,3 @@ def abelian_witness(g: LieAlgebra, s: Subspace):
 
 def is_abelian_subalgebra(g: LieAlgebra, s: Subspace) -> bool:
     return abelian_witness(g, s) is None
-
-
-def ideal_closure(g: LieAlgebra, s: Subspace) -> Subspace:
-    ech = SparseEchelon()
-    todo = _basis_rows(g, s)
-    while todo:
-        # Every row that enters the echelon has its brackets queued, so the
-        # final span is closed under ad x_i.
-        w = ech.add(todo.pop())
-        if w:
-            todo.extend(u for _, u in sorted(g.ad_images(w).items()))
-    return Subspace.span(g.dim, ech.rows.values())
-
-
-def subalgebra_generated(g: LieAlgebra, vectors) -> Subspace:
-    ech = SparseEchelon()
-    todo = [_sparse(v) for v in Subspace.from_vectors(g.dim, vectors).basis]
-    while todo:
-        # Each row that enters is bracketed with rows spanning everything
-        # before it, so the final span is closed under the bracket.
-        w = ech.add(todo.pop())
-        if w:
-            todo.extend(g.sparse_bracket(u, w) for u in ech.rows.values())
-    return Subspace.span(g.dim, ech.rows.values())
-
-
-def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, list[list[Fraction]]]:
-    """Quotient algebra g / ideal and the projection matrix onto it.
-
-    The quotient basis is the image of the lexicographically first subset of
-    standard basis vectors that completes the ideal to the full space;
-    labels are inherited from those coordinates.  That subset is the set of
-    non-pivot columns of the ideal's SparseEchelon, and reducing a vector
-    against the echelon gives its quotient coordinates.  Raises
-    NotAnIdealError with a witness if [g, ideal] is not inside the ideal.
-    """
-    n = g.dim
-    sparse = _basis_rows(g, ideal)
-    ech = SparseEchelon(sparse)
-    # (i, t) pairs are distinct, so the sort never compares the images.
-    for i, t, w in sorted((i, t, w) for t, sv in enumerate(sparse) for i, w in g.ad_images(sv).items()):
-        if ech.reduce(w):
-            raise NotAnIdealError(i, ideal.basis[t])
-    chosen = [j for j in range(n) if j not in ech.rows]
-    position = {j: r for r, j in enumerate(chosen)}
-    proj = [[Fraction(0)] * n for _ in chosen]
-    for k in range(n):
-        for j, c in ech.reduce({k: 1}).items():
-            proj[position[j]][k] = c
-    new_brackets: dict[tuple[int, int], Coeffs] = {}
-    for s, a in enumerate(chosen):
-        for t in range(s + 1, len(chosen)):
-            w = ech.reduce(g.structure_coeffs(a, chosen[t]))
-            if w:
-                new_brackets[(s, t)] = {position[j]: c for j, c in w.items()}
-    labels = tuple(g.labels[j] for j in chosen)
-    return LieAlgebra(len(chosen), labels, new_brackets), proj

@@ -110,31 +110,21 @@ class SparseEchelon:
         self.p = p
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> row
         rows = [v for v in rows if v]
-        self._insert(rows, len(set().union(*rows)))
-
-    def add(self, v) -> dict[int, int] | None:
-        """Insert v; returns its stored row, or None if v was already in the span."""
-        return self._insert((v,))
-
-    def _insert(self, vs, support: int = -1) -> dict[int, int] | None:
-        """Insert the rows vs until there are `support` pivots; returns the last one's stored row, or None."""
-        rows, p = self.rows, self.p
-        w = None
-        for v in vs:
-            if len(rows) == support:
+        support = len(set().union(*rows))
+        for v in rows:
+            if len(self.rows) == support:
                 break
-            w = _entry(v, p)[0] if v else None
+            w = _entry(v, p)[0]
             while w:
                 c = max(w)
-                prow = rows.get(c)
+                prow = self.rows.get(c)
                 if prow is None:
                     if p and w[c] != 1:
                         inv = pow(w[c], -1, p)
                         w = {k: x * inv % p for k, x in w.items()}
-                    rows[c] = w
+                    self.rows[c] = w
                     break
                 w = _step(w, prow, c, p)[0]
-        return w or None
 
     def reduce(self, v) -> dict:
         """v minus an element of the span, zero on every pivot; empty iff v is in the span.

@@ -206,10 +206,12 @@ class TestIndex:
             (["construct", "filiform", "--family", "L", "--dim", "501"], 501),
             (["construct", "filiform", "--family", "Q", "--dim", "502"], 502),
             (["construct", "filiform", "--family", "G", "--dim", "501", "--k", "3"], 501),
+            (["construct", "metabelian", "--generators", "3", "--class", "12"], 641),
             (["construct", "graph", "--input", "{graph}"], 501),
             (["graph-index", "{graph}"], 501),
         ],
-        ids=["index", "invariants", "filiform-L", "filiform-Q", "filiform-G", "graph", "graph-index"],
+        ids=["index", "invariants", "filiform-L", "filiform-Q", "filiform-G", "metabelian", "graph",
+         "graph-index"],
     )
     def test_dimension_ceiling(self, capsys, tmp_path, argv, dim):
         algebra = tmp_path / "huge.json"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from lieindex.algebra import (
     check_jacobi,
     derived_subalgebra_pair,
     lower_central_series,
+    nilpotency_class,
 )
 from lieindex.free_nilpotent import (
     HallBuilder,
@@ -24,6 +26,7 @@ from lieindex.free_nilpotent import (
     witt_dimension,
     witt_layer,
 )
+from lieindex.index import index
 
 
 class TestWitt:
@@ -108,12 +111,13 @@ class TestFreeNilpotent:
     def test_resource_guard(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             build_free_nilpotent(5, 5)
-        # F(3,7) has dimension 508, just above the cap of 500: both builders
-        # refuse it before any Hall rewriting starts.
+        # F(3,7) (dimension 508) and M(3,12) (641) are just above the cap of
+        # 500: each builder checks its own dimension before any Hall work.
         monkeypatch.setattr(free_nilpotent, "HallBuilder", None)
-        for build in (build_free_nilpotent, build_metabelian):
-            with pytest.raises(ResourceLimitError, match="dimension 508, above the ceiling 500"):
-                build(3, 7)
+        with pytest.raises(ResourceLimitError, match="dimension 508, above the ceiling 500"):
+            build_free_nilpotent(3, 7)
+        with pytest.raises(ResourceLimitError, match="dimension 641, above the ceiling 500"):
+            build_metabelian(3, 12)
 
     def test_builder_memo_is_order_independent(self):
         g, c = 3, 3
@@ -162,6 +166,43 @@ class TestMetabelian:
     def test_layer_offsets(self):
         meta = build_metabelian(2, 4)
         assert [len(meta.layer_range(w)) for w in range(1, 5)] == [2, 1, 2, 3]
+
+    def test_comb_layers_match_bahturin(self):
+        # Layer k of M(g, c) has dimension (k-1) C(g+k-2, k) for k >= 2; the
+        # comb trees count it for every g, c >= 2 with dim M(g, c) <= 500.
+        checked = 0
+        for g in range(2, 32):  # dim M(32, 2) = 528
+            for c in range(2, 500):
+                sizes = [g] + [(k - 1) * math.comb(g + k - 2, k) for k in range(2, c + 1)]
+                if sum(sizes) > 500:
+                    break
+                layers = free_nilpotent._CombBuilder(g, c).layers
+                assert [len(layer) for layer in layers[1:]] == sizes, (g, c)
+                checked += 1
+        assert checked == 82
+
+    def test_hall_basis_labels_are_the_algebra_labels(self):
+        for g, c in [(2, 6), (3, 5), (4, 4)]:
+            meta = build_metabelian(g, c)
+            assert tuple(e.label for e in meta.hall_basis) == meta.algebra.labels
+            assert [e.index for e in meta.hall_basis] == list(range(meta.dim))
+            assert [e.weight for e in meta.hall_basis] == [
+                w for w in range(1, c + 1) for _ in meta.layer_range(w)
+            ]
+
+    def test_reach_beyond_the_free_ceiling(self):
+        # Each F(g, c) below is above the ceiling of 500; M(g, c) is not.
+        # Thm 5.2: the index of M(g, c) is dim - 2g.
+        for g, c, dim in [(5, 5, 384), (4, 6, 299), (2, 20, 192)]:
+            alg = build_metabelian(g, c).algebra
+            assert alg.dim == dim
+            assert check_jacobi(alg) is None
+            assert index(alg).index == dim - 2 * g
+        alg = build_metabelian(3, 7).algebra
+        assert alg.dim == 136
+        assert nilpotency_class(alg) == 7
+        d1, d2 = derived_subalgebra_pair(alg)
+        assert d1.dim == 136 - 3 and d2.dim == 0
 
 
 class TestExplicitClassThree:

@@ -188,6 +188,13 @@ class TestDumps:
             (build_metabelian, 3, 5, "91c4750a048faf098ece8f9c8b1cfef58f032a1eda59a675bc12da3fae028d5d"),
             (build_metabelian, 2, 7, "fbab0d6395b2f2e0815b3b5976185aef33551d9c1fdd9c4c109ee7b01dcdf4cd"),
             (build_free_nilpotent, 4, 4, "50b0bbdf7fde2dab8017545ab71ec5d3da6f67d9b2e53272d463d3af1c430f4f"),
+            # Digests of the metabelian algebras as once built by quotienting
+            # F(g, c): the comb-tree route must give the same bytes.
+            (build_metabelian, 4, 4, "d5b67fafb8aa62e6cd61509b4616c26331717bce1297beff8c1561c625ccbeef"),
+            (build_metabelian, 3, 6, "aefe2f652d3e5223a6b3ba790c35f26c23d1a2c58d09e9c384369dac2feda38c"),
+            (build_metabelian, 4, 5, "a7510c6a9cf9431f50de7ce08b8b8edbd5981fec32c0283b8974bec9b55f5ffe"),
+            (build_metabelian, 2, 8, "063f40e4e4a9dbf77cac5f23d45dd47dc9ba7e7471a880728fc7b960a6c68ea8"),
+            (build_metabelian, 2, 9, "ea0a274b5a092bad9a6741f73fc200a249d741c2cc1afa80958d1e88c7c06e86"),
         ]
         for build, gens, cls, digest in golden:
             payload = dumps(algebra_to_dict(build(gens, cls).algebra))

@@ -98,3 +98,12 @@ def test_rank_over_q_goes_through_linalg_rank():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _is_echelon_rank(node)]
     assert not found, f"ranks by SparseEchelon pivot count in the package: {found}"
+
+
+def test_exports_resolve_once():
+    # A name left in __all__ after its definition is gone breaks
+    # `from lieindex import *`.
+    names = lieindex.__all__
+    assert len(set(names)) == len(names), "a name is exported twice"
+    missing = [name for name in names if not hasattr(lieindex, name)]
+    assert not missing, f"exports with no definition: {missing}"
