@@ -6,7 +6,8 @@ linear form sum_k c_ijk * y_k.  Generic rank is obtained either by seeded
 random specialization over a large prime field (the rank can only be
 underestimated, never overestimated, so the maximum over trials is a sound
 lower bound that is correct with overwhelming probability) or by certified
-sparse fraction-free elimination on the entries, as polynomials over Z.
+sparse fraction-free elimination on the entries, as integer linear forms
+(polynomials.bareiss_rank).
 
 The structure constants are scaled to integers by the lcm of their
 denominators.  The trials rank the integer rows mod p; the exact rank over Q
@@ -39,7 +40,7 @@ from .algebra import (
 from .matching import blossom_matching
 from .linalg import DEFAULT_PRIME, SparseEchelon, _clear_denominators, _sparse
 from .linalg import is_probable_prime, rank, rank_mod_p
-from .polynomials import Poly, bareiss_rank
+from .polynomials import bareiss_rank
 
 DEFAULT_TRIALS = 3
 DEFAULT_SEED = 0
@@ -77,13 +78,6 @@ class StructureMatrix:
 
     n: int
     entries: tuple  # ((i, j, ((k, c_ijk), ...)), ...), c_ijk int or Fraction
-
-    def to_poly_matrix(self) -> list[list[Poly]]:
-        m = [[Poly.zero()] * self.n for _ in range(self.n)]
-        for i, j, coeffs in self.entries:
-            form = m[i][j] = Poly.linear_form(dict(coeffs))
-            m[j][i] = -form
-        return m
 
 
 def structure_matrix(g: LieAlgebra) -> StructureMatrix:
@@ -153,8 +147,11 @@ def certified_generic_rank(sm: StructureMatrix) -> int:
             f"certified rank gated at dimension {CERTIFY_DIM_LIMIT}; this algebra has {sm.n}"
         )
     # M(g) times the lcm of the denominators: the same rank, over Z[y].
-    integral = StructureMatrix(sm.n, tuple(_integer_entries(sm.entries)))
-    return bareiss_rank(integral.to_poly_matrix())
+    rows = [{} for _ in range(sm.n)]
+    for i, j, coeffs in _integer_entries(sm.entries):
+        rows[i][j] = dict(coeffs)
+        rows[j][i] = {k: -c for k, c in coeffs}
+    return bareiss_rank(rows)
 
 
 def generic_rank(
