@@ -148,7 +148,9 @@ class HallBuilder:
                         found.append((u, v))
             found.sort(key=self.key)
             self.layers.append(found)
-        self.basis = [t for w in range(1, c + 1) for t in self.layers[w]]
+            if not found:  # g = 1: every layer past the first is empty
+                break
+        self.basis = [t for layer in self.layers for t in layer]
         self.index_of = {t: i for i, t in enumerate(self.basis)}
 
     def _left_weights(self, w: int):
@@ -193,9 +195,10 @@ class HallBuilder:
         return res
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, int]:
-        """[basis[i], basis[j]] as {basis index: int coefficient}."""
+        """[basis[i], basis[j]] as {basis index: int coefficient}, trees off
+        the basis dropped (the free rewrite yields none)."""
         out = self.rewrite(self.basis[i], self.basis[j])
-        return {self.index_of[t]: c for t, c in out.items()}
+        return {self.index_of[t]: c for t, c in out.items() if t in self.index_of}
 
 
 class _CombBuilder(HallBuilder):
@@ -207,10 +210,6 @@ class _CombBuilder(HallBuilder):
 
     def _left_weights(self, w: int):
         return {1, w - 1}
-
-    def bracket_coeffs(self, i: int, j: int) -> dict[int, int]:
-        out = self.rewrite(self.basis[i], self.basis[j])
-        return {self.index_of[t]: c for t, c in out.items() if t in self.index_of}
 
 
 def build_free_nilpotent(g: int, c: int) -> FreeNilpotentAlgebra:
@@ -237,9 +236,16 @@ def build_metabelian(g: int, c: int) -> FreeNilpotentAlgebra:
 def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
     if g < 1 or c < 1:
         raise ValueError("need g >= 1 generators and class c >= 1")
-    sizes = [(_metabelian_layer if comb else witt_layer)(g, w) for w in range(1, c + 1)]
     kind = "metabelian" if comb else "free nilpotent"
-    _check_ceiling(sum(sizes), f"{kind} algebra with g={g}, c={c}")
+    # The layer sizes stop at the first partial sum above the ceiling, and at
+    # the first empty layer (g = 1), past which every layer is empty.
+    layer_size, sizes = _metabelian_layer if comb else witt_layer, []
+    for w in range(1, c + 1):
+        sizes.append(layer_size(g, w))
+        quotient = f": its class-{w} quotient" if w < c else ""
+        _check_ceiling(sum(sizes), f"{kind} algebra with g={g}, c={c}{quotient}")
+        if not sizes[-1]:
+            break
     builder = (_CombBuilder if comb else HallBuilder)(g, c)
     if [len(layer) for layer in builder.layers[1:]] != sizes:
         raise RuntimeError("Hall layer count is off")
@@ -249,6 +255,7 @@ def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
         for i, t in enumerate(builder.basis)
     ]
     offsets = list(accumulate(sizes, initial=0))
+    offsets += offsets[-1:] * (c + 1 - len(offsets))  # the empty layers past an empty one
     n = len(elements)
     brackets = {}
     for i in range(n):

@@ -72,19 +72,8 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(1_000_003 * seed + trial)
 
 
-@dataclass(frozen=True)
-class StructureMatrix:
-    """Upper triangle of M(g); entry (i, j) with i < j maps k -> c_ijk."""
-
-    n: int
-    entries: tuple  # ((i, j, ((k, c_ijk), ...)), ...), c_ijk int or Fraction
-
-
-def structure_matrix(g: LieAlgebra) -> StructureMatrix:
-    return StructureMatrix(g.dim, tuple(
-        (i, j, tuple(sorted(coeffs.items())))
-        for (i, j), coeffs in sorted(g.brackets.items())
-    ))
+def _bracket_entries(g: LieAlgebra):
+    return ((i, j, coeffs.items()) for (i, j), coeffs in g.brackets.items())
 
 
 def _integer_entries(entries) -> list:
@@ -110,9 +99,14 @@ def _form_rows(entries, point, n: int, skew: bool) -> list[dict]:
     return rows
 
 
-def _randomized_rank(entries, n, trials, seed, p, skew, ceiling=None):
+def _trial_rank(entries, n, skew, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
+                p=DEFAULT_PRIME, certified=False):
     """(max rank over trials, the first trial point attaining it); integer
-    entries.  The trials stop at a rank equal to the ceiling."""
+    entries.  The trials stop at a rank equal to the ceiling (None: they do
+    not stop), which no rank passes.  Below it, the exact rank over Q at the
+    best point refuses a bad modulus: with an integral point and constants a
+    nonzero minor mod p lifts to Q.  A certified ceiling is the exact rank,
+    so there a miss only means that no trial point is a witness."""
     best = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -121,54 +115,38 @@ def _randomized_rank(entries, n, trials, seed, p, skew, ceiling=None):
         if best is None or r > best[0]:
             best = r, point
         if r == ceiling:
-            break
-    return best
-
-
-def _check_modulus(entries, n, skew, r, point) -> None:
-    """Refuse a modular rank r below the exact rank over Q at its trial point:
-    with an integral point and constants a nonzero minor mod p lifts to Q."""
+            return best
+    if certified:
+        raise RuntimeError(
+            "randomized search did not reach the certified rank; "
+            "raise trials to find a witness"
+        )
+    r, point = best
     exact = rank(_form_rows(entries, point, n, skew))
     if exact != r:
         raise RuntimeError(
             f"exact rank {exact} at the best trial point exceeds the modular "
             f"rank {r}; the modulus is bad for this input"
         )
+    return best
 
 
-def _rank_ceiling(n: int, pairs, z: int = 0) -> int:
+def _rank_ceiling(n: int, pairs, z: int) -> int:
     """The rank ceiling of the module docstring, B the graph of the edges pairs."""
     return min(2 * len(blossom_matching(n, pairs)), (n - z) & ~1)
 
 
-def certified_generic_rank(sm: StructureMatrix) -> int:
-    if sm.n > CERTIFY_DIM_LIMIT:
+def certified_generic_rank(g: LieAlgebra) -> int:
+    if g.dim > CERTIFY_DIM_LIMIT:
         raise CertifySizeError(
-            f"certified rank gated at dimension {CERTIFY_DIM_LIMIT}; this algebra has {sm.n}"
+            f"certified rank gated at dimension {CERTIFY_DIM_LIMIT}; this algebra has {g.dim}"
         )
     # M(g) times the lcm of the denominators: the same rank, over Z[y].
-    rows = [{} for _ in range(sm.n)]
-    for i, j, coeffs in _integer_entries(sm.entries):
+    rows = [{} for _ in range(g.dim)]
+    for i, j, coeffs in _integer_entries(_bracket_entries(g)):
         rows[i][j] = dict(coeffs)
         rows[j][i] = {k: -c for k, c in coeffs}
     return bareiss_rank(rows)
-
-
-def generic_rank(
-    sm: StructureMatrix,
-    *,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    prime: int | None = None,
-) -> int:
-    _check_trials(trials)
-    p = _check_prime(prime)
-    entries = _integer_entries(sm.entries)
-    ceiling = _rank_ceiling(sm.n, ((i, j) for i, j, _ in sm.entries))
-    r, point = _randomized_rank(entries, sm.n, trials, seed, p, skew=True, ceiling=ceiling)
-    if r != ceiling:
-        _check_modulus(entries, sm.n, True, r, point)
-    return r
 
 
 @dataclass(frozen=True)
@@ -178,13 +156,6 @@ class LinearFunctional:
     @classmethod
     def of(cls, values) -> "LinearFunctional":
         return cls(tuple(Fraction(v) for v in values))
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
-def _bracket_entries(g: LieAlgebra):
-    return ((i, j, coeffs.items()) for (i, j), coeffs in g.brackets.items())
 
 
 def _b_ell_rows(g: LieAlgebra, coords, entries) -> list[dict]:
@@ -250,17 +221,12 @@ def index(
     _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
-    best_point = None
-    entries = _integer_entries(_bracket_entries(g))
     z = center(g).dim
     if certify:
-        r = certified_generic_rank(structure_matrix(g))
+        r = certified_generic_rank(g)
         method = {"mode": "certified", "dim_limit": CERTIFY_DIM_LIMIT}
     else:
-        ceiling = _rank_ceiling(n, g.brackets, z)
-        r, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True, ceiling=ceiling)
-        if r != ceiling:
-            _check_modulus(entries, n, True, r, best_point)
+        r = _rank_ceiling(n, g.brackets, z)
         method = {
             "mode": "randomized",
             "trials": trials,
@@ -268,14 +234,12 @@ def index(
             "prime": p,
             "failure_bound": format((n / p) ** trials, ".3e") if n else "0",
         }
-    if want_witness and n and best_point is None:
-        rr, best_point = _randomized_rank(entries, n, trials, seed, p, skew=True, ceiling=r)
-        if rr != r:
-            raise RuntimeError(
-                "randomized search did not reach the certified rank; "
-                "raise trials to find a witness"
-            )
-    witness = LinearFunctional.of(best_point) if want_witness and n else None
+    point = None
+    # The trials rank up to r: the ceiling, or the certified rank for a witness.
+    if not certify or want_witness and n:
+        entries = _integer_entries(_bracket_entries(g))
+        r, point = _trial_rank(entries, n, True, r, trials, seed, p, certify)
+    witness = LinearFunctional.of(point) if want_witness and n else None
     chi = n - r
     if r % 2:
         raise RuntimeError("generic rank of a skew matrix came out odd; this is a bug")
@@ -315,14 +279,7 @@ class OomsResult:
     claimed_index: int | None
 
 
-def ooms_criterion(
-    g: LieAlgebra,
-    h: Subspace,
-    *,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
-    prime: int | None = None,
-) -> OomsResult:
+def ooms_criterion(g: LieAlgebra, h: Subspace) -> OomsResult:
     """Abelian-subalgebra index criterion.
 
     For abelian h <= g, the index equals 2 dim h - dim g exactly when the
@@ -332,16 +289,13 @@ def ooms_criterion(
     w = abelian_witness(g, h)
     if w is not None:
         raise NotAbelianError(*w)
-    _check_trials(trials)
-    p = _check_prime(prime)
     n = g.dim
     entries = _integer_entries(
         (i, t, w.items())
         for t, hv in enumerate(h.basis)
         for i, w in g.ad_images(_sparse(hv)).items()
     )
-    r, point = _randomized_rank(entries, n, trials, seed, p, skew=False)
-    _check_modulus(entries, n, False, r, point)
+    r, _ = _trial_rank(entries, n, False, ceiling=None)
     required = n - h.dim
     holds = r == required
     return OomsResult(holds, r, required, 2 * h.dim - n if holds else None)

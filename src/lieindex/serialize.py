@@ -66,6 +66,7 @@ def algebra_from_dict(d: Any) -> LieAlgebra:
         for k, v in c.items():
             _expect(isinstance(k, str) and k.isascii() and k.isdigit(), "coefficient key {!r} must be a digit string", k)
             coeffs[int(k)] = parse_scalar(v)
+        _expect(len(coeffs) == len(c), "duplicate coefficient position in bracket ({}, {})", i, j)  # "2" and "02" name one position
         brackets[(i, j)] = coeffs
     return LieAlgebra(n, labels, brackets)
 

@@ -60,7 +60,6 @@ from .index import (
     index_by_sampling,
     ooms_criterion,
     stabilizer,
-    structure_matrix,
 )
 
 
@@ -520,7 +519,7 @@ def _criterion_14() -> list[_Row]:
             "props/certified-matches",
             "ok",
             _first_failure(
-                (name, certified_generic_rank(structure_matrix(e.algebra)) == e.report.generic_rank)
+                (name, certified_generic_rank(e.algebra) == e.report.generic_rank)
                 for name, e in small
             ),
             "fraction-free elimination vs randomized rank, dim <= 20",

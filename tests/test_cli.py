@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,21 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "free", "--generators", "5", "--class", "5")
         assert code == 3 and "829" in err
 
+    def test_class_far_above_the_ceiling(self, capsys):
+        # The layer sizes stop at the first partial sum above the ceiling, so
+        # a huge class neither runs for seconds nor overflows int-to-str.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "free", "--generators", "2", "--class", "20000")
+        assert code == 3 and out == "" and "class-12 quotient has dimension 747" in err
+        assert time.perf_counter() - start < 1
+
+    def test_one_generator_of_any_class(self, capsys):
+        # Every layer past the first is empty; construction stops at the first.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "construct", "free", "--generators", "1", "--class", "12000")
+        assert code == 0 and json.loads(out) == {"brackets": [], "dim": 1, "labels": ["x1"]}
+        assert time.perf_counter() - start < 1
+
 
 class TestIndex:
     def test_report(self, capsys, tmp_path):
@@ -138,6 +154,12 @@ class TestIndex:
         path.write_text(json.dumps({"dim": 3, "brackets": [entry, entry]}))
         code, out, err = run(capsys, "index", str(path))
         assert code == 2 and out == "" and "duplicate bracket entry for (0, 1)" in err
+
+    def test_duplicate_coefficient_position(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "c": {"2": "1", "02": "5"}}]}))
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 2 and out == "" and "duplicate coefficient position in bracket (0, 1)" in err
 
     def test_certify_gate(self, capsys, tmp_path):
         path = write_algebra(tmp_path, LieAlgebra(41))

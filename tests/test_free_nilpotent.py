@@ -167,6 +167,13 @@ class TestMetabelian:
         meta = build_metabelian(2, 4)
         assert [len(meta.layer_range(w)) for w in range(1, 5)] == [2, 1, 2, 3]
 
+    def test_one_generator_stops_at_the_empty_layer(self):
+        # Every layer past the first is empty; each still has its range.
+        for build in (build_free_nilpotent, build_metabelian):
+            built = build(1, 50)
+            assert built.dim == 1 and built.algebra.brackets == {}
+            assert [len(built.layer_range(w)) for w in range(1, 51)] == [1] + [0] * 49
+
     def test_comb_layers_match_bahturin(self):
         # Layer k of M(g, c) has dimension (k-1) C(g+k-2, k) for k >= 2; the
         # comb trees count it for every g, c >= 2 with dim M(g, c) <= 500.

@@ -27,12 +27,10 @@ from lieindex.index import (
     alpha_sandwich,
     b_ell_matrix,
     certified_generic_rank,
-    generic_rank,
     index,
     index_by_sampling,
     ooms_criterion,
     stabilizer,
-    structure_matrix,
 )
 from lieindex.linalg import DEFAULT_PRIME
 from lieindex.serialize import dumps, report_to_dict
@@ -94,20 +92,12 @@ def catalogue_algebras():
 
 
 class TestStructureMatrix:
-    def test_heisenberg_entries(self):
-        sm = structure_matrix(heisenberg())
-        assert sm.n == 3
-        assert sm.entries == ((0, 1, ((2, Fraction(1)),)),)
-
     def test_poly_matrix_keeps_rational_constants(self):
-        # The entries are M(g) itself; only the certified rank scales them to Z[y].
+        # M(g) keeps its rational constants; only the certified rank scales
+        # them to Z[y].
         g = rescaled(build_free_nilpotent(2, 4).algebra)
-        sm = structure_matrix(g)
-        for i, j, coeffs in sm.entries:
-            assert dict(coeffs) == g.brackets[i, j]
-            assert any(c.denominator > 1 for _, c in coeffs)
-        g0 = build_free_nilpotent(2, 4).algebra
-        assert certified_generic_rank(sm) == certified_generic_rank(structure_matrix(g0))
+        assert all(any(c.denominator > 1 for c in cc.values()) for cc in g.brackets.values())
+        assert certified_generic_rank(g) == certified_generic_rank(build_free_nilpotent(2, 4).algebra)
 
 
 class TestGenericRank:
@@ -125,19 +115,19 @@ class TestGenericRank:
 
     @pytest.mark.parametrize("build,expected", CASES)
     def test_both_routes_agree(self, build, expected):
-        sm = structure_matrix(build())
-        assert generic_rank(sm) == expected
-        assert certified_generic_rank(sm) == expected
+        g = build()
+        assert index(g).generic_rank == expected
+        assert certified_generic_rank(g) == expected
 
     def test_randomized_rank_is_stable_across_seeds(self):
-        sm = structure_matrix(build_free_nilpotent(3, 3).algebra)
-        assert {generic_rank(sm, seed=s) for s in range(5)} == {6}
+        g = build_free_nilpotent(3, 3).algebra
+        assert {index(g, seed=s).generic_rank for s in range(5)} == {6}
 
     def test_certify_gate(self):
         # Both sides of the gate at CERTIFY_DIM_LIMIT = 40.
-        assert certified_generic_rank(structure_matrix(LieAlgebra(40))) == 0
+        assert certified_generic_rank(LieAlgebra(40)) == 0
         with pytest.raises(CertifySizeError, match="gated at dimension 40; this algebra has 41"):
-            certified_generic_rank(structure_matrix(LieAlgebra(41)))
+            certified_generic_rank(LieAlgebra(41))
 
 
 class TestIndexReport:
@@ -202,10 +192,7 @@ class TestIndexReport:
         alg = LieAlgebra(3, None, {(0, 1): {2: c}})
         with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
             index(alg)
-        sm = structure_matrix(alg)
-        assert certified_generic_rank(sm) == 2
-        with pytest.raises(RuntimeError, match="exact rank 2 .* exceeds the modular rank 0"):
-            generic_rank(sm)
+        assert certified_generic_rank(alg) == 2
 
     @pytest.mark.parametrize(
         "c", [Fraction(1, DEFAULT_PRIME), Fraction(3, DEFAULT_PRIME**2)], ids=["1/p", "3/p^2"]
@@ -217,8 +204,7 @@ class TestIndexReport:
         assert rep.index == index(alg, certify=True).index == 1
         assert rep.generic_rank == 2
         assert index(alg, want_witness=True).witness is not None
-        sm = structure_matrix(alg)
-        assert generic_rank(sm) == certified_generic_rank(sm) == 2
+        assert certified_generic_rank(alg) == 2
 
     def test_denominator_that_stays_bad_is_refused(self):
         # Scaled by p, [x2, x3] = p*x4 vanishes mod p: the trials rank 2, the
@@ -255,14 +241,11 @@ class TestIndexReport:
 
     def test_trials_below_one_rejected(self):
         g = heisenberg()
-        line = Subspace.from_vectors(3, [[0, 0, 1]])
         for trials in (0, -2):
             with pytest.raises(ValueError, match="trials"):
                 index(g, trials=trials)
             with pytest.raises(ValueError, match="trials"):
-                generic_rank(structure_matrix(g), trials=trials)
-            with pytest.raises(ValueError, match="trials"):
-                ooms_criterion(g, line, trials=trials)
+                index(g, trials=trials, certify=True)
 
 
 class TestSampling:
@@ -329,7 +312,7 @@ class TestRankCeiling:
         small.append(("F(2,6)", build_free_nilpotent(2, 6).algebra))
         assert len(small) == 216
         for name, g in small:
-            assert certified_generic_rank(structure_matrix(g)) == ceiling(g), name
+            assert certified_generic_rank(g) == ceiling(g), name
 
     @staticmethod
     def _two_step(rng):
@@ -350,7 +333,7 @@ class TestRankCeiling:
         algebras += [self._two_step(rng) for _ in range(12)]
         loose = 0
         for g in algebras + [shifted(g) for g in algebras]:
-            r, c = certified_generic_rank(structure_matrix(g)), ceiling(g)
+            r, c = certified_generic_rank(g), ceiling(g)
             assert r <= c
             loose += r < c
         assert loose >= 5
@@ -391,7 +374,7 @@ class TestRankCeiling:
         assert index(degenerate).index == 2
         algebras = [g for _, g in catalogue_algebras()] + [degenerate]
         stopped = self._reports(algebras)
-        monkeypatch.setattr(index_module, "_rank_ceiling", lambda n, pairs, z=0: n + 1)
+        monkeypatch.setattr(index_module, "_rank_ceiling", lambda n, pairs, z: n + 1)
         assert self._reports(algebras) == stopped
 
     def test_bad_moduli_miss_the_ceiling(self, monkeypatch):
@@ -406,7 +389,7 @@ class TestRankCeiling:
             return dumps(report_to_dict(rep))
 
         stopped = outcome()
-        monkeypatch.setattr(index_module, "_rank_ceiling", lambda n, pairs, z=0: n + 1)
+        monkeypatch.setattr(index_module, "_rank_ceiling", lambda n, pairs, z: n + 1)
         assert outcome() == stopped
 
     def test_one_trial_and_no_exact_rank_at_the_ceiling(self, monkeypatch):
@@ -512,10 +495,9 @@ class TestStabilizer:
 
 class TestPrimeOverride:
     def test_small_or_composite_rejected(self):
-        with pytest.raises(ValueError):
-            index(heisenberg(), prime=101)
-        with pytest.raises(ValueError):
-            index(heisenberg(), prime=(1 << 61) - 3)
+        for prime, certify in product((101, (1 << 61) - 3), (False, True)):
+            with pytest.raises(ValueError, match="modulus must be a prime"):
+                index(heisenberg(), prime=prime, certify=certify)
 
     def test_alternative_prime_accepted(self):
         p = int(sympy.nextprime(1 << 61))

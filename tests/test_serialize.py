@@ -129,6 +129,12 @@ class TestAlgebraPayload:
         with pytest.raises(ValueError, match=r"^duplicate bracket entry for \(0, 2\)$"):
             algebra_from_dict(payload)
 
+    def test_duplicate_coefficient_position(self):
+        # "2" and "02" name the same basis vector; the second once overwrote the first.
+        payload = {"dim": 3, "brackets": [{"i": 0, "j": 1, "c": {"2": "1", "02": "5"}}]}
+        with pytest.raises(ValueError, match=r"^duplicate coefficient position in bracket \(0, 1\)$"):
+            algebra_from_dict(payload)
+
 
 class TestFunctionalPayload:
     def test_round_trip(self):
