@@ -61,9 +61,18 @@ def _prime_from_env() -> int | None:
     return _check_prime(prime)
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:  # json.load alone keeps the last value of a repeated key
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _load_algebra(path: str) -> LieAlgebra:

@@ -78,8 +78,11 @@ def _bracket_entries(g: LieAlgebra):
 
 def _integer_entries(entries) -> list:
     """Entries (i, j, ((k, c), ...)) times the lcm d of all denominators, which
-    keeps every rank over Q, and over F_p when p does not divide d."""
+    keeps every rank over Q, and over F_p when p does not divide d.  All-int
+    entries come back as they are; an integral Fraction becomes an int."""
     entries = [(i, j, list(coeffs)) for i, j, coeffs in entries]
+    if all(type(c) is int for _, _, coeffs in entries for _, c in coeffs):
+        return entries
     d = lcm(*(c.denominator for _, _, coeffs in entries for _, c in coeffs))
     return [(i, j, [(k, c.numerator * (d // c.denominator)) for k, c in coeffs])
             for i, j, coeffs in entries]

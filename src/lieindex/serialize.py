@@ -1,7 +1,8 @@
 """JSON interchange for algebras, functionals, graphs, and reports.
 
-Scalars travel as strings "p" or "p/q" so payloads stay exact. All dumps are
-deterministic: keys sorted, compact separators unless pretty-printing.
+Scalars travel as strings "p" or "p/q" so payloads stay exact; an algebra
+payload parses each distinct scalar string, and checks each distinct key, once.
+All dumps are deterministic: keys sorted, compact unless pretty-printing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ _SCALAR_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
 
 def format_scalar(x: Fraction | int) -> str:
-    return str(Fraction(x))  # "p" when integral, else "p/q"
+    return str(x) if type(x) in (int, Fraction) else str(Fraction(x))  # "p" or "p/q"
 
 
 def parse_scalar(s: Any) -> int | Fraction:
@@ -29,11 +30,10 @@ def parse_scalar(s: Any) -> int | Fraction:
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
-    brackets = []
-    for (i, j), coeffs in sorted(g.brackets.items()):
-        brackets.append(
-            {"i": i, "j": j, "c": {str(k): format_scalar(c) for k, c in sorted(coeffs.items())}}
-        )
+    brackets = [
+        {"i": i, "j": j, "c": {str(k): format_scalar(c) for k, c in sorted(coeffs.items())}}
+        for (i, j), coeffs in sorted(g.brackets.items())
+    ]
     return {"dim": g.dim, "labels": list(g.labels), "brackets": brackets}
 
 
@@ -48,14 +48,12 @@ def algebra_from_dict(d: Any) -> LieAlgebra:
     n = d["dim"]
     labels = d.get("labels")
     if labels is not None:
-        _expect(
-            isinstance(labels, list) and all(isinstance(s, str) for s in labels),
-            "labels must be a list of strings",
-        )
+        _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels), "labels must be a list of strings")
         labels = tuple(labels)
     raw = d.get("brackets", [])
     _expect(isinstance(raw, list), "brackets must be a list")
     brackets: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+    positions, values = {}, {}  # each distinct key and scalar string, checked once
     for entry in raw:
         _expect(isinstance(entry, dict), "each bracket must be an object")
         i, j, c = entry.get("i"), entry.get("j"), entry.get("c")
@@ -64,8 +62,12 @@ def algebra_from_dict(d: Any) -> LieAlgebra:
         _expect((i, j) not in brackets, "duplicate bracket entry for ({}, {})", i, j)
         coeffs = {}
         for k, v in c.items():
-            _expect(isinstance(k, str) and k.isascii() and k.isdigit(), "coefficient key {!r} must be a digit string", k)
-            coeffs[int(k)] = parse_scalar(v)
+            if k not in positions:
+                _expect(isinstance(k, str) and k.isascii() and k.isdigit(), "coefficient key {!r} must be a digit string", k)
+                positions[k] = int(k)
+            if not isinstance(v, str) or v not in values:  # parse_scalar refuses a non-str
+                values[v] = parse_scalar(v)
+            coeffs[positions[k]] = values[v]
         _expect(len(coeffs) == len(c), "duplicate coefficient position in bracket ({}, {})", i, j)  # "2" and "02" name one position
         brackets[(i, j)] = coeffs
     return LieAlgebra(n, labels, brackets)
@@ -81,9 +83,7 @@ def functional_from_dict(d: Any) -> LinearFunctional:
 
 
 def report_to_dict(report: IndexReport) -> dict:
-    witness = None
-    if report.witness is not None:
-        witness = [format_scalar(c) for c in report.witness.coords]
+    witness = None if report.witness is None else [format_scalar(c) for c in report.witness.coords]
     return {
         "dim": report.dim,
         "index": report.index,

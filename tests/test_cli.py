@@ -161,6 +161,27 @@ class TestIndex:
         code, out, err = run(capsys, "index", str(path))
         assert code == 2 and out == "" and "duplicate coefficient position in bracket (0, 1)" in err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"dim": 3, "brackets": [{"i": 0, "j": 1, "c": {"2": "1", "2": "5"}}]}', "'2'"),
+            ('{"dim": 3, "dim": 5, "brackets": []}', "'dim'"),
+        ],
+        ids=["coefficient", "dim"],
+    )
+    def test_repeated_json_key(self, capsys, tmp_path, text, key):
+        # json.load alone keeps the last value: [x0, x1] = 5 x2, or dim 5.
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 2 and out == "" and f"JSON object repeats the key {key}" in err
+
+    def test_list_scalar(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "c": {"2": [1]}}]}))
+        code, out, err = run(capsys, "index", str(path))
+        assert code == 2 and out == "" and "malformed rational [1]" in err and "Traceback" not in err
+
     def test_certify_gate(self, capsys, tmp_path):
         path = write_algebra(tmp_path, LieAlgebra(41))
         code, _, err = run(capsys, "index", path, "--certify")

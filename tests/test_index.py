@@ -23,6 +23,7 @@ from lieindex.index import (
     IndexReport,
     LinearFunctional,
     _form_ranks,
+    _integer_entries,
     _rank_ceiling,
     alpha_sandwich,
     b_ell_matrix,
@@ -100,6 +101,26 @@ class TestStructureMatrix:
         assert certified_generic_rank(g) == certified_generic_rank(build_free_nilpotent(2, 4).algebra)
 
 
+class TestIntegerEntries:
+    def test_int_constants_pass_through(self):
+        entries = [(0, 1, [(2, 3)]), (0, 2, [(1, -2), (2, 2**70)])]
+        out = _integer_entries(entries)
+        assert out == entries
+        assert all(type(c) is int for _, _, coeffs in out for _, c in coeffs)
+
+    def test_integral_fractions_become_int(self):
+        # Subspace bases hand ooms_criterion Fraction(n, 1) constants; the
+        # modular rank needs ints.
+        out = _integer_entries([(0, 1, [(2, Fraction(6, 2))]), (0, 2, [(1, Fraction(3, 1)), (2, 4)])])
+        assert out == [(0, 1, [(2, 3)]), (0, 2, [(1, 3), (2, 4)])]
+        assert all(type(c) is int for _, _, coeffs in out for _, c in coeffs)
+
+    def test_rational_constants_scaled_by_lcm(self):
+        out = _integer_entries([(0, 1, [(2, Fraction(1, 2))]), (0, 2, [(1, Fraction(-2, 3)), (2, 5)])])
+        assert out == [(0, 1, [(2, 3)]), (0, 2, [(1, -4), (2, 30)])]
+        assert all(type(c) is int for _, _, coeffs in out for _, c in coeffs)
+
+
 class TestGenericRank:
     # (builder, expected rank): free algebras from the closed-form index
     # values, checked here against both rank routes.
@@ -174,6 +195,9 @@ class TestIndexReport:
                 build_graph_algebra(SimpleGraph(5, tuple(combinations(range(5), 2)))),
                 "bb4459c3f99f7e18022e27b1b28c49d61f16e419f239f32f9cab109937d533e4",
             ),
+            (build_free_nilpotent(4, 4).algebra, "56ee93aa267baa553261069b4d1186e4b47876807b9eb39c7d02e159a80468f5"),
+            (build_free_nilpotent(3, 5).algebra, "07bbcc3ae63d9b589e8a056dfd15ae78fff4f3d80b34969ac436c3364e189952"),
+            (build_metabelian(3, 5).algebra, "5e4a76ae3e2f1a56a695e942f498d8409369cc50ee0283a0557325a4d7dba0da"),
         ]
         for alg, digest in golden:
             payload = dumps(report_to_dict(index(alg, want_witness=True)))

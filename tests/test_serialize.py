@@ -29,6 +29,13 @@ class TestScalars:
         assert format_scalar(Fraction(-3, 6)) == "-1/2"
         assert format_scalar(0) == "0"
 
+    @pytest.mark.parametrize(
+        "x", [0, 7, -7, 2**64 + 1, -(2**70), Fraction(3), Fraction(-3, 6), Fraction(2**65, 3), True, False, 0.5]
+    )
+    def test_format_matches_fraction_text(self, x):
+        # int and Fraction print their own text; a bool or a float goes through Fraction.
+        assert format_scalar(x) == str(Fraction(x))
+
     def test_parse_round_trip(self):
         for s in ["0", "7", "-12", "3/4", "-5/9"]:
             assert format_scalar(parse_scalar(s)) == s
@@ -135,6 +142,25 @@ class TestAlgebraPayload:
         with pytest.raises(ValueError, match=r"^duplicate coefficient position in bracket \(0, 1\)$"):
             algebra_from_dict(payload)
 
+
+    @pytest.mark.parametrize("value", [[1], {}, 1, 1.5, None, True, "1.0"], ids=repr)
+    @pytest.mark.parametrize("after_valid", [False, True], ids=["first", "after-valid"])
+    def test_repeated_scalar_keeps_its_refusal(self, value, after_valid):
+        # Parsing each scalar string once must not let a non-string or a
+        # malformed string through, nor turn a list into a TypeError.
+        brackets = [{"i": 0, "j": 1, "c": {"2": value}}, {"i": 0, "j": 2, "c": {"2": value}}]
+        if after_valid:
+            brackets.insert(0, {"i": 1, "j": 2, "c": {"0": "1"}})
+        message = re.escape(f"malformed rational {value!r}; expected 'p' or 'p/q'")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            algebra_from_dict({"dim": 3, "brackets": brackets})
+
+    def test_duplicate_coefficient_position_after_seen_keys(self):
+        # Keys "2" and "02" already checked in an earlier bracket still name one position.
+        brackets = [{"i": 0, "j": 2, "c": {"2": "1"}}, {"i": 1, "j": 2, "c": {"02": "1"}}]
+        payload = {"dim": 3, "brackets": brackets + [{"i": 0, "j": 1, "c": {"2": "1", "02": "5"}}]}
+        with pytest.raises(ValueError, match=r"^duplicate coefficient position in bracket \(0, 1\)$"):
+            algebra_from_dict(payload)
 
 class TestFunctionalPayload:
     def test_round_trip(self):
