@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SparseEchelon, _sparse, _subtract
+from .linalg import SparseEchelon, _sparse, _subtract, rank
 
 Coeffs = dict[int, int | Fraction]  # exact values: int when integral
 
@@ -245,6 +245,13 @@ def center(g: LieAlgebra) -> Subspace:
             rows.setdefault((j, k), {})[i] = c
             rows.setdefault((i, k), {})[j] = -c
     return Subspace(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
+
+
+def _center_dim(g: LieAlgebra) -> int:
+    """dim z(g), z(g) = ker(ad): n minus the rank of the rows ad x_i, {j*n + k: c}."""
+    n = g.dim
+    return n - rank({j * n + k: c for j, w in row.items() for k, c in w.items()}
+                    for row in g._ad.values())
 
 
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:

@@ -228,17 +228,17 @@ def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlge
         cols.append(col)
     for _ in range(2, n):
         cols.append(g.sparse_bracket(cols[0], cols[-1]))
-    # Row m is e'_m tagged with e_m in front of it.  Every column of the
-    # vector part becomes a pivot, so reducing a vector w there leaves minus
-    # its coordinates on the new basis in the tags.
-    ech = SparseEchelon({m: 1, **{n + r: c for r, c in col.items()}}
+    # Row m is e'_m tagged with e_m, coordinate r at column 2n - 1 - r: e'_m
+    # leads with e_m, so each row is its own pivot, stored as given.  Reducing
+    # w on the pivots leaves minus its coordinates on the new basis in the tags.
+    ech = SparseEchelon({m: 1, **{2 * n - 1 - r: c for r, c in col.items()}}
                         for m, col in enumerate(cols))
     brackets: dict[tuple[int, int], Coeffs] = {}
     for s in range(n):
         for t in range(s + 1, n):
             w = g.sparse_bracket(cols[s], cols[t])
             if w:
-                coords = ech.reduce({n + k: c for k, c in w.items()})
+                coords = ech.reduce({2 * n - 1 - k: c for k, c in w.items()})
                 brackets[(s, t)] = {r: -c for r, c in sorted(coords.items())}
     alg = LieAlgebra(n, _labels(n), brackets)
     if check_jacobi(alg) is not None:

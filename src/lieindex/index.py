@@ -21,6 +21,7 @@ squared Pfaffian, a signed sum over the perfect matchings in B of its rows
 (Tutte 1947; Lovasz 1979), and z(g) lies in the kernel of every form.  As
 rank mod p <= exact rank at the point <= generic rank <= ceiling, a trial
 at the ceiling ends the trials, and the exact check at its point is skipped.
+index() reads dim z(g) as n - rank(ad); center() still builds the basis.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .algebra import (
     LieAlgebra,
     NotAbelianError,
     Subspace,
+    _center_dim,
     abelian_witness,
     center,
 )
@@ -224,7 +226,7 @@ def index(
     _check_trials(trials)
     p = _check_prime(prime)
     n = g.dim
-    z = center(g).dim
+    z = _center_dim(g)
     if certify:
         r = certified_generic_rank(g)
         method = {"mode": "certified", "dim_limit": CERTIFY_DIM_LIMIT}
@@ -263,6 +265,7 @@ def index_by_sampling(
     passes min(2 nu(B(g)), n - dim z(g) rounded down to even), the ceiling
     of the module docstring (nu(B(g)) the bracket graph's matching number).
     So sampling stops at the first rank at it, with the full-sample minimum.
+    Its dim z(g) comes from center(), a route independent of index()'s.
     """
     ceiling = _rank_ceiling(g.dim, g.brackets, center(g).dim)
     rng = random.Random(seed)

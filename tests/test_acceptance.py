@@ -4,8 +4,14 @@ Each criterion prints one summary line so a full run reads as a checklist;
 failures list the offending case ids with expected and computed values.
 """
 
+from collections import Counter
+
 import pytest
 
+from lieindex import verify
+from lieindex.algebra import Subspace
+from lieindex.filiform import build_L, build_Q
+from lieindex.index import StabilizerResult
 from lieindex.verify import CRITERION_NAMES, all_cases, cases_for_criterion, extra_cases
 
 
@@ -49,3 +55,30 @@ def test_section_filter():
         assert all(c.section == section for c in subset)
         assert [c.id for c in subset] == [c.id for c in full if c.section == section]
     assert all_cases(99) == []
+
+
+class TestStabilizerProps:
+    # props/stabilizer-codim-even and props/center-in-stabilizer share three
+    # stabilizers per small algebra; each row must still catch a bad one.
+    @pytest.fixture
+    def zero_stabilizer(self, monkeypatch):
+        monkeypatch.setattr(verify, "stabilizer", lambda g, ell: StabilizerResult(ell, Subspace.zero(g.dim)))
+
+    def test_zero_stabilizer_fails_both_rows(self, zero_stabilizer):
+        computed = {c.id: c.computed for c in cases_for_criterion(14)}
+        assert computed["props/center-in-stabilizer"] != "ok"
+        assert computed["props/stabilizer-codim-even"] != "ok"
+
+    def test_zero_stabilizer_checks_parity_by_dimension(self, zero_stabilizer):
+        # Codimension n: odd only in odd dimension, while no dimension has z = 0.
+        assert verify._stabilizer_checks(build_L(5).algebra, 0) == (False, False)
+        assert verify._stabilizer_checks(build_Q(6).algebra, 0) == (True, False)
+
+    def test_three_stabilizers_per_small_algebra(self, monkeypatch):
+        seen = Counter()
+        original = verify.stabilizer
+        monkeypatch.setattr(verify, "stabilizer", lambda g, ell: seen.update([id(g)]) or original(g, ell))
+        cases = cases_for_criterion(14)
+        assert all(c.passed for c in cases)
+        assert set(seen.values()) == {3}
+        assert sum(seen.values()) == 582

@@ -7,6 +7,7 @@ import sympy
 from lieindex.algebra import (
     LieAlgebra,
     Subspace,
+    _center_dim,
     abelian_witness,
     bracket_span,
     center,
@@ -22,6 +23,8 @@ from lieindex.free_nilpotent import build_fg3_explicit_basis, build_free_nilpote
 from lieindex.graphs import SimpleGraph, build_graph_algebra
 from lieindex.index import alpha_sandwich, ooms_criterion
 from lieindex.serialize import algebra_from_dict, algebra_to_dict, dumps
+from lieindex.verify import _CORPUS
+from test_index import rescaled, shifted
 
 
 def heisenberg():
@@ -361,6 +364,17 @@ class TestCenter:
 
     def test_zero_algebra(self):
         assert center(LieAlgebra(0)).dim == 0
+
+    def test_dimension_from_the_rank_of_ad(self):
+        # index() reads dim z(g) as n - rank(ad); center() builds the basis.
+        families = (_CORPUS.free, _CORPUS.explicit, _CORPUS.meta, _CORPUS.graphs, _CORPUS.filiform)
+        corpus = [e.algebra for family in families for e in family.values()]
+        assert len(corpus) == 220
+        l5, f34, m34 = build_L(5).algebra, build_free_nilpotent(3, 4).algebra, build_metabelian(3, 4).algebra
+        copies = [shifted(l5), shifted(f34), shifted(m34), rescaled(f34), rescaled(shifted(m34))]
+        assert any(type(c) is Fraction for g in copies for cc in g.brackets.values() for c in cc.values())
+        for g in corpus + copies + [LieAlgebra(0), LieAlgebra(3)]:
+            assert _center_dim(g) == center(g).dim, g
 
 
 class TestSeries:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from lieindex.filiform import (
 )
 from lieindex.free_nilpotent import build_free_nilpotent
 from lieindex.index import LinearFunctional, index, stabilizer
+from lieindex.serialize import algebra_to_dict, dumps
+from lieindex.verify import _CORPUS
 
 
 class TestBuilders:
@@ -275,6 +278,16 @@ class TestDeformations:
         a = random_adapted_deformation(base, 3)
         b = random_adapted_deformation(base, 3)
         assert a.algebra == b.algebra
+
+    def test_catalogue_deformations_are_pinned(self):
+        # The catalogue digest checks their indices, not their constants: these
+        # bytes pin every structure constant of the 84 catalogue deformations.
+        entries = [e for name, e in _CORPUS.filiform.items() if "+s" in name]
+        assert len(entries) == 84
+        payload = dumps([algebra_to_dict(e.algebra) for e in entries])
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "92f80ca172d5163e0a6a33ea991ca5528469e1b0b6f4d66bed32abf4b04d0053"
+        )
 
     def test_failed_jacobi_check_raises(self, monkeypatch):
         # A RuntimeError rather than an assert, so the check also runs under python -O.

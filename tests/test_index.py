@@ -33,7 +33,7 @@ from lieindex.index import (
     ooms_criterion,
     stabilizer,
 )
-from lieindex.linalg import DEFAULT_PRIME
+from lieindex.linalg import DEFAULT_PRIME, SparseEchelon
 from lieindex.serialize import dumps, report_to_dict
 
 index_module = importlib.import_module("lieindex.index")  # lieindex.index is the function
@@ -259,7 +259,7 @@ class TestIndexReport:
         # The z <= index check holds independently of the center routine, so
         # an oversized center must stop the report, also under python -O.
         module = importlib.import_module("lieindex.index")
-        monkeypatch.setattr(module, "center", lambda g: Subspace.full(g.dim))
+        monkeypatch.setattr(module, "_center_dim", lambda g: g.dim)
         with pytest.raises(RuntimeError, match="center dimension"):
             index(heisenberg())
 
@@ -428,6 +428,15 @@ class TestRankCeiling:
             monkeypatch.setattr(index_module, name, counted)
         index(build_free_nilpotent(3, 3).algebra)
         assert calls == {"rank_mod_p": 1, "rank": 0}
+
+
+    def test_no_center_basis_is_built(self, monkeypatch):
+        # index() reads dim z(g) as n - rank(ad): no kernel is eliminated.
+        kernels = []
+        original = SparseEchelon.kernel
+        monkeypatch.setattr(SparseEchelon, "kernel", lambda self, ncols: kernels.append(ncols) or original(self, ncols))
+        index(build_free_nilpotent(3, 3).algebra)
+        assert kernels == []
 
 
 class TestFormRank:
