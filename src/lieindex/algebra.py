@@ -254,11 +254,6 @@ def _center_dim(g: LieAlgebra) -> int:
                     for row in g._ad.values())
 
 
-def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    us, vs = _basis_rows(g, a), _basis_rows(g, b)
-    return Subspace.span(g.dim, (g.sparse_bracket(u, v) for u in us for v in vs))
-
-
 def lower_central_series(g: LieAlgebra) -> list[Subspace]:
     """[g^1, g^2, ...] with g^{k+1} = [g, g^k], computed until stabilization."""
     series = [Subspace.full(g.dim)]
@@ -295,7 +290,3 @@ def abelian_witness(g: LieAlgebra, s: Subspace):
             if g.sparse_bracket(vs[p], vs[q]):
                 return s.basis[p], s.basis[q]
     return None
-
-
-def is_abelian_subalgebra(g: LieAlgebra, s: Subspace) -> bool:
-    return abelian_witness(g, s) is None

@@ -6,7 +6,7 @@ be found or confirmed, or disagreeing routes), 2 bad input or parameters,
 3 construction or input algebra above the dimension ceiling, 4 structure
 constants violating the Jacobi identity, 5 certified rank requested above
 its size gate.  The env var LIEINDEX_PRIME overrides the modulus used by
-the randomized rank engine.
+the randomized rank engine of `index` and `graph-index` only.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _require(value, flag: str):
     return value
 
 
-def _cmd_construct(args, prime) -> int:
+def _cmd_construct(args) -> int:
     if args.kind in ("free", "metabelian"):
         g = _require(args.generators, "--generators")
         c = _require(args.nil_class, "--class")
@@ -132,7 +132,8 @@ def _cmd_construct(args, prime) -> int:
     return EXIT_OK
 
 
-def _cmd_index(args, prime) -> int:
+def _cmd_index(args) -> int:
+    prime = _prime_from_env()
     alg = _load_algebra(args.algebra)
     report = index(
         alg,
@@ -146,7 +147,7 @@ def _cmd_index(args, prime) -> int:
     return EXIT_OK
 
 
-def _cmd_invariants(args, prime) -> int:
+def _cmd_invariants(args) -> int:
     alg = _load_algebra(args.algebra)
     series = lower_central_series(alg)
     series_dims = [s.dim for s in series]
@@ -167,14 +168,15 @@ def _cmd_invariants(args, prime) -> int:
     return EXIT_OK
 
 
-def _cmd_stabilizer(args, prime) -> int:
+def _cmd_stabilizer(args) -> int:
     alg = _load_algebra(args.algebra)
     ell = functional_from_dict(_load_json(args.ell))
     _emit(stabilizer_to_dict(stabilizer(alg, ell)), args.pretty)
     return EXIT_OK
 
 
-def _cmd_graph_index(args, prime) -> int:
+def _cmd_graph_index(args) -> int:
+    prime = _prime_from_env()
     graph = SimpleGraph.from_dict(_load_json(args.graph))
     result = graph_index(graph, trials=args.trials, seed=args.seed, prime=prime)
     _emit(
@@ -190,7 +192,7 @@ def _cmd_graph_index(args, prime) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_paper(args, prime) -> int:
+def _cmd_verify_paper(args) -> int:
     cases = all_cases(args.section)
     payload = [
         {
@@ -280,8 +282,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        prime = _prime_from_env()
-        return args.func(args, prime)
+        return args.func(args)
     except ResourceLimitError as exc:
         _diag(str(exc))
         return EXIT_RESOURCE

@@ -15,13 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    Coeffs,
-    LieAlgebra,
-    Subspace,
-    check_jacobi,
-    lower_central_series,
-)
+from .algebra import Coeffs, LieAlgebra, check_jacobi
 from .free_nilpotent import _check_ceiling
 from .index import index
 from .linalg import SparseEchelon
@@ -112,63 +106,21 @@ def build_Q(n: int) -> FiliformAlgebra:
 def build_G(n: int, k: int) -> FiliformAlgebra:
     """Semidirect family with index n - k + 1 (k odd, 3 <= k <= n).
 
-    Built literally as a one-dimensional algebra acting on an (n-1)-dim core
-    t_2 .. t_n via the shift t_i -> t_{i+1}, after checking that the shift
-    is a derivation of the core bracket [t_i, t_j] = (-1)^i t_n for i+j = k.
+    e_1 acts by the shift e_i -> e_{i+1} on the ideal span(e_2 .. e_n), whose
+    bracket is [e_i, e_j] = (-1)^i e_n for i + j = k.  The shift is a
+    derivation of that bracket exactly when the Jacobi identity holds, which
+    check_jacobi confirms before the algebra is returned.
     """
     if k % 2 == 0 or not 3 <= k <= n:
         raise ValueError("need odd k with 3 <= k <= n")
     _check_ceiling(n, f"filiform algebra G{n},{k}")
-    core_dim = n - 1  # coordinates t_2 .. t_n, index t -> t - 2
-    core: dict[tuple[int, int], dict[int, int]] = {}
-    for i in range(2, k):
-        j = k - i
-        if i < j <= n:
-            core[(i - 2, j - 2)] = {core_dim - 1: (-1) ** i}
-
-    def core_bracket(a: int, b: int) -> dict[int, int]:
-        if a == b:
-            return {}
-        if a < b:
-            return core.get((a, b), {})
-        return {m: -c for m, c in core.get((b, a), {}).items()}
-
-    def shift(vec: dict[int, int]) -> dict[int, int]:
-        return {m + 1: c for m, c in vec.items() if m + 1 < core_dim}
-
-    for a in range(core_dim):
-        for b in range(a + 1, core_dim):
-            lhs = shift(core_bracket(a, b))
-            rhs: dict[int, int] = {}
-            for m, c in core_bracket(a + 1, b).items() if a + 1 < core_dim else ():
-                rhs[m] = rhs.get(m, 0) + c
-            for m, c in core_bracket(a, b + 1).items() if b + 1 < core_dim else ():
-                rhs[m] = rhs.get(m, 0) + c
-            rhs = {m: c for m, c in rhs.items() if c}
-            if lhs != rhs:
-                raise RuntimeError("shift map is not a derivation of the core")
-
-    brackets: dict[tuple[int, int], dict[int, int]] = {}
-    for i in range(1, n - 1):  # [e_1, e_{i+1}] = e_{i+2} from the action
-        brackets[(0, i)] = {i + 1: 1}
-    for (a, b), coeffs in core.items():
-        brackets[(a + 1, b + 1)] = {m + 1: c for m, c in coeffs.items()}
-    return make_filiform(LieAlgebra(n, _labels(n), brackets), "G", k)
-
-
-def filiform_ideals(f: FiliformAlgebra) -> list[Subspace]:
-    """g_1 .. g_n with g_i = span(e_i .. e_n); checks g_i equals the
-    (i-1)-th lower central series term for i >= 3."""
-    n = f.n
-    ideals = []
-    for i in range(1, n + 1):
-        vecs = [f.algebra.basis_vector(j) for j in range(i - 1, n)]
-        ideals.append(Subspace.from_vectors(n, vecs))
-    series = lower_central_series(f.algebra)
-    for i in range(3, n + 1):
-        if ideals[i - 1] != series[i - 2]:
-            raise RuntimeError(f"g_{i} differs from the series term")
-    return ideals
+    brackets = {(0, i): {i + 1: 1} for i in range(1, n - 1)}
+    for i in range(2, (k + 1) // 2):  # i < k - i; i >= 2 misses every chain key
+        brackets[(i - 1, k - i - 1)] = {n - 1: (-1) ** i}
+    alg = LieAlgebra(n, _labels(n), brackets)
+    if check_jacobi(alg) is not None:
+        raise RuntimeError("semidirect brackets fail the Jacobi identity")
+    return make_filiform(alg, "G", k)
 
 
 @dataclass(frozen=True)

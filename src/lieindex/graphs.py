@@ -73,13 +73,9 @@ def build_graph_algebra(graph: SimpleGraph) -> LieAlgebra:
     return LieAlgebra(n + m, tuple(labels), brackets)
 
 
-def maximum_matching(graph: SimpleGraph) -> tuple[Edge, ...]:
-    """A maximum matching via augmenting paths with blossom contraction."""
-    return blossom_matching(graph.vertex_count, graph.edges)
-
-
 def matching_number(graph: SimpleGraph) -> tuple[int, tuple[Edge, ...]]:
-    m = maximum_matching(graph)
+    """(matching number, a maximum matching), by blossom contraction."""
+    m = blossom_matching(graph.vertex_count, graph.edges)
     return len(m), m
 
 

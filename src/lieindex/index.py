@@ -163,20 +163,6 @@ class LinearFunctional:
         return cls(tuple(Fraction(v) for v in values))
 
 
-def _b_ell_rows(g: LieAlgebra, coords, entries) -> list[dict]:
-    """Sparse rows {j: ell([x_i, x_j])} of the skew form at ell = coords."""
-    if len(coords) != g.dim:
-        raise ValueError("functional length does not match algebra dimension")
-    return _form_rows(entries, coords, g.dim, skew=True)
-
-
-def b_ell_matrix(g: LieAlgebra, ell: LinearFunctional) -> list[list[Fraction]]:
-    """Skew bilinear form (x, y) -> ell([x, y]) on the chosen basis."""
-    zero = Fraction(0)
-    rows = _b_ell_rows(g, ell.coords, _bracket_entries(g))
-    return [[row.get(j, zero) for j in range(g.dim)] for row in rows]
-
-
 def _form_ranks(g: LieAlgebra, points):
     """Ranks over Q of the skew forms (x, y) -> ell([x, y]) of g at points ell."""
     entries = _integer_entries(_bracket_entries(g))
@@ -195,9 +181,12 @@ class StabilizerResult:
 
 
 def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
-    # Integer rows, the constants and ell cleared of denominators: the same kernel.
+    if len(ell.coords) != g.dim:
+        raise ValueError("functional length does not match algebra dimension")
+    # Integer rows {j: ell([x_i, x_j])}, the constants and ell cleared of
+    # denominators: the same kernel.
     point, _ = _clear_denominators(dict(enumerate(ell.coords)))
-    rows = _b_ell_rows(g, point, _integer_entries(_bracket_entries(g)))
+    rows = _form_rows(_integer_entries(_bracket_entries(g)), point, g.dim, skew=True)
     sub = Subspace(g.dim, SparseEchelon(rows).kernel(g.dim))
     if (g.dim - sub.dim) % 2:
         raise RuntimeError("skew form has odd rank; this is a bug")

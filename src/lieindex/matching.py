@@ -1,5 +1,5 @@
 """Maximum matchings by augmenting paths with blossom contraction, for
-graphs.maximum_matching and the rank ceiling of index.  The search runs on the
+graphs.matching_number and the rank ceiling of index.  The search runs on the
 vertices with an edge, relabelled in order: isolated ones cost nothing."""
 
 from collections import deque

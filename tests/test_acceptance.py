@@ -74,6 +74,24 @@ class TestStabilizerProps:
         assert verify._stabilizer_checks(build_L(5).algebra, 0) == (False, False)
         assert verify._stabilizer_checks(build_Q(6).algebra, 0) == (True, False)
 
+    def test_refused_odd_codimension_names_the_algebra(self, monkeypatch):
+        # stabilizer raises on an odd codimension; the row reports the algebra
+        # instead of ending the catalogue, and no other row moves.
+        before = {c.id: c.computed for c in cases_for_criterion(14)}
+        target = verify._CORPUS.filiform["Q6"].algebra
+        original = verify.stabilizer
+
+        def refuse(g, ell):
+            if g is target:
+                raise RuntimeError("skew form has odd rank; this is a bug")
+            return original(g, ell)
+
+        monkeypatch.setattr(verify, "stabilizer", refuse)
+        after = {c.id: c.computed for c in cases_for_criterion(14)}
+        assert before.pop("props/stabilizer-codim-even") == "ok"
+        assert after.pop("props/stabilizer-codim-even") == "filiform-Q6"
+        assert after == before
+
     def test_three_stabilizers_per_small_algebra(self, monkeypatch):
         seen = Counter()
         original = verify.stabilizer

@@ -9,12 +9,10 @@ from lieindex.algebra import (
     Subspace,
     _center_dim,
     abelian_witness,
-    bracket_span,
     center,
     centralizer,
     check_jacobi,
     derived_subalgebra_pair,
-    is_abelian_subalgebra,
     lower_central_series,
     nilpotency_class,
 )
@@ -397,12 +395,6 @@ class TestSeries:
         d1, d2 = derived_subalgebra_pair(two_step_free())
         assert (d1.dim, d2.dim) == (3, 0)
 
-    def test_bracket_span(self):
-        g = two_step_free()
-        full = Subspace.full(5)
-        d1 = bracket_span(g, full, full)
-        assert d1 == Subspace.from_vectors(5, [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-
 
 class TestSubalgebras:
     def test_abelian_witness(self):
@@ -412,20 +404,17 @@ class TestSubalgebras:
         assert w is not None
         u, v = w
         assert any(g.bracket(u, v))
-        assert is_abelian_subalgebra(g, Subspace.zero(5))
+        assert abelian_witness(g, Subspace.zero(5)) is None
 
     @pytest.mark.parametrize(
         "call",
         [
             centralizer,
-            lambda g, h: bracket_span(g, Subspace.full(3), h),
             abelian_witness,
-            is_abelian_subalgebra,
             ooms_criterion,
             lambda g, h: alpha_sandwich(g, h, chi=1),
         ],
-        ids=["centralizer", "bracket_span", "abelian_witness", "is_abelian_subalgebra",
-             "ooms_criterion", "alpha_sandwich"],
+        ids=["centralizer", "abelian_witness", "ooms_criterion", "alpha_sandwich"],
     )
     def test_subspace_of_another_ambient_space(self, call):
         # span(e3) in Q^4 is no subspace of the 3-dimensional Heisenberg

@@ -402,6 +402,21 @@ class TestEnvironmentPrime:
         path = write_algebra(tmp_path, heisenberg())
         assert run(capsys, "index", path)[0] == 2
 
+    def test_commands_without_a_modulus_ignore_it(self, capsys, tmp_path, monkeypatch):
+        apath = write_algebra(tmp_path, build_free_nilpotent(2, 3).algebra)
+        lpath = tmp_path / "ell.json"
+        lpath.write_text(json.dumps({"coords": ["0", "0", "0", "1", "1"]}))
+        commands = [
+            ("construct", "free", "--generators", "2", "--class", "2"),
+            ("invariants", apath),
+            ("stabilizer", apath, "--ell", str(lpath)),
+            ("verify-paper", "--section", "99"),
+        ]
+        clean = [run(capsys, *argv)[:2] for argv in commands]
+        monkeypatch.setenv("LIEINDEX_PRIME", "junk")
+        assert [run(capsys, *argv)[:2] for argv in commands] == clean
+        assert all(code == 0 for code, _ in clean)
+
 
 class TestParser:
     def test_no_arguments(self, capsys):

@@ -8,7 +8,6 @@ import lieindex.filiform as filiform
 from lieindex.algebra import (
     LieAlgebra,
     Subspace,
-    bracket_span,
     check_jacobi,
     lower_central_series,
 )
@@ -18,7 +17,6 @@ from lieindex.filiform import (
     build_G,
     build_L,
     build_Q,
-    filiform_ideals,
     index_one_criterion,
     lower_bound,
     make_filiform,
@@ -68,6 +66,18 @@ class TestBuilders:
         for f in (build_L(9), build_Q(10), build_G(9, 5), build_G(11, 7), build_G(10, 9)):
             assert check_jacobi(f.algebra) is None
             assert adapted_violation(f.algebra) is None
+
+    def test_g_family_is_pinned(self):
+        # Every structure constant of G(n, k) for 3 <= n <= 40, odd k.
+        payload = dumps([algebra_to_dict(build_G(n, k).algebra) for n in range(3, 41) for k in range(3, n + 1, 2)])
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "745f79e92f14f08335b8f4d57a918daed2419dd4965d7409f29a5f5aa88b68bd"
+        )
+
+    def test_failed_jacobi_check_raises(self, monkeypatch):
+        monkeypatch.setattr(filiform, "check_jacobi", lambda alg: ((0, 1, 2), [Fraction(1)] * alg.dim))
+        with pytest.raises(RuntimeError, match="Jacobi"):
+            build_G(7, 5)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -138,20 +148,17 @@ class TestAdaptedBasisChecks:
 
 class TestIdeals:
     def test_chain_of_ideals(self):
-        f = build_L(6)
-        ideals = filiform_ideals(f)
-        assert [s.dim for s in ideals] == [6, 5, 4, 3, 2, 1]
-        g = f.algebra
-        full = Subspace.full(6)
-        for s in ideals:
-            assert s.contains(bracket_span(g, full, s))
+        # span(e_i .. e_n) is an ideal: no bracket with e_j, j >= i, leaves it.
+        g = build_L(6).algebra
+        for i in range(6):
+            assert all(k >= i for a in range(6) for j in range(i, 6) for k in g.structure_coeffs(a, j))
 
     def test_matches_lower_central_series(self):
-        f = build_Q(8)
-        ideals = filiform_ideals(f)
-        series = lower_central_series(f.algebra)
+        g = build_Q(8).algebra
+        series = lower_central_series(g)
         for i in range(3, 9):
-            assert ideals[i - 1] == series[i - 2]
+            tail = Subspace.from_vectors(8, [g.basis_vector(j) for j in range(i - 1, 8)])
+            assert series[i - 2] == tail
 
 
 class TestIndices:

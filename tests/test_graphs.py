@@ -13,7 +13,6 @@ from lieindex.graphs import (
     matching_number,
     matching_number_exhaustive,
     matching_stabilizer_dim,
-    maximum_matching,
     validate_matching,
 )
 from lieindex.index import index, stabilizer
@@ -106,7 +105,7 @@ class TestMatching:
 
     def test_matching_is_valid(self):
         for g in (complete(5), cycle(7), petersen()):
-            m = maximum_matching(g)
+            m = matching_number(g)[1]
             validate_matching(g, m)  # must not raise
 
     def test_blossom_vs_exhaustive_and_networkx(self):
@@ -200,5 +199,5 @@ class TestMatchingFunctional:
 
     def test_petersen_maximum_matching_functional(self):
         g = petersen()
-        m = maximum_matching(g)
+        m = matching_number(g)[1]
         assert matching_stabilizer_dim(g, m) == graph_index(g).index == 25 - 10

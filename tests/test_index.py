@@ -26,7 +26,6 @@ from lieindex.index import (
     _integer_entries,
     _rank_ceiling,
     alpha_sandwich,
-    b_ell_matrix,
     certified_generic_rank,
     index,
     index_by_sampling,
@@ -79,6 +78,17 @@ def shifted(g):
         if coeffs:
             out[i, j] = coeffs
     return LieAlgebra(n, None, out)
+
+
+def form_matrix(g, ell):
+    """The skew form (x_i, x_j) -> ell([x_i, x_j]) as a dense sympy matrix,
+    read straight off g.structure_coeffs, independently of index.py."""
+
+    def entry(i, j):
+        v = Fraction(sum(Fraction(c) * ell.coords[k] for k, c in g.structure_coeffs(i, j).items()))
+        return sympy.Rational(v.numerator, v.denominator)
+
+    return sympy.Matrix(g.dim, g.dim, entry)
 
 
 def ceiling(g):
@@ -177,13 +187,13 @@ class TestIndexReport:
         for g in (heisenberg(), build_free_nilpotent(3, 3).algebra):
             rep = index(g, want_witness=True)
             assert rep.witness is not None
-            assert sympy.Matrix(b_ell_matrix(g, rep.witness)).rank() == rep.generic_rank
+            assert form_matrix(g, rep.witness).rank() == rep.generic_rank
 
     def test_witness_with_certification(self):
         alg = build_free_nilpotent(2, 4).algebra
         rep = index(alg, certify=True, want_witness=True)
         assert rep.witness is not None
-        assert sympy.Matrix(b_ell_matrix(alg, rep.witness)).rank() == rep.generic_rank
+        assert form_matrix(alg, rep.witness).rank() == rep.generic_rank
 
     def test_witness_report_bytes_stable(self):
         # Pins which trial point becomes the witness, not only the rank.
@@ -470,7 +480,7 @@ class TestFormRank:
                             [self._scalar(rng, size, point_rational) for _ in range(dim)]
                         )
                         [r] = _form_ranks(alg, [ell.coords])
-                        assert r == sympy.Matrix(b_ell_matrix(alg, ell)).rank()
+                        assert r == form_matrix(alg, ell).rank()
                         forms += 1
         assert len(ranked) == forms == 96
 
@@ -482,7 +492,7 @@ class TestFormRank:
         alg = LieAlgebra(3, None, {(0, 1): {2: c}})
         ell = LinearFunctional.of([0, 0, 1])
         [r] = _form_ranks(alg, [ell.coords])
-        assert r == sympy.Matrix(b_ell_matrix(alg, ell)).rank() == 2
+        assert r == form_matrix(alg, ell).rank() == 2
 
 
 class TestStabilizer:
@@ -492,7 +502,7 @@ class TestStabilizer:
         res = stabilizer(g, ell)
         assert res.dim == 1
         assert res.stabilizer.contains_vector([0, 0, 1])
-        assert b_ell_matrix(g, ell)[0][1] == 1
+        assert form_matrix(g, ell)[0, 1] == 1
 
     def test_zero_functional(self):
         g = heisenberg()
@@ -512,7 +522,7 @@ class TestStabilizer:
             ell = LinearFunctional.of(
                 [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(g.dim)]
             )
-            null = sympy.Matrix(b_ell_matrix(g, ell)).nullspace()
+            null = form_matrix(g, ell).nullspace()
             expected = Subspace.from_vectors(g.dim, [[Fraction(int(x.p), int(x.q)) for x in v] for v in null])
             assert stabilizer(g, ell).stabilizer == expected
 

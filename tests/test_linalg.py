@@ -6,12 +6,12 @@ import pytest
 import sympy
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
-from test_index import shifted
+from test_index import form_matrix, shifted
 
 from lieindex import linalg
 from lieindex.algebra import LieAlgebra, Subspace, center, centralizer
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
-from lieindex.index import _form_ranks, b_ell_matrix, index
+from lieindex.index import _form_ranks, index
 from lieindex.linalg import (
     DEFAULT_PRIME,
     SparseEchelon,
@@ -161,7 +161,7 @@ class TestFormRankDifferential:
         for g in (f34, build_metabelian(3, 4).algebra, unitriangular_copy(f34, Fraction(3, 7))):
             rep = index(g, want_witness=True)
             [r] = _form_ranks(g, [rep.witness.coords])
-            reference = DomainMatrix.from_Matrix(sympy.Matrix(b_ell_matrix(g, rep.witness))).rank()
+            reference = DomainMatrix.from_Matrix(form_matrix(g, rep.witness)).rank()
             assert r == reference == rep.generic_rank
 
 
