@@ -45,31 +45,27 @@ class NotAbelianError(ValueError):
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n, basis kept in reduced row-echelon form.
+    """Subspace of Q^n, basis kept in reduced row-echelon form as sparse rows.
 
     The RREF basis is canonical, so equality of subspaces is equality of the
-    dataclass fields.
+    dataclass fields.  Rows are led by their first nonzero column, in ascending order.
     """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[Coeffs, ...]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
         vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
+        if any(len(v) != ambient_dim for v in vecs):
+            raise ValueError("vector length does not match ambient dimension")
         return cls.span(ambient_dim, map(_sparse, vecs))
 
     @classmethod
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
         """Span of sparse vectors {coordinate: value}, with its canonical basis."""
         red = SparseEchelon(_flip(ambient_dim, v) for v in vectors).rref()
-        return cls(ambient_dim, tuple(
-            tuple(red[p].get(ambient_dim - 1 - c, Fraction(0)) for c in range(ambient_dim))
-            for p in sorted(red, reverse=True)
-        ))
+        return cls(ambient_dim, tuple(_flip(ambient_dim, red[p]) for p in sorted(red, reverse=True)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -77,30 +73,33 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        basis = tuple(
-            tuple(Fraction(int(i == j)) for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(ambient_dim, basis)
+        return cls(ambient_dim, tuple({i: Fraction(1)} for i in range(ambient_dim)))
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as dense coordinate tuples."""
+        return tuple(tuple(row.get(c, Fraction(0)) for c in range(self.ambient_dim)) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains_vector(self, v) -> bool:
-        return self._contains_all((v,))
+        return self._contains_all((_sparse(v),))
 
     def contains(self, other: "Subspace") -> bool:
-        return self._contains_all(other.basis)
+        return self._contains_all(other.rows)
 
     def _contains_all(self, vectors) -> bool:
         n = self.ambient_dim
-        # Flipped, the basis already is a SparseEchelon: adding it eliminates nothing.
-        ech = SparseEchelon(_flip(n, _sparse(row)) for row in self.basis)
-        return not any(ech.reduce(_flip(n, _sparse(v))) for v in vectors)
+        # Flipped, the rows already are a SparseEchelon: adding them eliminates nothing.
+        ech = SparseEchelon(_flip(n, row) for row in self.rows)
+        return not any(ech.reduce(_flip(n, v)) for v in vectors)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        return Subspace.span(self.ambient_dim, self.rows + other.rows)
 
 
 class LieAlgebra:
@@ -218,11 +217,11 @@ def check_jacobi(g: LieAlgebra):
     return triple, vec
 
 
-def _basis_rows(g: LieAlgebra, s: Subspace) -> list[Coeffs]:
+def _basis_rows(g: LieAlgebra, s: Subspace) -> tuple[Coeffs, ...]:
     """The basis of s as sparse vectors; s must be a subspace of g."""
     if s.ambient_dim != g.dim:
         raise ValueError(f"subspace of Q^{s.ambient_dim} is not in an algebra of dimension {g.dim}")
-    return [_sparse(v) for v in s.basis]
+    return s.rows
 
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
@@ -258,7 +257,7 @@ def lower_central_series(g: LieAlgebra) -> list[Subspace]:
     """[g^1, g^2, ...] with g^{k+1} = [g, g^k], computed until stabilization."""
     series = [Subspace.full(g.dim)]
     while True:
-        vs = [_sparse(v) for v in series[-1].basis]
+        vs = series[-1].rows
         series.append(Subspace.span(g.dim, (w for v in vs for w in g.ad_images(v).values())))
         if series[-1].dim in (0, series[-2].dim):
             return series
@@ -277,7 +276,7 @@ def nilpotency_class(g: LieAlgebra) -> int:
 def derived_subalgebra_pair(g: LieAlgebra) -> tuple[Subspace, Subspace]:
     """([g, g], [d, d]): d is spanned by the [x_i, x_j], [d, d] by brackets of basis pairs."""
     d1 = Subspace.span(g.dim, g.brackets.values())
-    vs = [_sparse(v) for v in d1.basis]
+    vs = d1.rows
     d2 = Subspace.span(g.dim, (g.sparse_bracket(u, vs[t]) for s, u in enumerate(vs) for t in range(s)))
     return d1, d2
 

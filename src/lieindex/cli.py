@@ -72,7 +72,10 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:  # a RuntimeError, which main maps to exit 1
+            raise ValueError(f"JSON in {path} is nested too deeply") from None
 
 
 def _load_algebra(path: str) -> LieAlgebra:

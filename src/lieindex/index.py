@@ -40,7 +40,7 @@ from .algebra import (
     center,
 )
 from .matching import blossom_matching
-from .linalg import DEFAULT_PRIME, SparseEchelon, _clear_denominators, _sparse
+from .linalg import DEFAULT_PRIME, SparseEchelon, _clear_denominators
 from .linalg import is_probable_prime, rank, rank_mod_p
 from .polynomials import bareiss_rank
 
@@ -287,8 +287,8 @@ def ooms_criterion(g: LieAlgebra, h: Subspace) -> OomsResult:
     n = g.dim
     entries = _integer_entries(
         (i, t, w.items())
-        for t, hv in enumerate(h.basis)
-        for i, w in g.ad_images(_sparse(hv)).items()
+        for t, hv in enumerate(h.rows)
+        for i, w in g.ad_images(hv).items()
     )
     r, _ = _trial_rank(entries, n, False, ceiling=None)
     required = n - h.dim

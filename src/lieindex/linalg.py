@@ -4,9 +4,10 @@ Every elimination works on sparse rows {column: value}, since the matrices
 built from structure constants are sparse; no dense matrix is eliminated.
 No floating point anywhere.  One fraction-free echelon, SparseEchelon, on
 integer rows over Q (Fraction denominators cleared on entry) or residues
-mod p, gives ranks (`rank`, `rank_mod_p`), membership and coordinates
-(`reduce`), and the canonical bases of kernels and spans (`rref`).  It skips
-work that the rows' own support proves unneeded: see SparseEchelon.
+mod p, gives ranks over both (`rank`, `rank_mod_p`); over Q only it also
+gives membership and coordinates (`reduce`) and the canonical bases of
+kernels and spans (`rref`, `kernel`, as sparse rows).  It skips work that
+the rows' own support proves unneeded: see SparseEchelon.
 """
 
 from __future__ import annotations
@@ -104,10 +105,11 @@ class SparseEchelon:
     never change.  The non-pivot columns complete the span lexicographically first.
     The constructor stops once the pivots fill the C columns the rows' keys name:
     triangular there, they span every remaining row (a zero value only adds to C).
+    Only the pivot count is read over F_p (`rank_mod_p`); `reduce`, `rref` and
+    `kernel` work over Q.
     """
 
     def __init__(self, rows=(), p: int = 0):
-        self.p = p
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> row
         rows = [v for v in rows if v]
         support = len(set().union(*rows))
@@ -129,46 +131,41 @@ class SparseEchelon:
     def reduce(self, v) -> dict:
         """v minus an element of the span, zero on every pivot; empty iff v is in the span.
         Columns are cleared in descending order, each pivot by its row, which lies below it."""
-        p = self.p
-        w, den = _entry(v, p)
+        w, den = _entry(v, 0)
         num, out = 1, {}
         while w:
             c = max(w)
             if c in self.rows:
-                w, a, d = _step(w, self.rows[c], c, p)
+                w, a, d = _step(w, self.rows[c], c, 0)
                 num, den = num * d, den * a
             else:
-                x = w.pop(c)
-                out[c] = x if p else Fraction(x * num, den)
+                out[c] = Fraction(w.pop(c) * num, den)
         return out
 
     def rref(self) -> dict[int, dict]:
         """{pivot: row} of the reduced row-echelon form: leading entry 1 at the
         pivot, zero on every other pivot.  When every row lies on the pivots these are
         the unit rows: triangular there, the rows span those coordinates."""
-        one = 1 if self.p else Fraction(1)
+        one = Fraction(1)
         if all(k in self.rows for row in self.rows.values() for k in row):
             return {c: {c: one} for c in self.rows}
         red = {}
         for c, row in self.rows.items():
             tail = self.reduce({k: x for k, x in row.items() if k != c})
-            if not self.p:  # over F_p row[c] is 1
-                tail = {k: x / row[c] for k, x in tail.items()}
-            red[c] = {c: one, **tail}
+            red[c] = {c: one, **{k: x / row[c] for k, x in tail.items()}}
         return red
 
-    def kernel(self, ncols: int) -> tuple[tuple, ...]:
-        """Basis of {x : row . x = 0 for every row}: per free column f, e_f minus the
-        rref rows' column f; rows hold f only before their pivot, so the basis is in rref."""
-        p, red = self.p, self.rref()
-        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
-        free = (f for f in range(ncols) if f not in red)
-        basis = {f: [zero] * f + [one] + [zero] * (ncols - 1 - f) for f in free}
+    def kernel(self, ncols: int) -> tuple[dict, ...]:
+        """Basis of {x : row . x = 0 for every row} as sparse rows: per free column f,
+        e_f minus the rref rows' column f.  Rows hold f only before their pivot, so
+        in ascending f the basis is in rref (led by the first nonzero column)."""
+        red = self.rref()
+        basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in red}
         for c, row in red.items():
             for f, x in row.items():
                 if f != c:
-                    basis[f][c] = -x % p if p else -x
-        return tuple(tuple(v) for v in basis.values())
+                    basis[f][c] = -x
+        return tuple(basis.values())
 
 
 def rank(rows) -> int:

@@ -567,18 +567,10 @@ def _two_step_alpha_cases() -> list[_Row]:
     cases = []
     for g in range(2, 7):
         alg = _CORPUS.free[g, 2].algebra
-        z = center(alg)
-        candidate = z.sum_with(Subspace.from_vectors(alg.dim, [alg.basis_vector(0)]))
-        lower_ok = (
-            candidate.dim == comb(g, 2) + 1
-            and abelian_witness(alg, candidate) is None
-        )
-        pair_matrix = [
-            alg.bracket(alg.basis_vector(i), alg.basis_vector(j))
-            for i in range(g)
-            for j in range(i + 1, g)
-        ]
-        upper_ok = Subspace.from_vectors(alg.dim, pair_matrix).dim == comb(g, 2)
+        candidate = Subspace.span(alg.dim, center(alg).rows + ({0: 1},))
+        lower_ok = candidate.dim == comb(g, 2) + 1 and abelian_witness(alg, candidate) is None
+        pair_matrix = [alg.structure_coeffs(i, j) for i in range(g) for j in range(i + 1, g)]
+        upper_ok = Subspace.span(alg.dim, pair_matrix).dim == comb(g, 2)
         computed = candidate.dim if lower_ok and upper_ok else None
         cases.append((
             f"prop3.1/g={g}",

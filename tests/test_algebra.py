@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ from lieindex.algebra import (
 from lieindex.filiform import build_G, build_L, build_Q, random_adapted_deformation
 from lieindex.free_nilpotent import build_fg3_explicit_basis, build_free_nilpotent, build_metabelian
 from lieindex.graphs import SimpleGraph, build_graph_algebra
-from lieindex.index import alpha_sandwich, ooms_criterion
-from lieindex.serialize import algebra_from_dict, algebra_to_dict, dumps
+from lieindex.index import alpha_sandwich, index, ooms_criterion, stabilizer
+from lieindex.serialize import algebra_from_dict, algebra_to_dict, dumps, format_scalar, stabilizer_to_dict
 from lieindex.verify import _CORPUS
 from test_index import rescaled, shifted
 
@@ -330,6 +331,41 @@ class TestSubspace:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             Subspace.from_vectors(3, [[1, 2]])
+
+    def test_rows_are_sparse_rref(self):
+        s = Subspace.from_vectors(4, [[0, 2, 4, 0], [0, 0, 0, 3], [0, 1, 2, 5]])
+        assert s.rows == ({1: 1, 2: 2}, {3: 1})
+        assert all(x and type(x) is Fraction for row in s.rows for x in row.values())
+        assert Subspace.full(2).rows == ({0: 1}, {1: 1})
+        assert center(heisenberg()).rows == ({2: 1},)
+
+    def test_subspace_bytes_stable(self):
+        # The stabilizer report and the dense bases of the series, the derived pair,
+        # the center and the centralizer of [g, g], on coordinate and shifted bases.
+        def dense(s):
+            return [[format_scalar(c) for c in v] for v in s.basis]
+
+        algebras = [
+            build_free_nilpotent(4, 4).algebra,
+            build_free_nilpotent(3, 5).algebra,
+            build_metabelian(3, 5).algebra,
+            shifted(build_free_nilpotent(3, 4).algebra),
+            shifted(build_metabelian(3, 4).algebra),
+            build_G(11, 5).algebra,
+        ]
+        out = []
+        for g in algebras:
+            d1, d2 = derived_subalgebra_pair(g)
+            out.append([
+                stabilizer_to_dict(stabilizer(g, index(g, want_witness=True).witness)),
+                [dense(s) for s in lower_central_series(g)],
+                [dense(d1), dense(d2)],
+                dense(center(g)),
+                dense(centralizer(g, d1)),
+            ])
+        assert hashlib.sha256(dumps(out).encode()).hexdigest() == (
+            "eca3379ad8ab3205093e8193467c10bb8c7682bf91dbb34ac927eef44815d9bf"
+        )
 
 
 class TestCenter:

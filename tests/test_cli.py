@@ -148,6 +148,19 @@ class TestIndex:
         empty.write_text('{"dim": "x"}')
         assert run(capsys, "index", str(empty))[0] == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [["index"], ["graph-index"], ["stabilizer", "{alg}", "--ell"]],
+        ids=["index", "graph-index", "stabilizer"],
+    )
+    def test_deeply_nested_json(self, capsys, tmp_path, command):
+        # json.load raises RecursionError here, a RuntimeError (exit 1) unless remapped.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        alg = write_algebra(tmp_path, heisenberg())
+        code, out, err = run(capsys, *(a.format(alg=alg) for a in command), str(deep))
+        assert code == 2 and out == "" and "nested too deeply" in err
+
     def test_duplicate_bracket_entry(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
         entry = {"i": 0, "j": 1, "c": {"2": "1"}}

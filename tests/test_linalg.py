@@ -188,6 +188,11 @@ def dense(rows, ncols):
     return [[row.get(c, 0) for c in range(ncols)] for row in rows]
 
 
+def densify(rows, ncols):
+    """Sparse rows (a kernel basis) as dense Fraction tuples, sympy_rref's format."""
+    return tuple(tuple(Fraction(row.get(c, 0)) for c in range(ncols)) for row in rows)
+
+
 def gf_rank(m, q):
     return DomainMatrix.from_Matrix(sympy.Matrix(m)).convert_to(GF(q)).rank()
 
@@ -236,8 +241,8 @@ class TestUnreducedEchelon:
             m = dense(rows, ncols)
             kernel = SparseEchelon(rows).kernel(ncols)
             reference = [list(v) for v in sympy_matrix(m, ncols).nullspace()]
-            assert kernel == sympy_rref(reference, ncols)
-            assert all(type(x) is Fraction for v in kernel for x in v)
+            assert densify(kernel, ncols) == sympy_rref(reference, ncols)
+            assert all(type(x) is Fraction and x for v in kernel for x in v.values())
 
     def test_span_against_sympy(self):
         # Subspace.span pivots on the first nonzero column, so rows whose
@@ -272,7 +277,8 @@ class TestEchelonModP:
             m = self.residues(rng, q, rng.randint(1, 8), ncols)
             assert rank_mod_p(sparse_rows(m), q) == gf_rank(m, q), (trial, q)
 
-    def test_unreduced_rows_kernel_and_reduce(self):
+    def test_unreduced_rows_rank(self):
+        # Rows that bring a new pivot at once are stored as their residues led by 1.
         rng = random.Random(1616)
         for trial in range(60):
             q = self.PRIMES[trial % len(self.PRIMES)]
@@ -281,17 +287,10 @@ class TestEchelonModP:
                                   lambda: rng.choice([0, rng.randint(-3 * q, 3 * q)]))
             rows = [row for row in rows if row[max(row)] % q]  # leads stay leads mod q
             ech = SparseEchelon(rows, q)
-            m = dense(rows, ncols)
-            assert len(ech.rows) == gf_rank(m, q) == len(rows)
-            kernel = ech.kernel(ncols)
-            assert len(kernel) == ncols - len(rows)
-            assert all(sum(a * b for a, b in zip(row, v)) % q == 0 for row in m for v in kernel)
-            assert all(0 <= x < q for v in kernel for x in v)
-            u = {c: rng.randint(-3 * q, 3 * q) for c in range(ncols)}
-            r = ech.reduce(u)
-            assert not set(r) & set(ech.rows) and all(0 < x < q for x in r.values())
-            diff = [u[c] - r.get(c, 0) for c in range(ncols)]
-            assert gf_rank(m + [diff], q) == len(rows)
+            assert len(ech.rows) == gf_rank(dense(rows, ncols), q) == len(rows)
+            for row in rows:
+                inv = pow(row[max(row)], -1, q)
+                assert ech.rows[max(row)] == {c: r for c, x in row.items() if (r := x * inv % q)}
 
 
 class TestRref:
@@ -341,7 +340,7 @@ class TestNullspace:
             nrows = rng.randint(1, 6)
             ncols = rng.randint(1, 6)
             m = random_matrix(rng, nrows, ncols, fractions=True)
-            kernel = SparseEchelon(sparse_rows(m)).kernel(ncols)
+            kernel = densify(SparseEchelon(sparse_rows(m)).kernel(ncols), ncols)
             assert len(kernel) == ncols - sympy_rank(m, ncols)
             for v in kernel:
                 assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
@@ -349,7 +348,7 @@ class TestNullspace:
                 assert sympy_rank(kernel, ncols) == len(kernel)
 
     def test_zero_matrix(self):
-        kernel = SparseEchelon().kernel(3)
+        kernel = densify(SparseEchelon().kernel(3), 3)
         assert len(kernel) == 3
         assert sympy_rank(kernel, 3) == 3
 
@@ -361,7 +360,7 @@ class TestNullspace:
             ncols = rng.randint(1, 8)
             m = [[x if rng.random() < 0.4 else Fraction(0) for x in row]
                  for row in random_matrix(rng, rng.randint(1, 7), ncols, fractions=True)]
-            kernel = SparseEchelon(sparse_rows(m)).kernel(ncols)
+            kernel = densify(SparseEchelon(sparse_rows(m)).kernel(ncols), ncols)
             assert kernel == sympy_rref(kernel, ncols)
             reference = [list(v) for v in sympy_matrix(m, ncols).nullspace()]
             assert kernel == sympy_rref(reference, ncols)
@@ -394,8 +393,9 @@ class TestSparseEchelon:
 class TestSupportStop:
     # The constructor stops once its pivots number the columns in the rows'
     # keys; rref and kernel shortcut when every row lies on the pivots.  Each
-    # case is checked against sympy's DomainMatrix over QQ or GF(q), and the
-    # stop is watched through the rows the constructor reads (`_entry`).
+    # rank is checked against sympy's DomainMatrix over QQ or GF(q), the rref,
+    # kernel and reduce over QQ, and the stop is watched through the rows the
+    # constructor reads (`_entry`).
     FIELDS = (0, 2, 3, 5, 7, 13)
 
     @staticmethod
@@ -408,8 +408,8 @@ class TestSupportStop:
         return QQ(x.numerator, x.denominator) if q == 0 else GF(q)(int(x))
 
     @staticmethod
-    def from_domain(x, q):
-        return Fraction(int(x.numerator), int(x.denominator)) if q == 0 else int(x) % q
+    def from_domain(x):
+        return Fraction(int(x.numerator), int(x.denominator))
 
     @classmethod
     def matrix(cls, rows, ncols, q):
@@ -420,24 +420,24 @@ class TestSupportStop:
         )
 
     @classmethod
-    def reference_rref(cls, rows, ncols, q):
-        """{pivot: row} with pivots on the last nonzero column, as SparseEchelon keeps them:
-        sympy's rref of the column-reversed matrix, reversed back."""
+    def reference_rref(cls, rows, ncols):
+        """{pivot: row} over Q with pivots on the last nonzero column, as SparseEchelon
+        keeps them: sympy's rref of the column-reversed matrix, reversed back."""
         flipped = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
-        red, pivots = cls.matrix(flipped, ncols, q).rref()
+        red, pivots = cls.matrix(flipped, ncols, 0).rref()
         red = red.to_list()
         return {
-            ncols - 1 - p: {ncols - 1 - c: cls.from_domain(x, q) for c, x in enumerate(red[r]) if x}
+            ncols - 1 - p: {ncols - 1 - c: cls.from_domain(x) for c, x in enumerate(red[r]) if x}
             for r, p in enumerate(pivots)
         }
 
     @classmethod
-    def reference_kernel(cls, rows, ncols, q):
-        null = cls.matrix(rows, ncols, q).nullspace()
+    def reference_kernel(cls, rows, ncols):
+        null = cls.matrix(rows, ncols, 0).nullspace()
         if null.shape[0] == 0:
             return ()
         red, pivots = null.rref()
-        return tuple(tuple(cls.from_domain(x, q) for x in row) for row in red.to_list()[: len(pivots)])
+        return tuple(tuple(cls.from_domain(x) for x in row) for row in red.to_list()[: len(pivots)])
 
     @staticmethod
     def entry(rng, q):
@@ -493,18 +493,19 @@ class TestSupportStop:
         ech = SparseEchelon(rows, q)
         rk = cls.matrix(rows, ncols, q).rank()
         assert len(ech.rows) == (rank_mod_p(rows, q) if q else rank(rows)) == rk
+        if q:  # rref, kernel and reduce work over Q only
+            return
         red = ech.rref()
-        assert red == cls.reference_rref(rows, ncols, q)
-        assert all(type(x) is (int if q else Fraction) for row in red.values() for x in row.values())
-        assert ech.kernel(ncols) == cls.reference_kernel(rows, ncols, q)
+        assert red == cls.reference_rref(rows, ncols)
+        assert all(type(x) is Fraction for row in red.values() for x in row.values())
+        assert densify(ech.kernel(ncols), ncols) == cls.reference_kernel(rows, ncols)
         for _ in range(3):
             u = {c: x for c in range(ncols) if rng.random() < 0.6 and (x := cls.entry(rng, q))}
-            want = {c: Fraction(x) if not q else x % q for c, x in u.items()}
+            want = {c: Fraction(x) for c, x in u.items()}
             for c, row in red.items():
                 f = want.get(c, 0)
                 for k, x in row.items():
                     want[k] = want.get(k, 0) - f * x
-            want = {c: x % q if q else x for c, x in want.items()}
             assert ech.reduce(u) == {c: x for c, x in want.items() if x}
 
     @pytest.mark.parametrize("q", FIELDS, ids=["Q", "F2", "F3", "F5", "F7", "F13"])
@@ -547,7 +548,7 @@ class TestSupportStop:
             rows = [{i: c for i in range(n) if (c := sum(x * bracket(i, j).get(k, 0)
                                                          for j, x in v.items()))}
                     for v in vectors for k in range(n)]
-            return self.reference_kernel(rows, n, 0)
+            return self.reference_kernel(rows, n)
 
         z = center(g)
         assert z.basis == reference([{j: 1} for j in range(n)])

@@ -107,3 +107,20 @@ def test_exports_resolve_once():
     assert len(set(names)) == len(names), "a name is exported twice"
     missing = [name for name in names if not hasattr(lieindex, name)]
     assert not missing, f"exports with no definition: {missing}"
+
+
+def test_dense_vectors_enter_through_subspace_only():
+    # linalg._sparse turns a dense coordinate vector into a sparse row.  Subspace
+    # stores sparse rows, so algebra.py (from_vectors, contains_vector) is the one
+    # place where dense vectors come in.
+    found = []
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_sparse" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "_sparse"
+        ]
+    assert all(f.startswith("algebra.py:") for f in found), f"_sparse used outside algebra.py: {found}"
+    assert found, "algebra.py no longer imports _sparse; update this check"
