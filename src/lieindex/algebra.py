@@ -85,9 +85,12 @@ class Subspace:
         return len(self.rows)
 
     def contains_vector(self, v) -> bool:
+        v = list(v)
+        self._check_ambient(len(v))
         return self._contains_all((_sparse(v),))
 
     def contains(self, other: "Subspace") -> bool:
+        self._check_ambient(other.ambient_dim)
         return self._contains_all(other.rows)
 
     def _contains_all(self, vectors) -> bool:
@@ -97,9 +100,12 @@ class Subspace:
         return not any(ech.reduce(_flip(n, v)) for v in vectors)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
+        self._check_ambient(other.ambient_dim)
         return Subspace.span(self.ambient_dim, self.rows + other.rows)
+
+    def _check_ambient(self, ambient_dim: int) -> None:
+        if ambient_dim != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
 
 
 class LieAlgebra:

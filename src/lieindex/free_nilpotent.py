@@ -76,39 +76,27 @@ def _metabelian_layer(g: int, m: int) -> int:
     return g if m == 1 else (m - 1) * math.comb(g + m - 2, m)
 
 
-def tree_weight(t) -> int:
-    if isinstance(t, int):
-        return 1
-    return tree_weight(t[0]) + tree_weight(t[1])
-
-
 def tree_label(t, gen_labels) -> str:
     if isinstance(t, int):
         return gen_labels[t]
     return f"[{tree_label(t[0], gen_labels)},{tree_label(t[1], gen_labels)}]"
 
 
-@dataclass(frozen=True)
-class HallBasisElement:
-    tree: object
-    weight: int
-    index: int
-    label: str
-
-
 @dataclass
 class FreeNilpotentAlgebra:
     """A structure-constant algebra together with its bracket-tree basis.
 
-    layer_offsets[w-1] is the index of the first basis element of weight w;
-    a final entry equal to dim is appended so layer w is the slice
-    [layer_offsets[w-1] : layer_offsets[w]].
+    trees[i] is the bracket tree of basis element i, labelled
+    algebra.labels[i].  layer_offsets[w-1] is the index of the first basis
+    element of weight w, and layer w is the slice
+    [layer_offsets[w-1] : layer_offsets[w]].  The offsets end one entry past
+    the last nonempty layer; every layer past it is the empty range(dim, dim).
     """
 
     generators: int
     nil_class: int
     algebra: LieAlgebra
-    hall_basis: list[HallBasisElement]
+    trees: list
     layer_offsets: list[int]
 
     @property
@@ -116,6 +104,8 @@ class FreeNilpotentAlgebra:
         return self.algebra.dim
 
     def layer_range(self, w: int) -> range:
+        if w >= len(self.layer_offsets):
+            return range(self.dim, self.dim)
         return range(self.layer_offsets[w - 1], self.layer_offsets[w])
 
 
@@ -146,10 +136,10 @@ class HallBuilder:
                         if not isinstance(v, int) and self.key(v[0]) > self.key(u):
                             continue
                         found.append((u, v))
-            found.sort(key=self.key)
-            self.layers.append(found)
             if not found:  # g = 1: every layer past the first is empty
                 break
+            found.sort(key=self.key)
+            self.layers.append(found)
         self.basis = [t for layer in self.layers for t in layer]
         self.index_of = {t: i for i, t in enumerate(self.basis)}
 
@@ -170,7 +160,7 @@ class HallBuilder:
 
     def rewrite(self, u, v) -> dict:
         """[u, v] as {tree: int coefficient} over the Hall basis."""
-        if tree_weight(u) + tree_weight(v) > self.c:
+        if self.key(u)[0] + self.key(v)[0] > self.c:
             return {}
         if u == v:
             return {}
@@ -237,36 +227,33 @@ def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
     if g < 1 or c < 1:
         raise ValueError("need g >= 1 generators and class c >= 1")
     kind = "metabelian" if comb else "free nilpotent"
-    # The layer sizes stop at the first partial sum above the ceiling, and at
-    # the first empty layer (g = 1), past which every layer is empty.
+    # The layer sizes stop at the first partial sum above the ceiling, and
+    # before the first empty layer (g = 1), past which every layer is empty.
     layer_size, sizes = _metabelian_layer if comb else witt_layer, []
     for w in range(1, c + 1):
-        sizes.append(layer_size(g, w))
+        size = layer_size(g, w)
+        if not size:
+            break
+        sizes.append(size)
         quotient = f": its class-{w} quotient" if w < c else ""
         _check_ceiling(sum(sizes), f"{kind} algebra with g={g}, c={c}{quotient}")
-        if not sizes[-1]:
-            break
     builder = (_CombBuilder if comb else HallBuilder)(g, c)
     if [len(layer) for layer in builder.layers[1:]] != sizes:
         raise RuntimeError("Hall layer count is off")
+    trees = builder.basis
     gen_labels = [f"x{i + 1}" for i in range(g)]
-    elements = [
-        HallBasisElement(t, tree_weight(t), i, tree_label(t, gen_labels))
-        for i, t in enumerate(builder.basis)
-    ]
-    offsets = list(accumulate(sizes, initial=0))
-    offsets += offsets[-1:] * (c + 1 - len(offsets))  # the empty layers past an empty one
-    n = len(elements)
+    n = len(trees)
     brackets = {}
     for i in range(n):
+        wi = builder.key(trees[i])[0]
         for j in range(i + 1, n):
-            if elements[i].weight + elements[j].weight > c:
-                continue
+            if wi + builder.key(trees[j])[0] > c:
+                break  # the trees run in ascending weight
             coeffs = builder.bracket_coeffs(i, j)
             if coeffs:
                 brackets[(i, j)] = coeffs
-    alg = LieAlgebra(n, tuple(e.label for e in elements), brackets)
-    return FreeNilpotentAlgebra(g, c, alg, elements, offsets)
+    alg = LieAlgebra(n, tuple(tree_label(t, gen_labels) for t in trees), brackets)
+    return FreeNilpotentAlgebra(g, c, alg, trees, list(accumulate(sizes, initial=0)))
 
 
 def build_fg3_explicit_basis(g: int) -> FreeNilpotentAlgebra:
@@ -315,12 +302,7 @@ def build_fg3_explicit_basis(g: int) -> FreeNilpotentAlgebra:
         + [(i - 1, j - 1) for (i, j) in pairs]
         + [(i - 1, (j - 1, k - 1)) for (i, j, k) in triples]
     )
-    wts = [1] * g + [2] * len(pairs) + [3] * len(triples)
-    elements = [
-        HallBasisElement(t, w, idx, labels[idx])
-        for idx, (t, w) in enumerate(zip(trees, wts))
-    ]
     total, top = witt_dimension(g, 3)
     if len(labels) != total or len(triples) != top:
         raise RuntimeError("explicit basis counts differ from the Witt formula")
-    return FreeNilpotentAlgebra(g, 3, alg, elements, [0, g, g + len(pairs), total])
+    return FreeNilpotentAlgebra(g, 3, alg, trees, [0, g, g + len(pairs), total])

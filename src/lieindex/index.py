@@ -107,11 +107,11 @@ def _form_rows(entries, point, n: int, skew: bool) -> list[dict]:
 def _trial_rank(entries, n, skew, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
                 p=DEFAULT_PRIME, certified=False):
     """(max rank over trials, the first trial point attaining it); integer
-    entries.  The trials stop at a rank equal to the ceiling (None: they do
-    not stop), which no rank passes.  Below it, the exact rank over Q at the
-    best point refuses a bad modulus: with an integral point and constants a
-    nonzero minor mod p lifts to Q.  A certified ceiling is the exact rank,
-    so there a miss only means that no trial point is a witness."""
+    entries.  The trials stop at a rank equal to the ceiling, which no rank
+    passes.  Below it, the exact rank over Q at the best point refuses a bad
+    modulus: with an integral point and constants a nonzero minor mod p lifts
+    to Q.  A certified ceiling is the exact rank, so there a miss only means
+    that no trial point is a witness."""
     best = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -280,6 +280,9 @@ def ooms_criterion(g: LieAlgebra, h: Subspace) -> OomsResult:
     For abelian h <= g, the index equals 2 dim h - dim g exactly when the
     rectangular matrix ([x_i, h_j]) of linear forms has generic rank
     dim g - dim h.  Raises NotAbelianError (with witness pair) otherwise.
+    That rank is also the trials' ceiling: h is abelian, so every vector of h
+    lies in the left kernel of the matrix at every point, and no rank passes
+    dim g - dim h.
     """
     w = abelian_witness(g, h)
     if w is not None:
@@ -290,8 +293,8 @@ def ooms_criterion(g: LieAlgebra, h: Subspace) -> OomsResult:
         for t, hv in enumerate(h.rows)
         for i, w in g.ad_images(hv).items()
     )
-    r, _ = _trial_rank(entries, n, False, ceiling=None)
     required = n - h.dim
+    r, _ = _trial_rank(entries, n, False, required)
     holds = r == required
     return OomsResult(holds, r, required, 2 * h.dim - n if holds else None)
 

@@ -79,24 +79,6 @@ class VerificationCase:
 _Row = tuple[str, object, object, str]  # (id, expected, computed, method)
 
 
-CRITERION_NAMES = {
-    1: "Witt dimensions match Hall basis counts",
-    2: "two-step free algebra index formula",
-    3: "five-dimensional example: certified rank and index",
-    4: "three-step free algebra index formula and explicit functional",
-    5: "maximal abelian dimension in the three-step free algebra",
-    6: "numeric table for higher free algebras",
-    7: "graph algebra index via matchings, dual route",
-    8: "matching functional attains the graph index",
-    9: "metabelian index formula and abelian-subalgebra criterion",
-    10: "two-generator metabelian dimensions and indices",
-    11: "filiform family indices with dual-vector witness",
-    12: "index-one criterion on odd-dimensional filiform algebras",
-    13: "abelian-ideal lower bound on filiform indices",
-    14: "cross-cutting property suite",
-}
-
-
 # ------------------------------------------------------------------ corpus
 
 _WITT_COMBOS = [(g, c) for g in (2, 3, 4) for c in (2, 3, 4)] + [(3, 5)]
@@ -236,7 +218,7 @@ def _fg3_functional(g: int) -> LinearFunctional:
     built = _CORPUS.explicit[g].built
     coords = [0] * built.dim
     for pos in built.layer_range(3):
-        i, (j, k) = built.hall_basis[pos].tree
+        i, (j, k) = built.trees[pos]
         coords[pos] = i + j + k + 3  # trees store 0-based generators
     return LinearFunctional.of(coords)
 
@@ -639,23 +621,25 @@ def _achievable_cases() -> list[_Row]:
 
 
 # Each group returns (id, expected, computed, method) rows; the registry
-# holds the section of the results catalogue that all of a group's rows belong to.
+# holds each criterion's name and the section of the results catalogue that
+# all of its group's rows belong to.
 _CRITERIA = {
-    1: (2, _criterion_1),
-    2: (3, _criterion_2),
-    3: (3, _criterion_3),
-    4: (3, _criterion_4),
-    5: (3, _criterion_5),
-    6: (3, _criterion_6),
-    7: (4, _criterion_7),
-    8: (4, _criterion_8),
-    9: (5, _criterion_9),
-    10: (5, _criterion_10),
-    11: (6, _criterion_11),
-    12: (6, _criterion_12),
-    13: (6, _criterion_13),
-    14: (2, _criterion_14),
+    1: ("Witt dimensions match Hall basis counts", 2, _criterion_1),
+    2: ("two-step free algebra index formula", 3, _criterion_2),
+    3: ("five-dimensional example: certified rank and index", 3, _criterion_3),
+    4: ("three-step free algebra index formula and explicit functional", 3, _criterion_4),
+    5: ("maximal abelian dimension in the three-step free algebra", 3, _criterion_5),
+    6: ("numeric table for higher free algebras", 3, _criterion_6),
+    7: ("graph algebra index via matchings, dual route", 4, _criterion_7),
+    8: ("matching functional attains the graph index", 4, _criterion_8),
+    9: ("metabelian index formula and abelian-subalgebra criterion", 5, _criterion_9),
+    10: ("two-generator metabelian dimensions and indices", 5, _criterion_10),
+    11: ("filiform family indices with dual-vector witness", 6, _criterion_11),
+    12: ("index-one criterion on odd-dimensional filiform algebras", 6, _criterion_12),
+    13: ("abelian-ideal lower bound on filiform indices", 6, _criterion_13),
+    14: ("cross-cutting property suite", 2, _criterion_14),
 }
+CRITERION_NAMES = {num: name for num, (name, _, _) in _CRITERIA.items()}
 _EXTRAS = (
     (2, _center_formula_cases),
     (3, _two_step_alpha_cases),
@@ -669,7 +653,7 @@ def _run(section: int, group) -> list[VerificationCase]:
 
 
 def cases_for_criterion(num: int) -> list[VerificationCase]:
-    return _run(*_CRITERIA[num])
+    return _run(*_CRITERIA[num][1:])
 
 
 def extra_cases() -> list[VerificationCase]:
@@ -678,7 +662,7 @@ def extra_cases() -> list[VerificationCase]:
 
 def all_cases(section: int | None = None) -> list[VerificationCase]:
     """Every case in catalogue order; with a section, only the groups in it run."""
-    groups = [_CRITERIA[num] for num in sorted(_CRITERIA)] + list(_EXTRAS)
+    groups = [_CRITERIA[num][1:] for num in sorted(_CRITERIA)] + list(_EXTRAS)
     return [
         case
         for sec, group in groups

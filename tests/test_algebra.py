@@ -332,6 +332,17 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace.from_vectors(3, [[1, 2]])
 
+    def test_containment_across_ambient_dimensions_is_refused(self):
+        a = Subspace.from_vectors(2, [[1, 0]])
+        for call in (
+            lambda: a.contains(Subspace.from_vectors(3, [[0, 0, 1]])),
+            lambda: a.contains(Subspace.from_vectors(3, [[1, 0, 0]])),
+            lambda: a.contains_vector([1, 0, 5]),
+            lambda: a.sum_with(Subspace.zero(3)),
+        ):
+            with pytest.raises(ValueError, match="does not match ambient dimension"):
+                call()
+
     def test_rows_are_sparse_rref(self):
         s = Subspace.from_vectors(4, [[0, 2, 4, 0], [0, 0, 0, 3], [0, 1, 2, 5]])
         assert s.rows == ({1: 1, 2: 2}, {3: 1})

@@ -91,11 +91,14 @@ class TestConstruct:
         assert time.perf_counter() - start < 1
 
     def test_one_generator_of_any_class(self, capsys):
-        # Every layer past the first is empty; construction stops at the first.
-        start = time.perf_counter()
-        code, out, _ = run(capsys, "construct", "free", "--generators", "1", "--class", "12000")
-        assert code == 0 and json.loads(out) == {"brackets": [], "dim": 1, "labels": ["x1"]}
-        assert time.perf_counter() - start < 1
+        # Every layer past the first is empty; construction stops at the first,
+        # and nothing is kept per layer, so even a class of 10^13 builds at once.
+        for kind in ("free", "metabelian"):
+            for cls in ("12000", "10000000000000"):
+                start = time.perf_counter()
+                code, out, _ = run(capsys, "construct", kind, "--generators", "1", "--class", cls)
+                assert code == 0 and out == '{"brackets":[],"dim":1,"labels":["x1"]}\n'
+                assert time.perf_counter() - start < 1
 
 
 class TestIndex:

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 import sympy
@@ -22,11 +24,23 @@ from lieindex.free_nilpotent import (
     build_metabelian,
     mobius,
     tree_label,
-    tree_weight,
     witt_dimension,
     witt_layer,
 )
 from lieindex.index import index
+from lieindex.serialize import algebra_to_dict, dumps
+
+
+def weight(t) -> int:
+    return 1 if isinstance(t, int) else weight(t[0]) + weight(t[1])
+
+
+def assert_layers_by_weight(built, top):
+    """Check that layer_range(w) holds exactly the trees of weight w, up to top."""
+    for w in range(1, top + 1):
+        assert list(built.layer_range(w)) == [
+            i for i, t in enumerate(built.trees) if weight(t) == w
+        ], w
 
 
 class TestWitt:
@@ -58,12 +72,45 @@ class TestWitt:
 
 
 class TestTrees:
-    def test_weight_and_label(self):
-        t = (0, (1, 2))
-        assert tree_weight(t) == 3
-        assert tree_label(t, ["x1", "x2", "x3"]) == "[x1,[x2,x3]]"
-        assert tree_weight(2) == 1
+    def test_label(self):
+        assert tree_label((0, (1, 2)), ["x1", "x2", "x3"]) == "[x1,[x2,x3]]"
         assert tree_label(2, ["a", "b", "c"]) == "c"
+
+    def test_layers_hold_the_trees_of_their_weight(self):
+        for built, c in [
+            (build_free_nilpotent(3, 4), 4),
+            (build_free_nilpotent(1, 5), 5),
+            (build_fg3_explicit_basis(4), 3),
+        ]:
+            assert_layers_by_weight(built, c + 1)
+
+    def test_construction_bytes_stable(self):
+        # sha256 over the algebra, the trees and the layer sizes of every
+        # F(g, c) and M(g, c) with g = 2..6 and dim <= 500, g = 1 with c <= 12,
+        # and the explicit class-3 bases on 2..6 generators, in that order.
+        def builds():
+            for c in range(1, 13):
+                yield build_free_nilpotent(1, c), c
+                yield build_metabelian(1, c), c
+            for g in range(2, 7):
+                for build in (build_free_nilpotent, build_metabelian):
+                    for c in count(1):
+                        try:
+                            built = build(g, c)
+                        except ResourceLimitError:
+                            break
+                        yield built, c
+            for g in range(2, 7):
+                yield build_fg3_explicit_basis(g), 3
+
+        digest = hashlib.sha256()
+        n = 0
+        for built, c in builds():
+            sizes = [len(built.layer_range(w)) for w in range(1, c + 1)]
+            digest.update(dumps([algebra_to_dict(built.algebra), built.trees, sizes]).encode())
+            n += 1
+        assert n == 117
+        assert digest.hexdigest() == "12cd763bc76e4606b2268902a0f778b77a6fb61797f049ea54cd45148ee72353"
 
 
 class TestFreeNilpotent:
@@ -168,11 +215,15 @@ class TestMetabelian:
         assert [len(meta.layer_range(w)) for w in range(1, 5)] == [2, 1, 2, 3]
 
     def test_one_generator_stops_at_the_empty_layer(self):
-        # Every layer past the first is empty; each still has its range.
+        # Every layer past the first is empty; each still has its range.  The
+        # offsets end past the last nonempty layer, so no list has c entries.
         for build in (build_free_nilpotent, build_metabelian):
             built = build(1, 50)
             assert built.dim == 1 and built.algebra.brackets == {}
             assert [len(built.layer_range(w)) for w in range(1, 51)] == [1] + [0] * 49
+            huge = build(1, 10**13)
+            assert huge.trees == [0] and huge.layer_offsets == [0, 1]
+            assert len(huge.layer_range(10**13)) == 0
 
     def test_comb_layers_match_bahturin(self):
         # Layer k of M(g, c) has dimension (k-1) C(g+k-2, k) for k >= 2; the
@@ -188,14 +239,12 @@ class TestMetabelian:
                 checked += 1
         assert checked == 82
 
-    def test_hall_basis_labels_are_the_algebra_labels(self):
+    def test_tree_labels_are_the_algebra_labels(self):
         for g, c in [(2, 6), (3, 5), (4, 4)]:
             meta = build_metabelian(g, c)
-            assert tuple(e.label for e in meta.hall_basis) == meta.algebra.labels
-            assert [e.index for e in meta.hall_basis] == list(range(meta.dim))
-            assert [e.weight for e in meta.hall_basis] == [
-                w for w in range(1, c + 1) for _ in meta.layer_range(w)
-            ]
+            gen_labels = [f"x{i + 1}" for i in range(g)]
+            assert tuple(tree_label(t, gen_labels) for t in meta.trees) == meta.algebra.labels
+            assert_layers_by_weight(meta, c)
 
     def test_reach_beyond_the_free_ceiling(self):
         # Each F(g, c) below is above the ceiling of 500; M(g, c) is not.

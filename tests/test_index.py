@@ -80,6 +80,20 @@ def shifted(g):
     return LieAlgebra(n, None, out)
 
 
+def count_rank_calls(monkeypatch):
+    """{name: calls so far} for index's rank_mod_p and rank."""
+    calls = {"rank_mod_p": 0, "rank": 0}
+    for name in calls:
+        original = getattr(index_module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(index_module, name, counted)
+    return calls
+
+
 def form_matrix(g, ell):
     """The skew form (x_i, x_j) -> ell([x_i, x_j]) as a dense sympy matrix,
     read straight off g.structure_coeffs, independently of index.py."""
@@ -427,15 +441,7 @@ class TestRankCeiling:
         assert outcome() == stopped
 
     def test_one_trial_and_no_exact_rank_at_the_ceiling(self, monkeypatch):
-        calls = {"rank_mod_p": 0, "rank": 0}
-        for name in calls:
-            original = getattr(index_module, name)
-
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(index_module, name, counted)
+        calls = count_rank_calls(monkeypatch)
         index(build_free_nilpotent(3, 3).algebra)
         assert calls == {"rank_mod_p": 1, "rank": 0}
 
@@ -571,6 +577,16 @@ class TestOoms:
         alg = build_free_nilpotent(2, 3).algebra
         with pytest.raises(NotAbelianError):
             ooms_criterion(alg, Subspace.full(5))
+
+    @pytest.mark.parametrize("g, c", [(2, 4), (3, 5)])
+    def test_rank_calls_stop_at_the_ceiling(self, g, c, monkeypatch):
+        # h is abelian, so no rank of ([x_i, h_t]) passes dim g - dim h: the
+        # first trial that reaches it ends the trials and skips the exact check.
+        calls = count_rank_calls(monkeypatch)
+        alg = build_metabelian(g, c).algebra
+        d1, _ = derived_subalgebra_pair(alg)
+        assert ooms_criterion(alg, d1).holds
+        assert calls == {"rank_mod_p": 1, "rank": 0}
 
     H = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
 
