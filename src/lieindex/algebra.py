@@ -125,15 +125,16 @@ class LieAlgebra:
         self.labels = labels
         clean: dict[tuple[int, int], Coeffs] = {}
         for (i, j), coeffs in (brackets or {}).items():
-            if not (0 <= i < j < dim):
-                raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < dim")
+            if not (type(i) is type(j) is int and 0 <= i < j < dim):  # bool is not
+                raise ValueError(f"bracket key ({i!r},{j!r}) must be integers with 0 <= i < j < dim")
             cc = {}
             for k, c in coeffs.items():
-                if not 0 <= int(k) < dim:
-                    raise ValueError(f"coefficient index {k} out of range")
-                c = c if type(c) is int else Fraction(c)
+                if not (type(k) is int and 0 <= k < dim):
+                    raise ValueError(f"coefficient index {k!r} must be an integer in range")
+                if type(c) is not int and (c := Fraction(c)).denominator == 1:
+                    c = c.numerator
                 if c:
-                    cc[int(k)] = c.numerator if c.denominator == 1 else c
+                    cc[k] = c
             if cc:
                 clean[(i, j)] = cc
         self.brackets = clean
@@ -204,16 +205,20 @@ def check_jacobi(g: LieAlgebra):
     The residual of i < j < k sums [x_a, [x_b, x_c]] over the cyclic orders
     (a, b, c) of (i, j, k).  It is built by walking bracket chains: for each
     x_m term of a nonzero [x_b, x_c] (b < c) and each a outside {b, c} with
-    [x_a, x_m] != 0, that term times [x_a, x_m] goes to the residual of
-    sorted((a, b, c)), negated when b < a < c.  Triples on no chain have zero
+    [x_a, x_m] != 0, that term times [x_a, x_m] goes to the residual of the
+    sorted triple (by comparison), negated when b < a < c.  Triples on no chain have zero
     residual.  The returned triple is the lexicographically first violation.
     """
     res: dict[tuple[int, int, int], Coeffs] = {}
     for (b, c), inner in g.brackets.items():
         for m, cm in inner.items():
             for a, w in g._ad.get(m, {}).items():  # w = [x_m, x_a] = -[x_a, x_m]
-                if a != b and a != c:
-                    _subtract(res.setdefault(tuple(sorted((a, b, c))), {}), -cm if b < a < c else cm, w)
+                if a < b:
+                    _subtract(res.setdefault((a, b, c), {}), cm, w)
+                elif b < a < c:
+                    _subtract(res.setdefault((b, a, c), {}), -cm, w)
+                elif a > c:
+                    _subtract(res.setdefault((b, c, a), {}), cm, w)
     triple = min((t for t, r in res.items() if r), default=None)
     if triple is None:
         return None

@@ -3,7 +3,7 @@
 Every elimination works on sparse rows {column: value}, since the matrices
 built from structure constants are sparse; no dense matrix is eliminated.
 No floating point anywhere.  One fraction-free echelon, SparseEchelon, on
-integer rows over Q (Fraction denominators cleared on entry) or residues
+integer rows over Q (Fraction denominators cleared on entry) or lazy residues
 mod p, gives ranks over both (`rank`, `rank_mod_p`); over Q only it also
 gives membership and coordinates (`reduce`) and the canonical bases of
 kernels and spans (`rref`, `kernel`, as sparse rows).  It skips work that
@@ -51,12 +51,10 @@ def _sparse(v) -> dict:
     return {c: x for c, x in enumerate(v) if x}
 
 
-def _subtract(target: dict, f, row: dict, p: int = 0) -> None:
-    """target -= f * row for sparse vectors, in place, mod p if p, dropping zeros."""
+def _subtract(target: dict, f, row: dict) -> None:
+    """target -= f * row for sparse vectors, in place, dropping zeros."""
     for c, x in row.items():
         y = target.get(c, 0) - f * x
-        if p:
-            y %= p
         if y:
             target[c] = y
         else:
@@ -81,18 +79,17 @@ def _clear_denominators(w: dict) -> tuple[dict, int]:
     return {c: x.numerator * (d // x.denominator) for c, x in w.items()}, d
 
 
-def _step(w: dict, prow: dict, c: int, p: int):
-    """(w', a, d): d*w' = a*w - b*prow with b/a = w[c]/prow[c], zero at column c.
-    Over F_p prow[c] = 1 and a = d = 1; over Q a > 0 and d is the content."""
+def _step(w: dict, prow: dict, c: int):
+    """(w', a, d): d*w' = a*w - b*prow with b/a = w[c]/prow[c], zero at column c,
+    for integer rows over Q: a > 0 and d is the content."""
     a, b = prow[c], w[c]
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        w = {k: a * x for k, x in w.items()}
+    _subtract(w, b, prow)
     d = 1
-    if not p:
-        g = gcd(a, b) if a > 0 else -gcd(a, b)
-        a, b = a // g, b // g
-        if a != 1:
-            w = {k: a * x for k, x in w.items()}
-    _subtract(w, b, prow, p)
-    if not p and w and (d := gcd(*w.values())) > 1:
+    if w and (d := gcd(*w.values())) > 1:
         w = {k: x // d for k, x in w.items()}
     return w, a, d
 
@@ -100,13 +97,21 @@ def _step(w: dict, prow: dict, c: int, p: int):
 class SparseEchelon:
     """Echelon form of sparse rows {column: value} over Q (p == 0) or F_p.
 
-    A new row is reduced on its leading (last nonzero) column by `_step` until
-    it vanishes or becomes the pivot row there, led by 1 over F_p; stored rows
-    never change.  The non-pivot columns complete the span lexicographically first.
-    The constructor stops once the pivots fill the C columns the rows' keys name:
-    triangular there, they span every remaining row (a zero value only adds to C).
-    Only the pivot count is read over F_p (`rank_mod_p`); `reduce`, `rref` and
-    `kernel` work over Q.
+    A new row is reduced on its leading (last nonzero) column until it vanishes or
+    becomes the pivot row there; stored rows never change.  The non-pivot columns
+    complete the span lexicographically first.  The constructor stops once the
+    pivots fill the C columns the rows' keys name: triangular there, they span
+    every remaining row (a zero value only adds to C).  Only the pivot count is
+    read over F_p (`rank_mod_p`); `reduce`, `rref` and `kernel` work over Q.
+
+    A step over Q is `_step`.  Over F_p, here alone, w holds lazy residues: integers
+    congruent to an eager reduction's residues (zeros dropped), plus keys of residue 0.
+    A step takes b = w[c] % p at c = max(w), deletes c if b = 0, else sets w[k] -= b*x
+    over the pivot row (led by 1), unreduced, and deletes c; a new pivot row is
+    {k: x*inv % p} without zeros.  By induction w stays congruent to the eager row,
+    and max(w) past the deleted zero residues is its leading column, so residues,
+    pivots and stored rows are the eager ones.  Entries enter in [0, p) and a step
+    adds b*x with 0 <= b, x < p, so after s steps |w[k]| < (s + 1)*p^2.
     """
 
     def __init__(self, rows=(), p: int = 0):
@@ -119,14 +124,20 @@ class SparseEchelon:
             w = _entry(v, p)[0]
             while w:
                 c = max(w)
-                prow = self.rows.get(c)
-                if prow is None:
-                    if p and w[c] != 1:
-                        inv = pow(w[c], -1, p)
-                        w = {k: x * inv % p for k, x in w.items()}
+                if p and not (b := w[c] % p):
+                    del w[c]
+                elif (prow := self.rows.get(c)) is None:
+                    if p:
+                        inv = pow(b, -1, p)
+                        w = {k: r for k, x in w.items() if (r := x * inv % p)}
                     self.rows[c] = w
                     break
-                w = _step(w, prow, c, p)[0]
+                elif p:
+                    for k, x in prow.items():
+                        w[k] = w.get(k, 0) - b * x
+                    del w[c]
+                else:
+                    w = _step(w, prow, c)[0]
 
     def reduce(self, v) -> dict:
         """v minus an element of the span, zero on every pivot; empty iff v is in the span.
@@ -136,7 +147,7 @@ class SparseEchelon:
         while w:
             c = max(w)
             if c in self.rows:
-                w, a, d = _step(w, self.rows[c], c, 0)
+                w, a, d = _step(w, self.rows[c], c)
                 num, den = num * d, den * a
             else:
                 out[c] = Fraction(w.pop(c) * num, den)

@@ -42,9 +42,8 @@ def blossom_matching(n: int, edges) -> tuple[tuple[int, int], ...]:
             v = parent[match[v]]
 
     def find_path(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
+        parent[:] = [-1] * n
+        base[:] = range(n)
         used = [False] * n
         used[root] = True
         q = deque([root])

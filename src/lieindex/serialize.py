@@ -55,11 +55,12 @@ def algebra_from_dict(d: Any) -> LieAlgebra:
     brackets: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     positions, values = {}, {}  # each distinct key and scalar string, checked once
     for entry in raw:
-        _expect(isinstance(entry, dict), "each bracket must be an object")
-        i, j, c = entry.get("i"), entry.get("j"), entry.get("c")
-        _expect(type(i) is type(j) is int, "bracket indices must be integers")
-        _expect(isinstance(c, dict), "bracket coefficients must be an object")
-        _expect((i, j) not in brackets, "duplicate bracket entry for ({}, {})", i, j)
+        if not (isinstance(entry, dict) and type(i := entry.get("i")) is type(j := entry.get("j")) is int
+                and isinstance(c := entry.get("c"), dict) and (i, j) not in brackets):
+            _expect(isinstance(entry, dict), "each bracket must be an object")  # so i, j were bound
+            _expect(type(i) is type(j) is int, "bracket indices must be integers")  # so c was bound
+            _expect(isinstance(c, dict), "bracket coefficients must be an object")
+            raise ValueError(f"duplicate bracket entry for ({i}, {j})")
         coeffs = {}
         for k, v in c.items():
             if k not in positions:

@@ -170,6 +170,19 @@ class TestConstruction:
             LieAlgebra(3, None, {(0, 1): {3: 1}})
         with pytest.raises(ValueError):
             LieAlgebra(-1)
+        # Indices are ints: a float coefficient index was once truncated
+        # ({1.5: 1} stored as {1: 1}), and a float bracket key made index() raise TypeError.
+        for brackets in (
+            {(0, 1): {1.5: 1}},
+            {(0, 1): {2.0: 1}},
+            {(0.5, 1): {2: 1}},
+            {(0, 1.0): {2: 1}},
+            {(False, True): {2: 1}},
+            {(0, 1): {True: 1}},
+            {(0, 1): {"2": 1}},
+        ):
+            with pytest.raises(ValueError, match="must be integers|must be an integer"):
+                LieAlgebra(3, None, brackets)
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from lieindex.graphs import (
 )
 from lieindex.index import index, stabilizer
 from lieindex.matching import blossom_matching
+from test_index import catalogue_algebras
 
 
 def complete(n):
@@ -146,6 +148,35 @@ class TestMatching:
         with pytest.raises(ValueError):
             validate_matching(g, [(0, 1), (1, 2)])
         assert validate_matching(g, [(2, 1)]) == ((1, 2),)
+
+    @staticmethod
+    def digest(matchings) -> str:
+        return hashlib.sha256(repr(list(matchings)).encode()).hexdigest()
+
+    def test_random_matchings_bytes_stable(self):
+        # graph-index prints the matching itself, so the edges blossom_matching
+        # picks are pinned, not only their number: seeded graphs with n <= 40,
+        # edges in random order and orientation.
+        rng = random.Random(2727)
+        matchings = []
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            density = rng.choice((0.05, 0.1, 0.2, 0.4))
+            edges = [(i, j) if rng.random() < 0.5 else (j, i)
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+            rng.shuffle(edges)
+            matchings.append(blossom_matching(n, edges))
+        assert self.digest(matchings) == (
+            "27132c9ce1b363f1c13cff2236631a104f0bf62eb4effd0e0bff59a7fd1152d2"
+        )
+
+    def test_bracket_graph_matchings_bytes_stable(self):
+        # The rank ceiling's matchings, on the bracket graphs {i, j} with [x_i, x_j] != 0.
+        corpus = catalogue_algebras()
+        assert len(corpus) == 220
+        assert self.digest(blossom_matching(g.dim, g.brackets) for _, g in corpus) == (
+            "9b6312dbdcd14ec68ae040bb0372bcabcc34791f0c584f531756a74beecd3b42"
+        )
 
 
 class TestGraphIndex:

@@ -292,6 +292,68 @@ class TestEchelonModP:
                 inv = pow(row[max(row)], -1, q)
                 assert ech.rows[max(row)] == {c: r for c, x in row.items() if (r := x * inv % q)}
 
+    # At the modulus index() uses, 2^61 - 1, the working row holds lazy residues:
+    # integers congruent to them, reduced only where the leading one is read.
+
+    @staticmethod
+    def wide_entry(rng, q):
+        # Entries >= q^2, negative entries, multiples of q, small entries and zeros.
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.randint(q * q, q**3)
+        if kind == 1:
+            return -rng.randint(1, q**3)
+        if kind == 2:
+            return q * rng.randint(-q, q)
+        return rng.randint(-9, 9) if kind == 3 else 0
+
+    @staticmethod
+    def assert_led_by_one(ech, q):
+        for c, row in ech.rows.items():
+            assert max(row) == c and row[c] == 1 and all(0 < x < q for x in row.values())
+
+    def test_rank_at_the_real_modulus(self, monkeypatch):
+        class Watched(dict):  # the working row, its largest |entry| recorded
+            def __setitem__(self, k, x):
+                widest[0] = max(widest[0], abs(x))
+                super().__setitem__(k, x)
+
+        entry = linalg._entry
+        monkeypatch.setattr(linalg, "_entry", lambda v, p: (Watched(entry(v, p)[0]), 1))
+        q = DEFAULT_PRIME
+        rng = random.Random(1717)
+        for trial in range(80):
+            ncols = rng.randint(1, 10)
+            m = [[self.wide_entry(rng, q) for _ in range(ncols)] for _ in range(rng.randint(1, 8))]
+            for _ in range(rng.randint(0, 4)):  # congruent mod q to a combination of earlier rows
+                fs = [rng.randint(-3, 3) for _ in m]
+                m.append([sum(f * row[c] for f, row in zip(fs, m)) + q * rng.randint(-q, q) * rng.randint(0, 1)
+                          for c in range(ncols)])
+            rng.shuffle(m)
+            widest = [0]
+            ech = SparseEchelon(sparse_rows(m), q)
+            assert len(ech.rows) == rank_mod_p(sparse_rows(m), q) == gf_rank(m, q), trial
+            assert widest[0] < (ncols + 1) * q * q
+            self.assert_led_by_one(ech, q)
+
+    def test_leading_residue_cancels_partway(self):
+        # With 2h = q + 1, the step b - h*a leaves 1 - 2h = -q at column 1: a
+        # multiple of q, deleted unread, and the reduction goes on at column 0.
+        q = DEFAULT_PRIME
+        h = (q + 1) // 2
+        a = {2: 1, 1: 2, 0: 2}
+        ech = SparseEchelon([a, {2: h, 1: 1, 0: 8}], q)
+        assert ech.rows == {2: a, 0: {0: 1}}
+        # Here the whole of b - h*a is -q*(x_1 + x_0): 0 mod q, though not over Q.
+        b = {2: h, 1: 1, 0: 1}
+        assert rank_mod_p([a, b], q) == gf_rank(dense([a, b], 3), q) == 1
+        assert rank([a, b]) == 2
+        # Entries >= q^2, negative ones and multiples of q enter as their residues.
+        c = {1: 1, 0: 2}
+        ech = SparseEchelon([a, c, {2: -q, 1: 4 - 2 * q, 0: 3 * q * q - 8}], q)
+        assert ech.rows == {2: a, 1: c, 0: {0: 1}}
+        self.assert_led_by_one(ech, q)
+
 
 class TestRref:
     # The package's reduced row-echelon form is Subspace.from_vectors; sympy is the reference.

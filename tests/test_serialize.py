@@ -120,15 +120,26 @@ class TestAlgebraPayload:
             ({"i": 0, "j": True, "c": {"2": "1"}}, "bracket indices must be integers"),
             ({"i": 0, "j": 1, "c": {"\u0662": "1"}}, "must be a digit string"),  # Arabic-Indic two
             ({"i": 0, "j": 1, "c": {"\u00b2": "1"}}, "must be a digit string"),  # superscript two
+            # An entry failing several checks is named by the first, in the order
+            # object, indices, coefficients object, duplicate.
+            ({"i": "0", "j": "1", "c": [1]}, "bracket indices must be integers"),
+            ({"i": 0, "j": 1.0, "c": "1"}, "bracket indices must be integers"),
+            ({"i": 0, "j": 1, "c": [1]}, "bracket coefficients must be an object"),
+            ({"i": 0, "c": {"2": "1"}}, "bracket indices must be integers"),
+            ("(0, 1): x3", "each bracket must be an object"),
+            ([{"i": 0, "j": 1, "c": {"2": "1"}}, {"i": 0, "j": 1, "c": [1]}], "bracket coefficients must be an object"),
+            ([{"i": 0, "j": 1, "c": {"2": "1"}}, {"i": 0, "j": 1, "c": {"k": "1"}}], "duplicate bracket entry"),
         ],
-        ids=["bool-pair", "bool-j", "arabic-indic-digit", "superscript-digit"],
+        ids=["bool-pair", "bool-j", "arabic-indic-digit", "superscript-digit", "str-indices-list-c",
+             "float-j-str-c", "list-c", "missing-j", "str-entry", "duplicate-list-c", "duplicate-bad-key"],
     )
     def test_rejects_non_json_integers(self, bracket, message):
         # bool is an int subclass, and str.isdigit accepts non-ASCII digits:
         # the booleans once loaded as the key (False, True), the Arabic-Indic
-        # two as coefficient index 2.
+        # two as coefficient index 2.  A list stands for the whole brackets list.
+        brackets = bracket if isinstance(bracket, list) else [bracket]
         with pytest.raises(ValueError, match=message):
-            algebra_from_dict({"dim": 3, "brackets": [bracket]})
+            algebra_from_dict({"dim": 3, "brackets": brackets})
 
     def test_duplicate_entry_message(self):
         entry = {"i": 0, "j": 2, "c": {"1": "1"}}

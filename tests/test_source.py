@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import lieindex
+from lieindex import linalg
 
 
 def test_no_assert_statements():
@@ -124,3 +125,17 @@ def test_dense_vectors_enter_through_subspace_only():
         ]
     assert all(f.startswith("algebra.py:") for f in found), f"_sparse used outside algebra.py: {found}"
     assert found, "algebra.py no longer imports _sparse; update this check"
+
+
+def test_modulus_enters_through_the_echelon_constructor():
+    # SparseEchelon's constructor is the one place that eliminates over F_p
+    # (lazy residues); the Q-only helpers take no modulus.
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    helpers = {d.name: d for d in tree.body if isinstance(d, ast.FunctionDef)}
+    for name in ("_subtract", "_step"):
+        args = helpers[name].args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        assert "p" not in params and args.vararg is args.kwarg is None, (name, params)
+        mods = [node.lineno for node in ast.walk(helpers[name])
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)]
+        assert not mods, f"{name} reduces modulo something at {mods}"
