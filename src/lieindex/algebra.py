@@ -2,9 +2,10 @@
 
 A LieAlgebra's public `brackets` is a dict keyed by basis index pairs (i, j)
 with i < j; values are sparse coefficient dicts {k: c} meaning
-[x_i, x_j] = sum_k c * x_k.  Zero coefficients are never stored.  Each c is
-an int when it is integral and an exact Fraction otherwise; LieAlgebra is
-the one place that decides, so builders pass plain integers.  No floats.
+[x_i, x_j] = sum_k c * x_k.  Zero coefficients are never stored.  Each c is an
+int when integral and a Fraction otherwise, never a float or bool; LieAlgebra
+decides, so builders pass plain ints.  Subspace rows and sparse vectors follow
+the same rule; the dense outputs (basis, bracket) are Fraction tuples.
 A private adjoint table holds every nonzero [x_i, x_j] in both orders, so
 bracket lookups, ad x_i and the images {a: [x_a, v]} read it without an
 order branch.
@@ -35,6 +36,13 @@ def _flip(n: int, v: Coeffs) -> Coeffs:
     return {n - 1 - c: x for c, x in v.items()}
 
 
+def _exact(c, where: str) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction; a float or bool is refused."""
+    if isinstance(c, (bool, float)):
+        raise ValueError(f"{where} must be an int or Fraction, got {c!r}")
+    return c.numerator if (c := Fraction(c)).denominator == 1 else c
+
+
 class NotAbelianError(ValueError):
     """Raised when an operation requires an abelian subspace."""
 
@@ -49,6 +57,7 @@ class Subspace:
 
     The RREF basis is canonical, so equality of subspaces is equality of the
     dataclass fields.  Rows are led by their first nonzero column, in ascending order.
+    Values are ints when integral, else Fractions; as 1 == Fraction(1), equality holds.
     """
 
     ambient_dim: int
@@ -73,12 +82,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple({i: Fraction(1)} for i in range(ambient_dim)))
+        return cls(ambient_dim, tuple({i: 1} for i in range(ambient_dim)))
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows as dense coordinate tuples."""
-        return tuple(tuple(row.get(c, Fraction(0)) for c in range(self.ambient_dim)) for row in self.rows)
+        return tuple(tuple(Fraction(row.get(c, 0)) for c in range(self.ambient_dim)) for row in self.rows)
 
     @property
     def dim(self) -> int:
@@ -131,8 +140,8 @@ class LieAlgebra:
             for k, c in coeffs.items():
                 if not (type(k) is int and 0 <= k < dim):
                     raise ValueError(f"coefficient index {k!r} must be an integer in range")
-                if type(c) is not int and (c := Fraction(c)).denominator == 1:
-                    c = c.numerator
+                if type(c) is not int:
+                    c = _exact(c, f"coefficient {k} of bracket ({i},{j})")
                 if c:
                     cc[k] = c
             if cc:

@@ -36,6 +36,7 @@ from .algebra import (
     NotAbelianError,
     Subspace,
     _center_dim,
+    _exact,
     abelian_witness,
     center,
 )
@@ -156,11 +157,11 @@ def certified_generic_rank(g: LieAlgebra) -> int:
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     @classmethod
     def of(cls, values) -> "LinearFunctional":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(v if type(v) is int else _exact(v, f"coordinate {i}") for i, v in enumerate(values)))
 
 
 def _form_ranks(g: LieAlgebra, points):
@@ -185,7 +186,8 @@ def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
         raise ValueError("functional length does not match algebra dimension")
     # Integer rows {j: ell([x_i, x_j])}, the constants and ell cleared of
     # denominators: the same kernel.
-    point, _ = _clear_denominators(dict(enumerate(ell.coords)))
+    point = ell.coords if all(type(x) is int for x in ell.coords) else (
+        _clear_denominators(dict(enumerate(ell.coords)))[0])
     rows = _form_rows(_integer_entries(_bracket_entries(g)), point, g.dim, skew=True)
     sub = Subspace(g.dim, SparseEchelon(rows).kernel(g.dim))
     if (g.dim - sub.dim) % 2:

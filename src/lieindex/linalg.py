@@ -2,12 +2,12 @@
 
 Every elimination works on sparse rows {column: value}, since the matrices
 built from structure constants are sparse; no dense matrix is eliminated.
-No floating point anywhere.  One fraction-free echelon, SparseEchelon, on
-integer rows over Q (Fraction denominators cleared on entry) or lazy residues
-mod p, gives ranks over both (`rank`, `rank_mod_p`); over Q only it also
-gives membership and coordinates (`reduce`) and the canonical bases of
-kernels and spans (`rref`, `kernel`, as sparse rows).  It skips work that
-the rows' own support proves unneeded: see SparseEchelon.
+No floats: each value out is an int when integral, else a Fraction (`_ratio`).
+One fraction-free echelon, SparseEchelon, on integer rows over Q (Fraction
+denominators cleared on entry) or lazy residues mod p, gives ranks over both
+(`rank`, `rank_mod_p`); over Q only it also gives membership and coordinates
+(`reduce`) and the canonical bases of kernels and spans (`rref`, `kernel`, as
+sparse rows).  It skips work the rows' own support proves unneeded: see SparseEchelon.
 """
 
 from __future__ import annotations
@@ -71,6 +71,11 @@ def _entry(v, p: int) -> tuple[dict[int, int], int]:
     if Fraction not in map(type, w.values()):
         return w, 1
     return _clear_denominators(w)
+
+
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num/den exactly: an int when den divides num, else a Fraction."""
+    return Fraction(num, den) if num % den else num // den
 
 
 def _clear_denominators(w: dict) -> tuple[dict, int]:
@@ -142,7 +147,10 @@ class SparseEchelon:
     def reduce(self, v) -> dict:
         """v minus an element of the span, zero on every pivot; empty iff v is in the span.
         Columns are cleared in descending order, each pivot by its row, which lies below it."""
-        w, den = _entry(v, 0)
+        return self._reduce(*_entry(v, 0))
+
+    def _reduce(self, w: dict, den: int) -> dict:
+        """reduce(w / den) for an integer row w, which it consumes; den != 0."""
         num, out = 1, {}
         while w:
             c = max(w)
@@ -150,28 +158,24 @@ class SparseEchelon:
                 w, a, d = _step(w, self.rows[c], c)
                 num, den = num * d, den * a
             else:
-                out[c] = Fraction(w.pop(c) * num, den)
+                out[c] = _ratio(w.pop(c) * num, den)
         return out
 
     def rref(self) -> dict[int, dict]:
         """{pivot: row} of the reduced row-echelon form: leading entry 1 at the
         pivot, zero on every other pivot.  When every row lies on the pivots these are
         the unit rows: triangular there, the rows span those coordinates."""
-        one = Fraction(1)
         if all(k in self.rows for row in self.rows.values() for k in row):
-            return {c: {c: one} for c in self.rows}
-        red = {}
-        for c, row in self.rows.items():
-            tail = self.reduce({k: x for k, x in row.items() if k != c})
-            red[c] = {c: one, **{k: x / row[c] for k, x in tail.items()}}
-        return red
+            return {c: {c: 1} for c in self.rows}
+        return {c: {c: 1, **self._reduce({k: x for k, x in row.items() if k != c}, row[c])}
+                for c, row in self.rows.items()}
 
     def kernel(self, ncols: int) -> tuple[dict, ...]:
         """Basis of {x : row . x = 0 for every row} as sparse rows: per free column f,
         e_f minus the rref rows' column f.  Rows hold f only before their pivot, so
         in ascending f the basis is in rref (led by the first nonzero column)."""
         red = self.rref()
-        basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in red}
+        basis = {f: {f: 1} for f in range(ncols) if f not in red}
         for c, row in red.items():
             for f, x in row.items():
                 if f != c:

@@ -20,10 +20,12 @@ from lieindex.algebra import (
 from lieindex.filiform import build_G, build_L, build_Q, random_adapted_deformation
 from lieindex.free_nilpotent import build_fg3_explicit_basis, build_free_nilpotent, build_metabelian
 from lieindex.graphs import SimpleGraph, build_graph_algebra
-from lieindex.index import alpha_sandwich, index, ooms_criterion, stabilizer
+from lieindex.index import LinearFunctional, alpha_sandwich, index, ooms_criterion, stabilizer
+from lieindex.linalg import SparseEchelon
 from lieindex.serialize import algebra_from_dict, algebra_to_dict, dumps, format_scalar, stabilizer_to_dict
 from lieindex.verify import _CORPUS
 from test_index import rescaled, shifted
+from test_linalg import assert_exact
 
 
 def heisenberg():
@@ -275,6 +277,12 @@ class TestConstantTypes:
         assert type(g.brackets[(0, 1)][2]) is Fraction
         assert type(g.brackets[(0, 2)][1]) is int
 
+    @pytest.mark.parametrize("c", [0.1, 2.0, True, False])
+    def test_floats_and_bools_are_refused(self, c):
+        # 0.1 was stored as its binary expansion, 3602879701896397/36028797018963968.
+        with pytest.raises(ValueError, match=r"^coefficient 2 of bracket \(0,1\) must be an int or Fraction, got "):
+            LieAlgebra(3, None, {(0, 1): {2: c}})
+
     @pytest.mark.parametrize("build", INTEGRAL_BUILDS[:3] + [
         pytest.param(lambda: change_basis(build_free_nilpotent(2, 4).algebra, rational_basis_change(8)),
                      id="F2,4-rational"),
@@ -284,6 +292,50 @@ class TestConstantTypes:
         payload = dumps(algebra_to_dict(g))
         assert dumps(algebra_to_dict(as_fractions(g))) == payload
         assert dumps(algebra_to_dict(algebra_from_dict(algebra_to_dict(g)))) == payload
+
+
+class TestValueRepresentation:
+    # Sparse values are ints when integral and Fractions otherwise; no result and
+    # no printed byte depends on which.
+    def test_subspace_equality_ignores_the_representation(self):
+        assert Subspace(2, ({0: 1},)) == Subspace(2, ({0: Fraction(1)},))
+        assert Subspace.full(2) == Subspace(2, ({0: Fraction(1)}, {1: Fraction(1)}))
+        assert Subspace.full(2).basis == ((1, 0), (0, 1))
+        assert all(type(x) is Fraction for v in Subspace.full(2).basis for x in v)
+
+    def test_integral_quotients_of_fraction_rows_are_ints(self):
+        # Rows (3/2, 1/2, 0) and (0, 4/3, 2/3): the rref rows are (3, 1, 0) and
+        # (-6, 0, 1), the kernel is spanned by (1, -3, 6), and (1/2, 3/2, 0)
+        # reduces to (-4, 0, 0).
+        ech = SparseEchelon([{0: Fraction(3, 2), 1: Fraction(1, 2)}, {1: Fraction(4, 3), 2: Fraction(2, 3)}])
+        red, kernel, reduced = ech.rref(), ech.kernel(3), ech.reduce({0: Fraction(1, 2), 1: Fraction(3, 2)})
+        assert (red, kernel, reduced) == ({1: {1: 1, 0: 3}, 2: {2: 1, 0: -6}}, ({0: 1, 1: -3, 2: 6},), {0: -4})
+        assert {type(x) for row in (*red.values(), *kernel, reduced) for x in row.values()} == {int}
+        assert_exact(ech.reduce({0: Fraction(1, 3)}).values())
+
+    def test_stabilizer_bytes_of_a_rational_functional(self):
+        g = build_free_nilpotent(2, 4).algebra
+        ell = LinearFunctional.of([Fraction(1, 2), 0, -3, Fraction(2, 3), 1, 0, Fraction(-5, 4), Fraction(6, 3)])
+        assert dumps(stabilizer_to_dict(stabilizer(g, ell))) == (
+            '{"dim":8,"form_rank":4,"functional":{"coords":["1/2","0","-3","2/3","1","0","-5/4","2"]},'
+            '"stabilizer_basis":[["0","0","1","124/75","8/15","0","0","0"],["0","0","0","0","0","1","0","0"],'
+            '["0","0","0","0","0","0","1","0"],["0","0","0","0","0","0","0","1"]],"stabilizer_dim":4}'
+        )
+        g = build_G(7, 5).algebra
+        ell = LinearFunctional.of([Fraction(1, 2), 0, -3, Fraction(2, 3), 1, 5, Fraction(-5, 4)])
+        assert dumps(stabilizer_to_dict(stabilizer(g, ell))) == (
+            '{"dim":7,"form_rank":4,"functional":{"coords":["1/2","0","-3","2/3","1","5","-5/4"]},'
+            '"stabilizer_basis":[["0","0","0","1","0","4/5","0"],["0","0","0","0","1","4","0"],'
+            '["0","0","0","0","0","0","1"]],"stabilizer_dim":3}'
+        )
+
+    def test_integer_functional_matches_its_fraction_copy(self):
+        for g in (build_free_nilpotent(2, 4).algebra, shifted(build_metabelian(3, 4).algebra)):
+            ell = index(g, want_witness=True).witness
+            assert {type(c) for c in ell.coords} == {int}
+            copy = LinearFunctional(tuple(map(Fraction, ell.coords)))
+            assert copy == ell
+            assert dumps(stabilizer_to_dict(stabilizer(g, copy))) == dumps(stabilizer_to_dict(stabilizer(g, ell)))
 
 
 class TestJacobi:
@@ -359,7 +411,7 @@ class TestSubspace:
     def test_rows_are_sparse_rref(self):
         s = Subspace.from_vectors(4, [[0, 2, 4, 0], [0, 0, 0, 3], [0, 1, 2, 5]])
         assert s.rows == ({1: 1, 2: 2}, {3: 1})
-        assert all(x and type(x) is Fraction for row in s.rows for x in row.values())
+        assert_exact(x for row in s.rows for x in row.values())
         assert Subspace.full(2).rows == ({0: 1}, {1: 1})
         assert center(heisenberg()).rows == ({2: 1},)
 

@@ -542,6 +542,13 @@ class TestStabilizer:
                 assert (alg.dim - res.dim) % 2 == 0
 
 
+class TestLinearFunctional:
+    @pytest.mark.parametrize("values, position", [([0.5], 0), ([1, 2.0], 1), ([1, 0, True], 2), ([False], 0)])
+    def test_floats_and_bools_are_refused(self, values, position):
+        with pytest.raises(ValueError, match=f"^coordinate {position} must be an int or Fraction, got "):
+            LinearFunctional.of(values)
+
+
 class TestPrimeOverride:
     def test_small_or_composite_rejected(self):
         for prime, certify in product((101, (1 << 61) - 3), (False, True)):

@@ -31,6 +31,13 @@ def random_matrix(rng, nrows, ncols, fractions=False):
     return [[entry() for _ in range(ncols)] for _ in range(nrows)]
 
 
+def assert_exact(values, zeros=False):
+    """Each value as the package hands it back: an int, or a Fraction that is not
+    an integer.  Never a float, and never 0 unless zeros (dense coordinates) may be."""
+    bad = [x for x in values if not (type(x) is int and (zeros or x) or type(x) is Fraction and x.denominator > 1)]
+    assert not bad, f"values not in exact form: {bad}"
+
+
 def sparse_rows(m):
     return [{c: x for c, x in enumerate(row) if x} for row in m]
 
@@ -231,7 +238,7 @@ class TestUnreducedEchelon:
                 assert sympy_rank(m + [diff], ncols) == sympy_rank(m, ncols)
                 in_span = sympy_rank(m + [[u.get(c, 0) for c in range(ncols)]], ncols) == len(ech.rows)
                 assert (not r) == in_span
-                assert all(type(x) is Fraction for x in r.values())
+                assert_exact(r.values())
 
     def test_kernel_against_sympy(self):
         rng = random.Random(1313)
@@ -242,7 +249,7 @@ class TestUnreducedEchelon:
             kernel = SparseEchelon(rows).kernel(ncols)
             reference = [list(v) for v in sympy_matrix(m, ncols).nullspace()]
             assert densify(kernel, ncols) == sympy_rref(reference, ncols)
-            assert all(type(x) is Fraction and x for v in kernel for x in v.values())
+            assert_exact(x for v in kernel for x in v.values())
 
     def test_span_against_sympy(self):
         # Subspace.span pivots on the first nonzero column, so rows whose
@@ -559,7 +566,7 @@ class TestSupportStop:
             return
         red = ech.rref()
         assert red == cls.reference_rref(rows, ncols)
-        assert all(type(x) is Fraction for row in red.values() for x in row.values())
+        assert_exact(x for row in red.values() for x in row.values())
         assert densify(ech.kernel(ncols), ncols) == cls.reference_kernel(rows, ncols)
         for _ in range(3):
             u = {c: x for c in range(ncols) if rng.random() < 0.6 and (x := cls.entry(rng, q))}

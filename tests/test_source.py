@@ -139,3 +139,19 @@ def test_modulus_enters_through_the_echelon_constructor():
         mods = [node.lineno for node in ast.walk(helpers[name])
                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)]
         assert not mods, f"{name} reduces modulo something at {mods}"
+
+
+def test_fractions_are_built_in_one_helper():
+    # An echelon value is an int when integral; linalg._ratio is the one place
+    # that builds a Fraction, so no other line of linalg.py wraps an integer.  A
+    # true division would give a float on two ints.
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    [ratio] = [d for d in tree.body if isinstance(d, ast.FunctionDef) and d.name == "_ratio"]
+    inside = {id(node) for node in ast.walk(ratio)}
+    built = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert [node.lineno for node in built if id(node) not in inside] == []
+    assert built, "linalg._ratio no longer builds a Fraction; update this check"
+    divisions = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert not divisions, f"true divisions in linalg.py at {divisions}"
