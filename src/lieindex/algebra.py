@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .linalg import SparseEchelon, _sparse, _subtract, rank
 
@@ -37,10 +38,12 @@ def _flip(n: int, v: Coeffs) -> Coeffs:
 
 
 def _exact(c, where: str) -> int | Fraction:
-    """c as an int when it is integral, else as a Fraction; a float or bool is refused."""
-    if isinstance(c, (bool, float)):
+    """c as an int when it is integral, else as a Fraction.  Anything but a
+    numbers.Rational is refused (a float, str or Decimal), and so is a bool."""
+    if isinstance(c, bool) or not isinstance(c, Rational):
         raise ValueError(f"{where} must be an int or Fraction, got {c!r}")
-    return c.numerator if (c := Fraction(c)).denominator == 1 else c
+    num, den = int(c.numerator), int(c.denominator)  # a numpy integer's are numpy's
+    return num if den == 1 else Fraction(num, den)
 
 
 class NotAbelianError(ValueError):
@@ -133,10 +136,11 @@ class LieAlgebra:
             raise ValueError("labels must be distinct")
         self.labels = labels
         clean: dict[tuple[int, int], Coeffs] = {}
+        ad: dict[int, dict[int, Coeffs]] = {}  # ad[i][j] = [x_i, x_j] != 0
         for (i, j), coeffs in (brackets or {}).items():
             if not (type(i) is type(j) is int and 0 <= i < j < dim):  # bool is not
                 raise ValueError(f"bracket key ({i!r},{j!r}) must be integers with 0 <= i < j < dim")
-            cc = {}
+            cc, neg = {}, {}
             for k, c in coeffs.items():
                 if not (type(k) is int and 0 <= k < dim):
                     raise ValueError(f"coefficient index {k!r} must be an integer in range")
@@ -144,13 +148,12 @@ class LieAlgebra:
                     c = _exact(c, f"coefficient {k} of bracket ({i},{j})")
                 if c:
                     cc[k] = c
+                    neg[k] = -c
             if cc:
-                clean[(i, j)] = cc
+                clean[(i, j)] = ad.setdefault(i, {})[j] = cc
+                ad.setdefault(j, {})[i] = neg
         self.brackets = clean
-        self._ad: dict[int, dict[int, Coeffs]] = {}  # _ad[i][j] = [x_i, x_j] != 0
-        for (i, j), cc in clean.items():
-            self._ad.setdefault(i, {})[j] = cc
-            self._ad.setdefault(j, {})[i] = {k: -c for k, c in cc.items()}
+        self._ad = ad
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .algebra import Coeffs, LieAlgebra, check_jacobi
 from .free_nilpotent import _check_ceiling
 from .index import index
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, _subtract
 
 
 def _labels(n: int) -> tuple[str, ...]:
@@ -185,10 +185,15 @@ def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlge
     # w on the pivots leaves minus its coordinates on the new basis in the tags.
     ech = SparseEchelon({m: 1, **{2 * n - 1 - r: c for r, c in col.items()}}
                         for m, col in enumerate(cols))
+    # [e'_s, e'_t] = sum_a e'_s[a] [x_a, e'_t], read off one ad_images per column.
+    images = [g.ad_images(col) for col in cols]
     brackets: dict[tuple[int, int], Coeffs] = {}
     for s in range(n):
         for t in range(s + 1, n):
-            w = g.sparse_bracket(cols[s], cols[t])
+            w: Coeffs = {}
+            for a, c in cols[s].items():
+                if a in images[t]:
+                    _subtract(w, -c, images[t][a])
             if w:
                 coords = ech.reduce({2 * n - 1 - k: c for k, c in w.items()})
                 brackets[(s, t)] = {r: -c for r, c in sorted(coords.items())}

@@ -159,6 +159,11 @@ def certified_generic_rank(g: LieAlgebra) -> int:
 class LinearFunctional:
     coords: tuple[int | Fraction, ...]
 
+    def __post_init__(self):
+        if not {int, Fraction}.issuperset(map(type, self.coords)):
+            i, x = next((i, x) for i, x in enumerate(self.coords) if type(x) not in (int, Fraction))
+            raise ValueError(f"coordinate {i} must be an int or Fraction, got {x!r}")
+
     @classmethod
     def of(cls, values) -> "LinearFunctional":
         return cls(tuple(v if type(v) is int else _exact(v, f"coordinate {i}") for i, v in enumerate(values)))

@@ -7,7 +7,7 @@ One fraction-free echelon, SparseEchelon, on integer rows over Q (Fraction
 denominators cleared on entry) or lazy residues mod p, gives ranks over both
 (`rank`, `rank_mod_p`); over Q only it also gives membership and coordinates
 (`reduce`) and the canonical bases of kernels and spans (`rref`, `kernel`, as
-sparse rows).  It skips work the rows' own support proves unneeded: see SparseEchelon.
+sparse rows).  It never reads a row that its pivots already span: see SparseEchelon.
 """
 
 from __future__ import annotations
@@ -104,10 +104,19 @@ class SparseEchelon:
 
     A new row is reduced on its leading (last nonzero) column until it vanishes or
     becomes the pivot row there; stored rows never change.  The non-pivot columns
-    complete the span lexicographically first.  The constructor stops once the
-    pivots fill the C columns the rows' keys name: triangular there, they span
-    every remaining row (a zero value only adds to C).  Only the pivot count is
-    read over F_p (`rank_mod_p`); `reduce`, `rref` and `kernel` work over Q.
+    complete the span lexicographically first.  Only the pivot count is read over
+    F_p (`rank_mod_p`); `reduce`, `rref` and `kernel` work over Q.
+
+    The constructor skips a row whose columns all lie below `low`, the least of the
+    columns the rows' keys name that is no pivot.  Each pivot row's last key is its
+    pivot, so the pivot rows on the columns below low are triangular there, with
+    nonzero leading entries: they span every vector on those columns, over Q and
+    over F_p alike, and the row would have reduced to zero.  Once every column is a
+    pivot every row is skipped, so the loop ends.  The stored rows, and so every
+    result, are those of reading every row.  A zero value only adds a column, which
+    can make low smaller, never larger.  low is recomputed only when a pivot lands
+    on it, at most once per pivot; a sorted column list costs more on the many
+    matrices where nothing is skipped.
 
     A step over Q is `_step`.  Over F_p, here alone, w holds lazy residues: integers
     congruent to an eager reduction's residues (zeros dropped), plus keys of residue 0.
@@ -122,13 +131,17 @@ class SparseEchelon:
     def __init__(self, rows=(), p: int = 0):
         self.rows: dict[int, dict[int, int]] = {}  # pivot -> row
         rows = [v for v in rows if v]
-        support = len(set().union(*rows))
+        free = set().union(*rows)  # the columns that are no pivot
+        low = min(free, default=0)  # the least of them
         for v in rows:
-            if len(self.rows) == support:
+            if not free:
                 break
+            if (c := max(v)) < low:
+                continue
             w = _entry(v, p)[0]
             while w:
-                c = max(w)
+                if c not in w:  # first c = max(v), unless _entry dropped a zero there
+                    c = max(w)
                 if p and not (b := w[c] % p):
                     del w[c]
                 elif (prow := self.rows.get(c)) is None:
@@ -136,6 +149,9 @@ class SparseEchelon:
                         inv = pow(b, -1, p)
                         w = {k: r for k, x in w.items() if (r := x * inv % p)}
                     self.rows[c] = w
+                    free.discard(c)
+                    if c == low:
+                        low = min(free, default=0)
                     break
                 elif p:
                     for k, x in prow.items():

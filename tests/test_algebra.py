@@ -1,7 +1,9 @@
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -271,15 +273,22 @@ class TestConstantTypes:
         assert type(g.brackets[(0, 1)][2]) is int
         assert type(g.structure_coeffs(1, 0)[2]) is int
 
+    def test_numpy_integers_become_int(self):
+        g = LieAlgebra(3, None, {(0, 1): {2: np.int64(3)}})
+        assert type(g.brackets[(0, 1)][2]) is int
+        assert LinearFunctional.of([np.int64(1), 0, 0]).coords == (1, 0, 0)
+
     def test_non_integral_fraction_stays_exact(self):
         g = LieAlgebra(3, None, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: Fraction(-6, 3)}})
         assert g.brackets == {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: -2}}
         assert type(g.brackets[(0, 1)][2]) is Fraction
         assert type(g.brackets[(0, 2)][1]) is int
 
-    @pytest.mark.parametrize("c", [0.1, 2.0, True, False])
+    @pytest.mark.parametrize("c", [0.1, 2.0, True, False, pytest.param("0.1", id="str"),
+                                   pytest.param(Decimal("0.1"), id="Decimal")])
     def test_floats_and_bools_are_refused(self, c):
         # 0.1 was stored as its binary expansion, 3602879701896397/36028797018963968.
+        # Fraction(c) also parses decimal notation, which algebra_from_dict refuses.
         with pytest.raises(ValueError, match=r"^coefficient 2 of bracket \(0,1\) must be an int or Fraction, got "):
             LieAlgebra(3, None, {(0, 1): {2: c}})
 

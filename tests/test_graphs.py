@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from lieindex.algebra import center, check_jacobi, nilpotency_class
+from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
 from lieindex.graphs import (
     SimpleGraph,
     build_graph_algebra,
@@ -126,6 +127,46 @@ class TestMatching:
             nu = matching_number(g)[0]
             assert nu == matching_number_exhaustive(g)
             assert nu == nx_matching_number(g)
+
+    @staticmethod
+    def pruning_graphs(rng):
+        """Graphs where searches fail and their trees are pruned: random graphs
+        with n up to 60 at mixed densities, stars and unions of stars (many
+        exposed vertices), and the bracket graphs of F(g,c) and M(g,c)."""
+        graphs = []
+        for _ in range(80):
+            n = rng.randint(2, 60)
+            density = rng.choice((0.03, 0.05, 0.08, 0.2, 0.5))
+            graphs.append(SimpleGraph(n, tuple(
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density)))
+        for _ in range(20):
+            n = rng.randint(3, 60)
+            hubs = rng.sample(range(n), rng.randint(1, min(4, n - 1)))
+            edges = {tuple(sorted((h, v))) for h in hubs for v in range(n) if v != h and rng.random() < 0.6}
+            graphs.append(SimpleGraph(n, tuple(sorted(edges))))
+        for build, g, c in ((build_free_nilpotent, 2, 5), (build_free_nilpotent, 2, 8),
+                            (build_free_nilpotent, 3, 4), (build_free_nilpotent, 3, 5),
+                            (build_free_nilpotent, 4, 4), (build_free_nilpotent, 6, 3),
+                            (build_metabelian, 3, 5), (build_metabelian, 4, 4)):
+            alg = build(g, c).algebra
+            assert alg.dim <= 200
+            graphs.append(SimpleGraph(alg.dim, tuple(sorted(alg.brackets))))
+        return graphs
+
+    def test_pruned_blossom_vs_networkx(self):
+        # blossom_matching drops the tree of each failed search.  A vertex still
+        # exposed at the end was a root whose search failed, so every graph with
+        # two such vertices among those with an edge searches past a pruned tree.
+        graphs = self.pruning_graphs(random.Random(2727_27))
+        pruned = 0
+        for g in graphs:
+            nu, m = matching_number(g)
+            validate_matching(g, m)
+            assert nu == nx_matching_number(g)
+            if g.vertex_count <= 9:
+                assert nu == matching_number_exhaustive(g)
+            pruned += len({v for e in g.edges for v in e}) - 2 * nu >= 2
+        assert pruned >= len(graphs) // 3
 
     def test_isolated_vertices_change_nothing(self):
         # blossom_matching searches only the vertices that carry an edge, so

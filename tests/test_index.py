@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -543,10 +544,23 @@ class TestStabilizer:
 
 
 class TestLinearFunctional:
-    @pytest.mark.parametrize("values, position", [([0.5], 0), ([1, 2.0], 1), ([1, 0, True], 2), ([False], 0)])
+    @pytest.mark.parametrize("values, position", [
+        ([0.5], 0), ([1, 2.0], 1), ([1, 0, True], 2), ([False], 0),
+        pytest.param([1, "0.1"], 1, id="str"), pytest.param([1, Decimal("0.1")], 1, id="Decimal"),
+    ])
     def test_floats_and_bools_are_refused(self, values, position):
         with pytest.raises(ValueError, match=f"^coordinate {position} must be an int or Fraction, got "):
             LinearFunctional.of(values)
+
+    @pytest.mark.parametrize("c", [0.5, True, "1", Decimal(1)], ids=["float", "bool", "str", "Decimal"])
+    def test_constructor_refuses_what_of_refuses(self, c):
+        # The dataclass constructor skips of(); stabilizer used to end in AttributeError.
+        with pytest.raises(ValueError, match="^coordinate 2 must be an int or Fraction, got "):
+            stabilizer(heisenberg(), LinearFunctional((0, 0, c)))
+
+    def test_constructor_keeps_exact_coordinates(self):
+        ell = LinearFunctional((0, 0, Fraction(1, 2)))
+        assert stabilizer(heisenberg(), ell).dim == 1
 
 
 class TestPrimeOverride:

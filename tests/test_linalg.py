@@ -6,7 +6,7 @@ import pytest
 import sympy
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
-from test_index import form_matrix, shifted
+from test_index import form_matrix, index_module, shifted
 
 from lieindex import linalg
 from lieindex.algebra import LieAlgebra, Subspace, center, centralizer
@@ -460,11 +460,11 @@ class TestSparseEchelon:
 
 
 class TestSupportStop:
-    # The constructor stops once its pivots number the columns in the rows'
-    # keys; rref and kernel shortcut when every row lies on the pivots.  Each
-    # rank is checked against sympy's DomainMatrix over QQ or GF(q), the rref,
-    # kernel and reduce over QQ, and the stop is watched through the rows the
-    # constructor reads (`_entry`).
+    # The constructor skips a row that lies below its least non-pivot column,
+    # and stops once every column in the rows' keys is a pivot; rref and kernel
+    # shortcut when every row lies on the pivots.  Each rank is checked against
+    # sympy's DomainMatrix over QQ or GF(q), the rref, kernel and reduce over
+    # QQ, and the skips through the rows the constructor reads (`_entry`).
     FIELDS = (0, 2, 3, 5, 7, 13)
 
     @staticmethod
@@ -577,8 +577,9 @@ class TestSupportStop:
                     want[k] = want.get(k, 0) - f * x
             assert ech.reduce(u) == {c: x for c, x in want.items() if x}
 
-    @pytest.mark.parametrize("q", FIELDS, ids=["Q", "F2", "F3", "F5", "F7", "F13"])
-    def test_against_domain_matrix(self, q, monkeypatch):
+    @staticmethod
+    def watch_reads(monkeypatch) -> list:
+        """The list of rows the constructor reads from here on."""
         entered = []
 
         def counted(v, p):
@@ -587,16 +588,51 @@ class TestSupportStop:
 
         entry = linalg._entry
         monkeypatch.setattr(linalg, "_entry", counted)
+        return entered
+
+    @pytest.mark.parametrize("q", FIELDS, ids=["Q", "F2", "F3", "F5", "F7", "F13"])
+    def test_against_domain_matrix(self, q, monkeypatch):
+        entered = self.watch_reads(monkeypatch)
         rng = random.Random(1700 + q)
         for _ in range(25):
             ncols = rng.randint(2, 9)
-            for make, stops in ((self.spanning, True), (self.with_dead_keys, False), (self.short, False)):
-                rows, read = make(rng, q, ncols)
+            for make in (self.spanning, self.with_dead_keys, self.short):
+                rows, triangular = make(rng, q, ncols)
                 entered.clear()
                 SparseEchelon(rows, q)
-                assert len(entered) == read
-                assert (read < len(rows)) == stops
+                if make == self.spanning:
+                    # The triangular rows come first: each is read and fills a column.
+                    assert len(entered) == triangular < len(rows)
+                assert len({id(v) for v in entered}) == len(entered)
+                # Every row not read lies in the span of the rows read: they have full rank.
+                assert self.matrix(entered, ncols, q).rank() == self.matrix(rows, ncols, q).rank()
                 self.check(rows, ncols, q, rng)
+
+    @pytest.mark.parametrize(
+        "build, rk, nonzero",
+        [
+            (lambda: build_free_nilpotent(4, 4).algebra, 14, 30),
+            (lambda: build_free_nilpotent(3, 5).algebra, 12, 32),
+            (lambda: build_metabelian(3, 5).algebra, 6, 29),
+        ],
+        ids=["F(4,4)", "F(3,5)", "M(3,5)"],
+    )
+    def test_trial_reads_only_its_pivots(self, build, rk, nonzero, monkeypatch):
+        # index()'s first seed-1 trial reaches the ceiling, and every row it reads is a pivot.
+        g = build()
+        entries = index_module._integer_entries(index_module._bracket_entries(g))
+        entered = self.watch_reads(monkeypatch)
+        r, point = index_module._trial_rank(entries, g.dim, True, rk, trials=1, seed=1)
+        assert r == len(entered) == rk
+        assert sum(map(bool, index_module._form_rows(entries, point, g.dim, True))) == nonzero
+
+    def test_center_reads_30_of_333_rows(self, monkeypatch):
+        g = build_free_nilpotent(4, 4).algebra
+        # center() keeps one row per (basis index, coordinate) pair a bracket touches.
+        assert len({(x, k) for pair, cs in g.brackets.items() for x in pair for k in cs}) == 333
+        entered = self.watch_reads(monkeypatch)
+        assert center(g).dim == 60
+        assert len(entered) == 30
 
     @pytest.mark.parametrize(
         "build",
