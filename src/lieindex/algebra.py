@@ -6,9 +6,10 @@ with i < j; values are sparse coefficient dicts {k: c} meaning
 int when integral and a Fraction otherwise, never a float or bool; LieAlgebra
 decides, so builders pass plain ints.  Subspace rows and sparse vectors follow
 the same rule; the dense outputs (basis, bracket) are Fraction tuples.
-A private adjoint table holds every nonzero [x_i, x_j] in both orders, so
-bracket lookups, ad x_i and the images {a: [x_a, v]} read it without an
-order branch.
+A private adjoint table holds every nonzero [x_i, x_j] in both orders.
+Bracket lookups, sparse brackets, the images {a: [x_a, v]}, centralizer
+rows and the Jacobi check each walk it once, without an order branch; no
+other module reads it.
 
 Beyond the algebra itself, the module computes the invariants that back the
 index: center, centralizers, the lower central series, the derived pair and
@@ -186,20 +187,14 @@ class LieAlgebra:
             out[k] = c
         return out
 
-    def ad_vector(self, i: int, coeffs: Coeffs) -> Coeffs:
-        """[x_i, v] for sparse v, as a sparse dict."""
-        out: Coeffs = {}
-        row = self._ad.get(i, {})
-        for m, c in coeffs.items():
-            if m in row:
-                _subtract(out, -c, row[m])
-        return out
-
     def sparse_bracket(self, u: Coeffs, v: Coeffs) -> Coeffs:
         """[u, v] for sparse u, v, as a sparse dict."""
         out: Coeffs = {}
         for i, c in u.items():
-            _subtract(out, -c, self.ad_vector(i, v))
+            row = self._ad.get(i, {})
+            for m, cm in v.items():
+                if m in row:
+                    _subtract(out, -c * cm, row[m])
         return out
 
     def ad_images(self, v: Coeffs) -> dict[int, Coeffs]:
@@ -249,24 +244,28 @@ def _basis_rows(g: LieAlgebra, s: Subspace) -> tuple[Coeffs, ...]:
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
     """{x : [x, v] = 0 for every v in s}: the kernel of one sparse row per
-    (basis vector v of s, coordinate k), the form x -> coordinate k of [x, v].
+    (basis vector v_t of s, coordinate k), the form x -> coordinate k of [v_t, x].
+
+    Row (t, k) holds sum_m v_t[m] [x_m, x_a]_k at column a, off the adjoint table
+    (a sum may cancel to a zero value).  Basis vectors go last first: on a graded
+    basis the last bracket only with the first, whose low columns then fill first,
+    and the echelon skips most rows (center(F(4,4)) reads 30 of 333, each a pivot).
     """
-    rows: dict[tuple[int, int], Coeffs] = {}
-    for t, v in enumerate(_basis_rows(g, s)):
-        for i, w in g.ad_images(v).items():
-            for k, c in w.items():
-                rows.setdefault((t, k), {})[i] = c
-    return Subspace(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
+    rows: list[Coeffs] = []
+    for v in reversed(_basis_rows(g, s)):
+        cols: dict[int, Coeffs] = {}  # k -> row (t, k)
+        for m, c in v.items():
+            for a, w in g._ad.get(m, {}).items():  # w = [x_m, x_a]
+                for k, x in w.items():
+                    row = cols.setdefault(k, {})
+                    row[a] = row.get(a, 0) + c * x
+        rows += cols.values()
+    return Subspace(g.dim, SparseEchelon(rows).kernel(g.dim))
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """The centralizer of g, its constraint rows read straight off the brackets."""
-    rows: dict[tuple[int, int], Coeffs] = {}
-    for (i, j), coeffs in g.brackets.items():
-        for k, c in coeffs.items():
-            rows.setdefault((j, k), {})[i] = c
-            rows.setdefault((i, k), {})[j] = -c
-    return Subspace(g.dim, SparseEchelon(rows.values()).kernel(g.dim))
+    """z(g), the centralizer of g."""
+    return centralizer(g, Subspace.full(g.dim))
 
 
 def _center_dim(g: LieAlgebra) -> int:

@@ -105,14 +105,12 @@ def _form_rows(entries, point, n: int, skew: bool) -> list[dict]:
     return rows
 
 
-def _trial_rank(entries, n, skew, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
-                p=DEFAULT_PRIME, certified=False):
+def _trial_rank(entries, n, skew, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, p=DEFAULT_PRIME):
     """(max rank over trials, the first trial point attaining it); integer
     entries.  The trials stop at a rank equal to the ceiling, which no rank
     passes.  Below it, the exact rank over Q at the best point refuses a bad
     modulus: with an integral point and constants a nonzero minor mod p lifts
-    to Q.  A certified ceiling is the exact rank, so there a miss only means
-    that no trial point is a witness."""
+    to Q."""
     best = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -122,11 +120,6 @@ def _trial_rank(entries, n, skew, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_S
             best = r, point
         if r == ceiling:
             return best
-    if certified:
-        raise RuntimeError(
-            "randomized search did not reach the certified rank; "
-            "raise trials to find a witness"
-        )
     r, point = best
     exact = rank(_form_rows(entries, point, n, skew))
     if exact != r:
@@ -239,7 +232,10 @@ def index(
     # The trials rank up to r: the ceiling, or the certified rank for a witness.
     if not certify or want_witness and n:
         entries = _integer_entries(_bracket_entries(g))
-        r, point = _trial_rank(entries, n, True, r, trials, seed, p, certify)
+        top, point = _trial_rank(entries, n, True, r, trials, seed, p)
+        if certify and top < r:
+            raise RuntimeError("randomized search did not reach the certified rank; raise trials to find a witness")
+        r = top
     witness = LinearFunctional.of(point) if want_witness and n else None
     chi = n - r
     if r % 2:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy
 
+from lieindex import algebra as algebra_module
 from lieindex.algebra import (
     LieAlgebra,
     Subspace,
@@ -52,6 +53,24 @@ def centralizer_oracle(g, vectors):
                 rows.append(row)
     kernel = sympy.Matrix(len(rows), g.dim, [sympy.Rational(x) for row in rows for x in row]).nullspace()
     return Subspace.from_vectors(g.dim, [list(v) for v in kernel])
+
+
+def ad_reference(g, i, v):
+    # [x_i, v] summed term by term from structure_coeffs, zeros dropped.
+    out = {}
+    for m, c in v.items():
+        for k, x in g.structure_coeffs(i, m).items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def bracket_reference(g, u, v):
+    # [u, v] = sum_i u_i [x_i, v], from ad_reference.
+    out = {}
+    for i, c in u.items():
+        for k, x in ad_reference(g, i, v).items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def center_oracle(g):
@@ -230,20 +249,24 @@ class TestConstruction:
             for _ in range(10):
                 # Zero coefficients may occur in v; they contribute nothing.
                 v = {m: random_rational(rng) for m in rng.sample(range(g.dim), rng.randint(1, 3))}
-                images = {a: g.ad_vector(a, v) for a in range(g.dim)}
+                images = {a: ad_reference(g, a, v) for a in range(g.dim)}
                 assert g.ad_images(v) == {a: w for a, w in images.items() if w}
+                assert all(g.sparse_bracket({a: 1}, v) == w for a, w in images.items())
         # [x0, x1 - x2] cancels to zero and is left out.
         g = LieAlgebra(4, None, {(0, 1): {3: 1}, (0, 2): {3: 1}})
         assert g.ad_images({1: Fraction(1), 2: Fraction(-1)}) == {}
 
     def test_ad_vector(self):
+        # ad x_i applied to a sparse v is sparse_bracket({i: 1}, v).
         g = two_step_free()
-        assert g.ad_vector(0, {1: Fraction(2)}) == {2: Fraction(2)}
-        assert g.ad_vector(0, {1: Fraction(2), 2: Fraction(0)}) == {2: Fraction(2)}
-        assert g.ad_vector(2, {0: Fraction(1), 1: Fraction(1)}) == {
-            3: Fraction(-1),
-            4: Fraction(-1),
-        }
+        cases = [(0, {1: Fraction(2)}, {2: Fraction(2)}),
+                 (0, {1: Fraction(2), 2: Fraction(0)}, {2: Fraction(2)}),
+                 (2, {0: Fraction(1), 1: Fraction(1)}, {3: Fraction(-1), 4: Fraction(-1)})]
+        for i, v, expected in cases:
+            assert ad_reference(g, i, v) == g.sparse_bracket({i: 1}, v) == expected
+        # Two terms of u cancel: [x0 + x1, x0 - x1] = -2 [x0, x1].
+        assert g.sparse_bracket({0: 1, 1: 1}, {0: 1, 1: -1}) == {2: -2}
+        assert g.sparse_bracket({0: 1, 1: 1}, {0: 1, 1: 1}) == {}
 
 
 INTEGRAL_BUILDS = [
@@ -483,6 +506,39 @@ class TestCenter:
 
     def test_zero_algebra(self):
         assert center(LieAlgebra(0)).dim == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: change_basis(build_free_nilpotent(3, 4).algebra, rational_basis_change(32)),
+         lambda: shifted(build_metabelian(3, 4).algebra)],
+        ids=["F(3,4)-rational", "M(3,4)-shifted"],
+    )
+    def test_walks_match_references(self, build, monkeypatch):
+        # Each term of the lower central series and [g, g]: their basis rows
+        # have several terms, whose brackets cancel in sums.
+        g = build()
+        subspaces = lower_central_series(g) + [derived_subalgebra_pair(g)[0]]
+        built = []
+
+        def watched(rows, p=0):
+            rows = list(rows)
+            built.extend(rows)
+            return echelon(rows, p)
+
+        echelon = algebra_module.SparseEchelon
+        monkeypatch.setattr(algebra_module, "SparseEchelon", watched)
+        cancelled = 0
+        for u in subspaces:
+            built.clear()
+            c = centralizer(g, u)
+            cancelled += any(0 in row.values() for row in built)
+            assert c == centralizer_oracle(g, u.basis)
+        assert cancelled  # some row (t, k) holds a sum that came to zero
+        for u in subspaces:
+            rows = u.rows
+            for p in range(len(rows)):
+                for q in range(p, min(len(rows), p + 4)):
+                    assert g.sparse_bracket(rows[p], rows[q]) == bracket_reference(g, rows[p], rows[q])
 
     def test_dimension_from_the_rank_of_ad(self):
         # index() reads dim z(g) as n - rank(ad); center() builds the basis.

@@ -3,6 +3,7 @@ import importlib
 import json
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -215,13 +216,22 @@ class TestIndex:
         assert code == 2 and out == "" and "trials" in err
 
     def test_witness_not_found(self, capsys, tmp_path):
-        # The structure constant vanishes modulo the default prime, so the
-        # randomized search cannot reach the certified rank.
+        # The structure constant vanishes modulo the default prime: every trial
+        # ranks 0, below the certified rank 2, which no number of trials could
+        # mend.  The exact rank 2 at the best trial point refuses the modulus.
         alg = LieAlgebra(3, None, {(0, 1): {2: (1 << 61) - 1}})
         path = write_algebra(tmp_path, alg)
         code, out, err = run(capsys, "index", path, "--certify", "--witness")
         assert code == 1 and out == ""
-        assert err.startswith("lieindex: ") and "witness" in err
+        assert err.startswith("lieindex: ") and "modulus is bad" in err
+
+    def test_witness_out_of_the_trials_reach(self, capsys, tmp_path, monkeypatch):
+        # Zero trial points rank 0 over Q too: a real miss of the certified rank.
+        monkeypatch.setattr(index_module, "_trial_rng", lambda seed, trial: SimpleNamespace(randrange=lambda p: 0))
+        path = write_algebra(tmp_path, heisenberg())
+        code, out, err = run(capsys, "index", path, "--certify", "--witness")
+        assert code == 1 and out == ""
+        assert err.startswith("lieindex: ") and "did not reach the certified rank" in err
 
     def test_bad_modulus_witness_exits_one(self, capsys, tmp_path):
         # Every trial ranks 0 mod the default prime; the witness check ranks

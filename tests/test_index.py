@@ -4,6 +4,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -209,6 +210,14 @@ class TestIndexReport:
         rep = index(alg, certify=True, want_witness=True)
         assert rep.witness is not None
         assert form_matrix(alg, rep.witness).rank() == rep.generic_rank
+
+    def test_witness_out_of_the_trials_reach(self, monkeypatch):
+        # Every trial point is zero, where the form ranks 0 over Q and mod p
+        # alike: the modulus is good, and no trial reaches the certified rank 2.
+        monkeypatch.setattr(index_module, "_trial_rng", lambda seed, trial: SimpleNamespace(randrange=lambda p: 0))
+        with pytest.raises(RuntimeError, match="did not reach the certified rank"):
+            index(heisenberg(), certify=True, want_witness=True)
+        assert index(heisenberg(), certify=True).index == 1  # no trials without a witness
 
     def test_witness_report_bytes_stable(self):
         # Pins which trial point becomes the witness, not only the rank.

@@ -155,3 +155,15 @@ def test_fractions_are_built_in_one_helper():
     divisions = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
     assert not divisions, f"true divisions in linalg.py at {divisions}"
+
+
+def test_adjoint_table_is_read_in_algebra_only():
+    # LieAlgebra._ad's layout (every nonzero bracket in both orders) is
+    # algebra.py's decision; other modules bracket through its methods.
+    found = []
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_ad"]
+    assert all(f.startswith("algebra.py:") for f in found), f"_ad read outside algebra.py: {found}"
+    assert found, "algebra.py no longer reads _ad; update this check"
