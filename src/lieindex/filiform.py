@@ -83,44 +83,41 @@ def make_filiform(alg: LieAlgebra, family: str = "adapted", k: int | None = None
     return FiliformAlgebra(alg, family, k, alphas)
 
 
-def build_L(n: int) -> FiliformAlgebra:
-    """The model filiform algebra: [e_1, e_i] = e_{i+1} and nothing else."""
-    if n < 3:
-        raise ValueError("the L family needs dimension >= 3")
-    _check_ceiling(n, f"filiform algebra L{n}")
-    brackets = {(0, i): {i + 1: 1} for i in range(1, n - 1)}
-    return make_filiform(LieAlgebra(n, _labels(n), brackets), "L")
+def _chain(n: int, k: int, name: str) -> LieAlgebra:
+    """[e_1, e_i] = e_{i+1}, plus [e_i, e_j] = (-1)^i e_n at i + j = k, Jacobi-checked.
 
-
-def build_Q(n: int) -> FiliformAlgebra:
-    """Even-dimensional family with [e_i, e_{n+1-i}] = (-1)^i e_n added."""
-    if n < 4 or n % 2:
-        raise ValueError("the Q family needs even dimension >= 4")
-    _check_ceiling(n, f"filiform algebra Q{n}")
-    brackets = {(0, i): {i + 1: 1} for i in range(1, n - 1)}
-    for i in range(2, n // 2 + 1):  # i >= 2: the key misses every chain key (0, i)
-        brackets[(i - 1, n - i)] = {n - 1: (-1) ** i}
-    return make_filiform(LieAlgebra(n, _labels(n), brackets), "Q")
-
-
-def build_G(n: int, k: int) -> FiliformAlgebra:
-    """Semidirect family with index n - k + 1 (k odd, 3 <= k <= n).
-
-    e_1 acts by the shift e_i -> e_{i+1} on the ideal span(e_2 .. e_n), whose
-    bracket is [e_i, e_j] = (-1)^i e_n for i + j = k.  The shift is a
-    derivation of that bracket exactly when the Jacobi identity holds, which
-    check_jacobi confirms before the algebra is returned.
+    e_1 acts by the shift e_i -> e_{i+1} on the ideal span(e_2 .. e_n); the
+    shift is a derivation of its bracket exactly when the Jacobi identity holds.
     """
-    if k % 2 == 0 or not 3 <= k <= n:
-        raise ValueError("need odd k with 3 <= k <= n")
-    _check_ceiling(n, f"filiform algebra G{n},{k}")
+    _check_ceiling(n, f"filiform algebra {name}")
     brackets = {(0, i): {i + 1: 1} for i in range(1, n - 1)}
     for i in range(2, (k + 1) // 2):  # i < k - i; i >= 2 misses every chain key
         brackets[(i - 1, k - i - 1)] = {n - 1: (-1) ** i}
     alg = LieAlgebra(n, _labels(n), brackets)
     if check_jacobi(alg) is not None:
         raise RuntimeError("semidirect brackets fail the Jacobi identity")
-    return make_filiform(alg, "G", k)
+    return alg
+
+
+def build_L(n: int) -> FiliformAlgebra:
+    """The model filiform algebra: [e_1, e_i] = e_{i+1} and nothing else (k = 3)."""
+    if n < 3:
+        raise ValueError("the L family needs dimension >= 3")
+    return make_filiform(_chain(n, 3, f"L{n}"), "L")
+
+
+def build_Q(n: int) -> FiliformAlgebra:
+    """Even-dimensional family with [e_i, e_{n+1-i}] = (-1)^i e_n added (k = n + 1)."""
+    if n < 4 or n % 2:
+        raise ValueError("the Q family needs even dimension >= 4")
+    return make_filiform(_chain(n, n + 1, f"Q{n}"), "Q")
+
+
+def build_G(n: int, k: int) -> FiliformAlgebra:
+    """Semidirect family with index n - k + 1 (k odd, 3 <= k <= n)."""
+    if k % 2 == 0 or not 3 <= k <= n:
+        raise ValueError("need odd k with 3 <= k <= n")
+    return make_filiform(_chain(n, k, f"G{n},{k}"), "G", k)
 
 
 @dataclass(frozen=True)

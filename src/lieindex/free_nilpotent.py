@@ -3,13 +3,13 @@
 The Hall family used here is the right-leaning one: a bracket [u, v] of Hall
 elements is itself a Hall element when u < v in the Hall order and, if
 v = [a, b] is not a generator, a <= u.  The order is length-lex: lower weight
-first, generators by index, equal-weight internal nodes by recursive
-comparison of subtrees.  With generators x1 < x2 this makes the first basis
-elements x1, x2, [x1,x2], [x1,[x1,x2]], [x2,[x1,x2]], matching the bases the
-verification harness checks against.
+first, generators by index, equal-weight internal nodes by their left, then
+right, subtrees; the basis runs in this order.  With generators x1 < x2 this
+makes the first basis elements x1, x2, [x1,x2], [x1,[x1,x2]], [x2,[x1,x2]],
+matching the bases the verification harness checks against.
 
 The free metabelian algebras are built on the comb Hall trees alone, those
-with a child of weight 1 at every internal node (see build_metabelian).
+with a generator as every left child (see build_metabelian).
 
 Trees are nested tuples: a generator is an int (0-based), an internal node a
 pair (left, right).
@@ -112,64 +112,56 @@ class FreeNilpotentAlgebra:
 class HallBuilder:
     """Hall basis and normal-form rewriting up to a weight cutoff.
 
-    Rewriting uses [u,[a,b]] = [[u,a],b] + [a,[u,b]] when u < a; at fixed
-    total weight every recursive call strictly increases the first argument
-    in the Hall order, so the recursion is well founded.  Results are
-    memoized, which makes the computed constants independent of the order
-    in which bracket pairs are requested.
+    Every tree compared is a basis tree, so the Hall order is index_of
+    order; weight[i] is the weight of basis[i].  Rewriting uses
+    [u,[a,b]] = [[u,a],b] + [a,[u,b]] when u < a; at fixed total weight every
+    recursive call strictly increases the first argument in the Hall order,
+    so the recursion is well founded.  Results are memoized, which makes the
+    computed constants independent of the order in which pairs are requested.
     """
 
     def __init__(self, g: int, c: int):
         self.g = g
         self.c = c
-        self._key_cache: dict = {}
         self._memo: dict = {}
-        self.layers: list[list] = [[]]  # layers[w] = trees of weight w
-        self.layers.append(list(range(g)))
+        self.layers: list[list] = [[], list(range(g))]  # layers[w] = trees of weight w
+        self.basis = list(range(g))
+        self.weight = [1] * g
+        self.index_of = {t: t for t in range(g)}
+        pos = self.index_of
         for w in range(2, c + 1):
-            found = []
-            for wu in self._left_weights(w):
-                for u in self.layers[wu]:
-                    for v in self.layers[w - wu]:
-                        if self.key(u) >= self.key(v):
-                            continue
-                        if not isinstance(v, int) and self.key(v[0]) > self.key(u):
-                            continue
-                        found.append((u, v))
+            # u runs through rising weights, u and v each through a layer in
+            # Hall order: the pairs come out sorted by (pos[u], pos[v]).
+            found = [
+                (u, v)
+                for wu in self._left_weights(w)
+                for u in self.layers[wu]
+                for v in self.layers[w - wu]
+                if pos[u] < pos[v] and (isinstance(v, int) or pos[v[0]] <= pos[u])
+            ]
             if not found:  # g = 1: every layer past the first is empty
                 break
-            found.sort(key=self.key)
             self.layers.append(found)
-        self.basis = [t for layer in self.layers for t in layer]
-        self.index_of = {t: i for i, t in enumerate(self.basis)}
+            pos.update((t, i) for i, t in enumerate(found, len(self.basis)))
+            self.basis += found
+            self.weight += [w] * len(found)
 
     def _left_weights(self, w: int):
-        """The weights of u over the pairs [u, v] that may make a tree of weight w."""
-        return range(1, w)
-
-    def key(self, t):
-        k = self._key_cache.get(t)
-        if k is None:
-            if isinstance(t, int):
-                k = (1, t)
-            else:
-                kl, kr = self.key(t[0]), self.key(t[1])
-                k = (kl[0] + kr[0], kl, kr)
-            self._key_cache[t] = k
-        return k
+        """The weights of u over the pairs [u, v] that may make a tree of weight w
+        (u < v, so weight(u) <= w / 2)."""
+        return range(1, w // 2 + 1)
 
     def rewrite(self, u, v) -> dict:
         """[u, v] as {tree: int coefficient} over the Hall basis."""
-        if self.key(u)[0] + self.key(v)[0] > self.c:
+        pu, pv = self.index_of[u], self.index_of[v]
+        if pu == pv or self.weight[pu] + self.weight[pv] > self.c:
             return {}
-        if u == v:
-            return {}
-        if self.key(u) > self.key(v):
+        if pu > pv:
             return {t: -c for t, c in self.rewrite(v, u).items()}
         cached = self._memo.get((u, v))
         if cached is not None:
             return cached
-        if isinstance(v, int) or self.key(v[0]) <= self.key(u):
+        if isinstance(v, int) or self.index_of[v[0]] <= pu:
             res = {(u, v): 1}
         else:
             a, b = v
@@ -185,21 +177,24 @@ class HallBuilder:
         return res
 
     def bracket_coeffs(self, i: int, j: int) -> dict[int, int]:
-        """[basis[i], basis[j]] as {basis index: int coefficient}, trees off
-        the basis dropped (the free rewrite yields none)."""
-        out = self.rewrite(self.basis[i], self.basis[j])
-        return {self.index_of[t]: c for t, c in out.items() if t in self.index_of}
+        """[basis[i], basis[j]] as {basis index: int coefficient}."""
+        return {self.index_of[t]: c for t, c in self.rewrite(self.basis[i], self.basis[j]).items()}
 
 
 class _CombBuilder(HallBuilder):
-    """The comb Hall trees, those with a child of weight 1 at every internal node.
+    """The comb Hall trees, those with a generator as every left child.
 
-    Layer w pairs only generators with comb trees of weight w - 1.  Rewriting
-    still runs over every Hall tree; bracket_coeffs drops the non-comb ones.
+    Layer w pairs generators with comb trees of weight w - 1.  Rewriting runs
+    modulo I (see build_metabelian): a bracket of two non-generators is 0.
     """
 
     def _left_weights(self, w: int):
-        return {1, w - 1}
+        return (1,)
+
+    def rewrite(self, u, v) -> dict:
+        if not (isinstance(u, int) or isinstance(v, int)):
+            return {}
+        return super().rewrite(u, v)
 
 
 def build_free_nilpotent(g: int, c: int) -> FreeNilpotentAlgebra:
@@ -208,17 +203,19 @@ def build_free_nilpotent(g: int, c: int) -> FreeNilpotentAlgebra:
 
 
 def build_metabelian(g: int, c: int) -> FreeNilpotentAlgebra:
-    """Free metabelian algebra M(g, c): F(g, c) modulo the ideal I generated
-    by [[F, F], [F, F]], on the comb Hall trees.
+    """Free metabelian algebra M(g, c): F(g, c) modulo the ideal
+    I = [[F, F], [F, F]], on the comb Hall trees.
 
     A non-comb Hall tree has a node whose two subtrees both lie in [F, F], so
-    that node lies in [[F, F], [F, F]] and the tree in I.  The comb trees thus
-    span F / I.  Their layer counts are checked against Bahturin's
+    that node lies in I and the tree in I.  The comb trees thus span F / I.
+    Their layer counts are checked against Bahturin's
     dim M(g, c) = g + sum_{k=2..c} (k-1) C(g+k-2, k), so their images are a
     basis of F / I.  Hall trees are independent in F, so the non-comb trees
-    are then a basis of I.  The quotient basis is the comb trees in Hall
-    order, and its constants are the Hall rewriting in F with the non-comb
-    coordinates dropped.
+    are then a basis of I.  Rewriting runs in F / I: two trees that are not
+    generators lie in [F, F], so their bracket lies in I, and so does every
+    bracket with it, as I is an ideal.  None of these has a comb coordinate,
+    so the rewrite returns {} for the pair, and every tree it touches is a
+    comb basis tree.
     """
     return _build_on_hall_trees(g, c, comb=True)
 
@@ -245,9 +242,9 @@ def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
     n = len(trees)
     brackets = {}
     for i in range(n):
-        wi = builder.key(trees[i])[0]
+        wi = builder.weight[i]
         for j in range(i + 1, n):
-            if wi + builder.key(trees[j])[0] > c:
+            if wi + builder.weight[j] > c:
                 break  # the trees run in ascending weight
             coeffs = builder.bracket_coeffs(i, j)
             if coeffs:

@@ -44,7 +44,7 @@ class SimpleGraph:
                 raise ValueError(f"edge {e!r} must be a pair")
             i, j = e
             if not (type(i) is type(j) is int and 0 <= i < j < n):  # bool is no vertex
-                raise ValueError(f"edge ({i},{j}) must satisfy 0 <= i < j < n")
+                raise ValueError(f"edge ({i!r},{j!r}) must satisfy 0 <= i < j < n")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add((i, j))

@@ -152,14 +152,15 @@ def certified_generic_rank(g: LieAlgebra) -> int:
 class LinearFunctional:
     coords: tuple[int | Fraction, ...]
 
-    def __post_init__(self):
-        if not {int, Fraction}.issuperset(map(type, self.coords)):
-            i, x = next((i, x) for i, x in enumerate(self.coords) if type(x) not in (int, Fraction))
-            raise ValueError(f"coordinate {i} must be an int or Fraction, got {x!r}")
+    def __post_init__(self):  # a tuple, each value an int when integral, else a Fraction
+        coords = tuple(self.coords)
+        if not {int}.issuperset(map(type, coords)):
+            coords = tuple(v if type(v) is int else _exact(v, f"coordinate {i}") for i, v in enumerate(coords))
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def of(cls, values) -> "LinearFunctional":
-        return cls(tuple(v if type(v) is int else _exact(v, f"coordinate {i}") for i, v in enumerate(values)))
+        return cls(tuple(values))
 
 
 def _form_ranks(g: LieAlgebra, points):

@@ -12,14 +12,14 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, _exact
 from .index import IndexReport, LinearFunctional, StabilizerResult
 
 _SCALAR_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
 
-def format_scalar(x: Fraction | int) -> str:
-    return str(x) if type(x) in (int, Fraction) else str(Fraction(x))  # "p" or "p/q"
+def format_scalar(x: Fraction | int) -> str:  # "p" or "p/q"; a float or bool is refused
+    return str(x if type(x) in (int, Fraction) else _exact(x, "scalar"))
 
 
 def parse_scalar(s: Any) -> int | Fraction:

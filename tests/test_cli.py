@@ -362,6 +362,14 @@ class TestGraphIndex:
         gpath.write_text(json.dumps({"vertices": 2, "edges": [[0, 0]]}))
         assert run(capsys, "graph-index", str(gpath))[0] == 2
 
+    def test_string_endpoint_is_named_as_given(self, capsys, tmp_path):
+        # A string "1" once printed as the valid edge (0,1).
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(json.dumps({"vertices": 3, "edges": [[0, "1"]]}))
+        code, out, err = run(capsys, "graph-index", str(gpath))
+        assert code == 2 and out == ""
+        assert "edge (0,'1') must satisfy 0 <= i < j < n" in err
+
     @pytest.mark.parametrize("command", [["graph-index"], ["construct", "graph", "--input"]], ids=["graph-index", "construct"])
     @pytest.mark.parametrize(
         "payload",

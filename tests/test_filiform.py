@@ -41,7 +41,7 @@ class TestBuilders:
 
     def test_q_family(self):
         f = build_Q(6)
-        assert f.family == "Q"
+        assert (f.family, f.k) == ("Q", None)
         assert f.algebra.brackets == {
             (0, 1): {2: Fraction(1)},
             (0, 2): {3: Fraction(1)},
@@ -74,10 +74,21 @@ class TestBuilders:
             "745f79e92f14f08335b8f4d57a918daed2419dd4965d7409f29a5f5aa88b68bd"
         )
 
+    def test_l_and_q_families_are_pinned(self):
+        # Every structure constant of L(n), 3 <= n <= 40, and Q(n), even 4 <= n <= 40.
+        payload = dumps([algebra_to_dict(build_L(n).algebra) for n in range(3, 41)]
+                        + [algebra_to_dict(build_Q(n).algebra) for n in range(4, 41, 2)])
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "74a3c7d94855b038da68d272998e837a9b3a7dc241cc0514f73bb2d15af259c6"
+        )
+
     def test_failed_jacobi_check_raises(self, monkeypatch):
         monkeypatch.setattr(filiform, "check_jacobi", lambda alg: ((0, 1, 2), [Fraction(1)] * alg.dim))
         with pytest.raises(RuntimeError, match="Jacobi"):
             build_G(7, 5)
+        for build, n in ((build_L, 5), (build_Q, 6)):
+            with pytest.raises(RuntimeError, match="Jacobi"):
+                build(n)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -298,6 +309,8 @@ class TestDeformations:
 
     def test_failed_jacobi_check_raises(self, monkeypatch):
         # A RuntimeError rather than an assert, so the check also runs under python -O.
+        # The base is built first: build_L runs the same check.
+        base = build_L(5)
         monkeypatch.setattr(filiform, "check_jacobi", lambda alg: ((0, 1, 2), [Fraction(1)] * alg.dim))
-        with pytest.raises(RuntimeError, match="Jacobi"):
-            random_adapted_deformation(build_L(5), 1)
+        with pytest.raises(RuntimeError, match="deformed brackets fail the Jacobi"):
+            random_adapted_deformation(base, 1)

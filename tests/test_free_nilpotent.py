@@ -239,6 +239,23 @@ class TestMetabelian:
                 checked += 1
         assert checked == 82
 
+    def test_comb_rewriting_stays_on_the_comb_basis(self, monkeypatch):
+        # Rewriting modulo [[F, F], [F, F]] never leaves the comb trees.
+        builders = []
+
+        class Recording(free_nilpotent._CombBuilder):
+            def __init__(self, g, c):
+                super().__init__(g, c)
+                builders.append(self)
+
+        monkeypatch.setattr(free_nilpotent, "_CombBuilder", Recording)
+        for g, c in [(2, 8), (3, 5), (4, 5)]:
+            basis = set(build_metabelian(g, c).trees)
+            memo = builders.pop()._memo
+            assert memo
+            for (u, v), res in memo.items():
+                assert {u, v} <= basis and set(res) <= basis, (g, c, u, v)
+
     def test_tree_labels_are_the_algebra_labels(self):
         for g, c in [(2, 6), (3, 5), (4, 4)]:
             meta = build_metabelian(g, c)

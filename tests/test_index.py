@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import sympy
 
@@ -570,6 +571,20 @@ class TestLinearFunctional:
     def test_constructor_keeps_exact_coordinates(self):
         ell = LinearFunctional((0, 0, Fraction(1, 2)))
         assert stabilizer(heisenberg(), ell).dim == 1
+
+    def test_list_coordinates_are_stored_as_a_tuple(self):
+        ell = LinearFunctional([1, 2])
+        assert ell.coords == (1, 2) and hash(ell) == hash(LinearFunctional.of([1, 2]))
+
+    def test_integral_fraction_becomes_int(self):
+        for ell in (LinearFunctional((Fraction(4, 2), Fraction(1, 3))), LinearFunctional.of([Fraction(4, 2), Fraction(1, 3)])):
+            assert ell.coords == (2, Fraction(1, 3))
+            assert list(map(type, ell.coords)) == [int, Fraction]
+
+    def test_constructor_takes_numpy_integers(self):
+        ell = LinearFunctional((np.int64(1), 0))
+        assert ell == LinearFunctional.of([np.int64(1), 0])
+        assert ell.coords == (1, 0) and type(ell.coords[0]) is int
 
 
 class TestPrimeOverride:

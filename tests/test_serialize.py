@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_linalg import assert_exact
 
@@ -31,11 +32,17 @@ class TestScalars:
         assert format_scalar(0) == "0"
 
     @pytest.mark.parametrize(
-        "x", [0, 7, -7, 2**64 + 1, -(2**70), Fraction(3), Fraction(-3, 6), Fraction(2**65, 3), True, False, 0.5]
+        "x", [0, 7, -7, 2**64 + 1, -(2**70), Fraction(3), Fraction(-3, 6), Fraction(2**65, 3), np.int64(-4)]
     )
     def test_format_matches_fraction_text(self, x):
-        # int and Fraction print their own text; a bool or a float goes through Fraction.
+        # int and Fraction print their own text, a numpy integer that of its int.
         assert format_scalar(x) == str(Fraction(x))
+
+    @pytest.mark.parametrize("x", [True, False, 0.5, 0.1], ids=["True", "False", "0.5", "0.1"])
+    def test_format_refuses_floats_and_bools(self, x):
+        # A float would print its binary expansion, a bool as 1 or 0.
+        with pytest.raises(ValueError, match="^scalar must be an int or Fraction, got "):
+            format_scalar(x)
 
     def test_parse_round_trip(self):
         for s in ["0", "7", "-12", "3/4", "-5/9"]:
