@@ -269,8 +269,12 @@ def center(g: LieAlgebra) -> Subspace:
 
 
 def _center_dim(g: LieAlgebra) -> int:
-    """dim z(g), z(g) = ker(ad): n minus the rank of the rows ad x_i, {j*n + k: c}."""
+    """dim z(g), z(g) = ker(ad): n minus the rank of the rows ad x_i, {j*n + k: c}.
+    A row leads at its last key, j = max(row), k = max(row[j]); if leads are distinct,
+    each row is nonzero at its lead where rows of smaller lead are zero, so rank = count."""
     n = g.dim
+    if len({(j := max(row), max(row[j])) for row in g._ad.values()}) == len(g._ad):
+        return n - len(g._ad)
     return n - rank({j * n + k: c for j, w in row.items() for k, c in w.items()}
                     for row in g._ad.values())
 

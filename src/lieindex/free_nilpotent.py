@@ -241,7 +241,7 @@ def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
     gen_labels = [f"x{i + 1}" for i in range(g)]
     n = len(trees)
     brackets = {}
-    for i in range(n):
+    for i in range(g if comb else n):  # in M(g, c) a pair of non-generators is 0
         wi = builder.weight[i]
         for j in range(i + 1, n):
             if wi + builder.weight[j] > c:

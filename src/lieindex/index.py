@@ -21,7 +21,8 @@ squared Pfaffian, a signed sum over the perfect matchings in B of its rows
 (Tutte 1947; Lovasz 1979), and z(g) lies in the kernel of every form.  As
 rank mod p <= exact rank at the point <= generic rank <= ceiling, a trial
 at the ceiling ends the trials, and the exact check at its point is skipped.
-index() reads dim z(g) as n - rank(ad); center() still builds the basis.
+index() reads dim z(g) as n - rank(ad), the rank being the count of nonzero
+rows ad x_i when their leads are distinct; center() still builds the basis.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def _bracket_entries(g: LieAlgebra):
 
 
 def _integer_entries(entries) -> list:
-    """Entries (i, j, ((k, c), ...)) times the lcm d of all denominators, which
-    keeps every rank over Q, and over F_p when p does not divide d.  All-int
-    entries come back as they are; an integral Fraction becomes an int."""
-    entries = [(i, j, list(coeffs)) for i, j, coeffs in entries]
+    """Entries (i, j, ((k, c), ...)), each pair sequence re-iterable (an items view), times
+    the lcm d of all denominators, which keeps every rank over Q, and over F_p when p
+    does not divide d.  All-int entries come back as they are; an integral Fraction as an int."""
+    entries = list(entries)
     if all(type(c) is int for _, _, coeffs in entries for _, c in coeffs):
         return entries
     d = lcm(*(c.denominator for _, _, coeffs in entries for _, c in coeffs))

@@ -540,16 +540,43 @@ class TestCenter:
                 for q in range(p, min(len(rows), p + 4)):
                     assert g.sparse_bracket(rows[p], rows[q]) == bracket_reference(g, rows[p], rows[q])
 
-    def test_dimension_from_the_rank_of_ad(self):
-        # index() reads dim z(g) as n - rank(ad); center() builds the basis.
+    def test_dimension_from_the_rank_of_ad(self, monkeypatch):
+        # index() reads dim z(g) as n - rank(ad), or as n minus the count of
+        # nonzero rows ad x_i when their leads are distinct; center() builds the basis.
         families = (_CORPUS.free, _CORPUS.explicit, _CORPUS.meta, _CORPUS.graphs, _CORPUS.filiform)
         corpus = [e.algebra for family in families for e in family.values()]
         assert len(corpus) == 220
         l5, f34, m34 = build_L(5).algebra, build_free_nilpotent(3, 4).algebra, build_metabelian(3, 4).algebra
         copies = [shifted(l5), shifted(f34), shifted(m34), rescaled(f34), rescaled(shifted(m34))]
         assert any(type(c) is Fraction for g in copies for cc in g.brackets.values() for c in cc.values())
+        ranked = []
+
+        def counted(rows):
+            ranked.append(rows)
+            return rank(rows)
+
+        rank = algebra_module.rank
+        monkeypatch.setattr(algebra_module, "rank", counted)
         for g in corpus + copies + [LieAlgebra(0), LieAlgebra(3)]:
             assert _center_dim(g) == center(g).dim, g
+        assert 0 < len(ranked) < len(corpus) + len(copies)  # both branches run
+
+    def test_distinct_leads_need_no_elimination(self, monkeypatch):
+        def refused(rows):
+            raise AssertionError("rank(ad) called")
+
+        algebras = [build_free_nilpotent(4, 4).algebra, build_free_nilpotent(3, 5).algebra,
+                    build_metabelian(3, 5).algebra]
+        monkeypatch.setattr(algebra_module, "rank", refused)
+        assert [_center_dim(g) for g in algebras] == [60, 48, 24]
+
+    def test_colliding_leads_fall_back_to_the_rank(self):
+        # ad x0 = -ad x1 share their lead, so z = span{x0 + x1, x3} is no
+        # coordinate subspace and only one row of ad is empty.
+        g = LieAlgebra(4, None, {(0, 2): {3: 1}, (1, 2): {3: -1}})
+        assert check_jacobi(g) is None
+        assert _center_dim(g) == center(g).dim == index(g).center_dim == 2
+        assert center(g) == Subspace.from_vectors(4, [[1, 1, 0, 0], [0, 0, 0, 1]])
 
 
 class TestSeries:

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import lieindex
-from lieindex import linalg
+from lieindex import algebra, linalg
 
 
 def test_no_assert_statements():
@@ -167,3 +167,14 @@ def test_adjoint_table_is_read_in_algebra_only():
                   if isinstance(node, ast.Attribute) and node.attr == "_ad"]
     assert all(f.startswith("algebra.py:") for f in found), f"_ad read outside algebra.py: {found}"
     assert found, "algebra.py no longer reads _ad; update this check"
+
+
+def test_center_dim_is_its_own_route():
+    # index() reads dim z(g) from algebra._center_dim, and the differential test
+    # compares it with center(), so _center_dim may not go through center()'s route.
+    tree = ast.parse(Path(algebra.__file__).read_text())
+    [body] = [d for d in tree.body if isinstance(d, ast.FunctionDef) and d.name == "_center_dim"]
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert not names & {"center", "centralizer", "Subspace", "kernel"}, names
+    assert "rank" in names, "_center_dim no longer falls back to rank; update this check"
