@@ -9,7 +9,10 @@ the same rule; the dense outputs (basis, bracket) are Fraction tuples.
 A private adjoint table holds every nonzero [x_i, x_j] in both orders.
 Bracket lookups, sparse brackets, the images {a: [x_a, v]}, centralizer
 rows and the Jacobi check each walk it once, without an order branch; no
-other module reads it.
+other module reads it.  The integer scale is decided here too, in the same
+pass over the constants: a private table laid out like `brackets` holds
+d * c, d the lcm of the denominators (when d == 1 it is `brackets`).  Every
+rank of the structure matrix in the index module reads that table.
 
 Beyond the algebra itself, the module computes the invariants that back the
 index: center, centralizers, the lower central series, the derived pair and
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from .linalg import SparseEchelon, _sparse, _subtract, rank
@@ -138,6 +142,7 @@ class LieAlgebra:
         self.labels = labels
         clean: dict[tuple[int, int], Coeffs] = {}
         ad: dict[int, dict[int, Coeffs]] = {}  # ad[i][j] = [x_i, x_j] != 0
+        d = 1  # the lcm of the denominators
         for (i, j), coeffs in (brackets or {}).items():
             if not (type(i) is type(j) is int and 0 <= i < j < dim):  # bool is not
                 raise ValueError(f"bracket key ({i!r},{j!r}) must be integers with 0 <= i < j < dim")
@@ -147,6 +152,7 @@ class LieAlgebra:
                     raise ValueError(f"coefficient index {k!r} must be an integer in range")
                 if type(c) is not int:
                     c = _exact(c, f"coefficient {k} of bracket ({i},{j})")
+                    d = lcm(d, c.denominator)
                 if c:
                     cc[k] = c
                     neg[k] = -c
@@ -155,6 +161,9 @@ class LieAlgebra:
                 ad.setdefault(j, {})[i] = neg
         self.brackets = clean
         self._ad = ad
+        # d * brackets, in integers: the same rank over Q, and over F_p when p does not divide d.
+        self._scaled = clean if d == 1 else {
+            key: {k: c.numerator * (d // c.denominator) for k, c in cc.items()} for key, cc in clean.items()}
 
     def __eq__(self, other) -> bool:
         return (

@@ -36,7 +36,7 @@ from .serialize import (
     report_to_dict,
     stabilizer_to_dict,
 )
-from .verify import all_cases
+from .verify import _SECTIONS, all_cases
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -271,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gidx.set_defaults(func=_cmd_graph_index)
 
     verify = sub.add_parser("verify-paper", help="run the catalogue of known results")
-    verify.add_argument("--section", type=int, help="restrict to one catalogue section")
+    verify.add_argument("--section", type=int, choices=_SECTIONS, help="restrict to one catalogue section")
     verify.add_argument("--pretty", action="store_true")
     verify.set_defaults(func=_cmd_verify_paper)
 

@@ -9,10 +9,11 @@ lower bound that is correct with overwhelming probability) or by certified
 sparse fraction-free elimination on the entries, as integer linear forms
 (polynomials.bareiss_rank).
 
-The structure constants are scaled to integers by the lcm of their
-denominators.  The trials rank the integer rows mod p; the exact rank over Q
-at one point (the check of every randomized index and Ooms criterion at its
-best trial point, sampling, matchings) is linalg.rank of the same rows.
+LieAlgebra scales the structure constants to integers once, by the lcm of
+their denominators, and every rank here reads that table (_form_rows).  The
+trials rank the integer rows mod p; the exact rank over Q at one point (the
+check of every randomized index and Ooms criterion at its best trial point,
+sampling, matchings) is linalg.rank of the same rows.
 
 No rank of M(g) at a point passes min(2 nu, n - dim z(g) rounded down to
 even), nu the matching number of the bracket graph B (an edge {i, j} per
@@ -30,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import partial
 
 from .algebra import (
     LieAlgebra,
@@ -76,53 +77,35 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(1_000_003 * seed + trial)
 
 
-def _bracket_entries(g: LieAlgebra):
-    return ((i, j, coeffs.items()) for (i, j), coeffs in g.brackets.items())
-
-
-def _integer_entries(entries) -> list:
-    """Entries (i, j, ((k, c), ...)), each pair sequence re-iterable (an items view), times
-    the lcm d of all denominators, which keeps every rank over Q, and over F_p when p
-    does not divide d.  All-int entries come back as they are; an integral Fraction as an int."""
-    entries = list(entries)
-    if all(type(c) is int for _, _, coeffs in entries for _, c in coeffs):
-        return entries
-    d = lcm(*(c.denominator for _, _, coeffs in entries for _, c in coeffs))
-    return [(i, j, [(k, c.numerator * (d // c.denominator)) for k, c in coeffs])
-            for i, j, coeffs in entries]
-
-
-def _form_rows(entries, point, n: int, skew: bool) -> list[dict]:
-    """Sparse rows {j: sum_k c_k * point[k]} of the matrix of linear forms
-    with entries (i, j, ((k, c_k), ...)) at a point; skew also sets (j, i) to
-    the negated value."""
-    rows = [{} for _ in range(n)]
-    for i, j, coeffs in entries:
-        val = sum(c * point[k] for k, c in coeffs)
+def _form_rows(g: LieAlgebra, point) -> list[dict]:
+    """Sparse rows {j: ell([x_i, x_j])} of M(g) at the point ell, on the constants
+    LieAlgebra scaled to integers: the same rank over Q, and over F_p when p does
+    not divide the scale."""
+    rows = [{} for _ in range(g.dim)]
+    for (i, j), coeffs in g._scaled.items():
+        val = sum(c * point[k] for k, c in coeffs.items())
         if val:
             rows[i][j] = val
-            if skew:
-                rows[j][i] = -val
+            rows[j][i] = -val
     return rows
 
 
-def _trial_rank(entries, n, skew, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, p=DEFAULT_PRIME):
-    """(max rank over trials, the first trial point attaining it); integer
-    entries.  The trials stop at a rank equal to the ceiling, which no rank
-    passes.  Below it, the exact rank over Q at the best point refuses a bad
-    modulus: with an integral point and constants a nonzero minor mod p lifts
-    to Q."""
+def _trial_rank(rows_at, n, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, p=DEFAULT_PRIME):
+    """(max rank over trials, the first trial point attaining it) of the integer
+    rows rows_at(point), points in [0, p)^n.  The trials stop at a rank equal to
+    the ceiling, which no rank passes.  Below it, the exact rank over Q at the best
+    point refuses a bad modulus: with integer rows a nonzero minor mod p lifts to Q."""
     best = None
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         point = [rng.randrange(p) for _ in range(n)]
-        r = rank_mod_p(_form_rows(entries, point, n, skew), p)
+        r = rank_mod_p(rows_at(point), p)
         if best is None or r > best[0]:
             best = r, point
         if r == ceiling:
             return best
     r, point = best
-    exact = rank(_form_rows(entries, point, n, skew))
+    exact = rank(rows_at(point))
     if exact != r:
         raise RuntimeError(
             f"exact rank {exact} at the best trial point exceeds the modular "
@@ -141,11 +124,11 @@ def certified_generic_rank(g: LieAlgebra) -> int:
         raise CertifySizeError(
             f"certified rank gated at dimension {CERTIFY_DIM_LIMIT}; this algebra has {g.dim}"
         )
-    # M(g) times the lcm of the denominators: the same rank, over Z[y].
+    # M(g) on the scaled constants: the same rank, over Z[y].
     rows = [{} for _ in range(g.dim)]
-    for i, j, coeffs in _integer_entries(_bracket_entries(g)):
-        rows[i][j] = dict(coeffs)
-        rows[j][i] = {k: -c for k, c in coeffs}
+    for (i, j), coeffs in g._scaled.items():
+        rows[i][j] = coeffs
+        rows[j][i] = {k: -c for k, c in coeffs.items()}
     return bareiss_rank(rows)
 
 
@@ -166,9 +149,8 @@ class LinearFunctional:
 
 def _form_ranks(g: LieAlgebra, points):
     """Ranks over Q of the skew forms (x, y) -> ell([x, y]) of g at points ell."""
-    entries = _integer_entries(_bracket_entries(g))
     for point in points:
-        yield rank(_form_rows(entries, point, g.dim, skew=True))
+        yield rank(_form_rows(g, point))
 
 
 @dataclass(frozen=True)
@@ -184,12 +166,8 @@ class StabilizerResult:
 def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
     if len(ell.coords) != g.dim:
         raise ValueError("functional length does not match algebra dimension")
-    # Integer rows {j: ell([x_i, x_j])}, the constants and ell cleared of
-    # denominators: the same kernel.
-    point = ell.coords if all(type(x) is int for x in ell.coords) else (
-        _clear_denominators(dict(enumerate(ell.coords)))[0])
-    rows = _form_rows(_integer_entries(_bracket_entries(g)), point, g.dim, skew=True)
-    sub = Subspace(g.dim, SparseEchelon(rows).kernel(g.dim))
+    # The echelon clears each row's denominators on entry: the same kernel.
+    sub = Subspace(g.dim, SparseEchelon(_form_rows(g, ell.coords)).kernel(g.dim))
     if (g.dim - sub.dim) % 2:
         raise RuntimeError("skew form has odd rank; this is a bug")
     return StabilizerResult(ell, sub)
@@ -233,8 +211,7 @@ def index(
     point = None
     # The trials rank up to r: the ceiling, or the certified rank for a witness.
     if not certify or want_witness and n:
-        entries = _integer_entries(_bracket_entries(g))
-        top, point = _trial_rank(entries, n, True, r, trials, seed, p)
+        top, point = _trial_rank(partial(_form_rows, g), n, r, trials, seed, p)
         if certify and top < r:
             raise RuntimeError("randomized search did not reach the certified rank; raise trials to find a witness")
         r = top
@@ -293,13 +270,16 @@ def ooms_criterion(g: LieAlgebra, h: Subspace) -> OomsResult:
     if w is not None:
         raise NotAbelianError(*w)
     n = g.dim
-    entries = _integer_entries(
-        (i, t, w.items())
-        for t, hv in enumerate(h.rows)
-        for i, w in g.ad_images(hv).items()
-    )
+    # At ell the matrix is M(ell) H^T: (i, t) -> sum_m M_im h_t[m] = ell([x_i, h_t]).
+    # Clearing each h_t of denominators scales a column: the same rank over Q.
+    hs = [_clear_denominators(hv)[0] for hv in h.rows]
+
+    def rect_rows(point):
+        return [{t: v for t, hv in enumerate(hs) if (v := sum(x * row[m] for m, x in hv.items() if m in row))}
+                for row in _form_rows(g, point)]
+
     required = n - h.dim
-    r, _ = _trial_rank(entries, n, False, required)
+    r, _ = _trial_rank(rect_rows, n, required)
     holds = r == required
     return OomsResult(holds, r, required, 2 * h.dim - n if holds else None)
 

@@ -646,6 +646,7 @@ _EXTRAS = (
     (6, _q_pattern_cases),
     (6, _achievable_cases),
 )
+_SECTIONS = sorted({sec for _, sec, _ in _CRITERIA.values()} | {sec for sec, _ in _EXTRAS})
 
 
 def _run(section: int, group) -> list[VerificationCase]:

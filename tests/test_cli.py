@@ -400,6 +400,13 @@ class TestVerify:
         assert all(c["section"] == 4 for c in cases)
         assert "failed" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("section", ["7", "1", "99"])
+    def test_section_without_cases_is_refused(self, capsys, section):
+        # A section that names no catalogue group would pass with 0 cases.
+        code, out, err = run(capsys, "verify-paper", "--section", section)
+        assert code == 2 and out == ""
+        assert "invalid choice" in err and "2, 3, 4, 5, 6" in err
+
     def test_catalogue_bytes_stable(self, capsys):
         # Pins every computed value, its repr and its method string, not only pass/fail.
         code, out, _ = run(capsys, "verify-paper")
@@ -444,7 +451,7 @@ class TestEnvironmentPrime:
             ("construct", "free", "--generators", "2", "--class", "2"),
             ("invariants", apath),
             ("stabilizer", apath, "--ell", str(lpath)),
-            ("verify-paper", "--section", "99"),
+            ("verify-paper", "--section", "5"),
         ]
         clean = [run(capsys, *argv)[:2] for argv in commands]
         monkeypatch.setenv("LIEINDEX_PRIME", "junk")

@@ -26,7 +26,6 @@ from lieindex.index import (
     IndexReport,
     LinearFunctional,
     _form_ranks,
-    _integer_entries,
     _rank_ceiling,
     alpha_sandwich,
     certified_generic_rank,
@@ -129,23 +128,27 @@ class TestStructureMatrix:
 
 
 class TestIntegerEntries:
+    # LieAlgebra scales the constants to integers once, in its constructor, into
+    # the table _scaled; every rank in index.py reads that table.
     def test_int_constants_pass_through(self):
-        entries = [(0, 1, [(2, 3)]), (0, 2, [(1, -2), (2, 2**70)])]
-        out = _integer_entries(entries)
-        assert out == entries
-        assert all(type(c) is int for _, _, coeffs in out for _, c in coeffs)
+        g = LieAlgebra(3, None, {(0, 1): {2: 3}, (0, 2): {1: -2, 2: 2**70}})
+        assert g._scaled is g.brackets
+        assert all(type(c) is int for cc in g._scaled.values() for c in cc.values())
 
     def test_integral_fractions_become_int(self):
-        # Subspace bases hand ooms_criterion Fraction(n, 1) constants; the
+        # Subspace bases and payloads hand in Fraction(n, 1) constants; the
         # modular rank needs ints.
-        out = _integer_entries([(0, 1, [(2, Fraction(6, 2))]), (0, 2, [(1, Fraction(3, 1)), (2, 4)])])
-        assert out == [(0, 1, [(2, 3)]), (0, 2, [(1, 3), (2, 4)])]
-        assert all(type(c) is int for _, _, coeffs in out for _, c in coeffs)
+        g = LieAlgebra(3, None, {(0, 1): {2: Fraction(6, 2)}, (0, 2): {1: Fraction(3, 1), 2: 4}})
+        assert g._scaled is g.brackets
+        assert g._scaled == {(0, 1): {2: 3}, (0, 2): {1: 3, 2: 4}}
+        assert all(type(c) is int for cc in g._scaled.values() for c in cc.values())
 
     def test_rational_constants_scaled_by_lcm(self):
-        out = _integer_entries([(0, 1, [(2, Fraction(1, 2))]), (0, 2, [(1, Fraction(-2, 3)), (2, 5)])])
-        assert out == [(0, 1, [(2, 3)]), (0, 2, [(1, -4), (2, 30)])]
-        assert all(type(c) is int for _, _, coeffs in out for _, c in coeffs)
+        g = LieAlgebra(3, None, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: Fraction(-2, 3), 2: 5}})
+        assert g._scaled == {(0, 1): {2: 3}, (0, 2): {1: -4, 2: 30}}
+        assert all(type(c) is int for cc in g._scaled.values() for c in cc.values())
+        # The public constants keep their values.
+        assert g.brackets == {(0, 1): {2: Fraction(1, 2)}, (0, 2): {1: Fraction(-2, 3), 2: 5}}
 
 
 class TestGenericRank:
@@ -647,6 +650,35 @@ class TestOoms:
         alg = LieAlgebra(3, None, {(0, 1): {2: c}})
         with pytest.raises(RuntimeError, match="exact rank 1 .* exceeds the modular rank 0"):
             ooms_criterion(alg, self.H)
+
+    @pytest.mark.parametrize("case", ["derived", "line-and-center"])
+    def test_rational_h_against_sympy(self, case):
+        # Fraction constants, and an h whose RREF basis has non-integral entries:
+        # index.py scales the constants by their lcm and each h_t by its own.
+        g = rescaled(shifted(build_metabelian(2, 4).algebra))
+        if case == "derived":
+            h = derived_subalgebra_pair(g)[0]
+        else:
+            h = Subspace.span(g.dim, [{0: 1, 1: Fraction(2, 3)}, *center(g).rows])
+        assert any(type(c) is Fraction for cc in g.brackets.values() for c in cc.values())
+        assert any(type(x) is Fraction for row in h.rows for x in row.values())
+
+        def rect(ell):
+            # ell([x_i, h_t]) as a dense sympy matrix, read off g.structure_coeffs.
+            def entry(i, t):
+                v = sum(Fraction(c) * x * ell[k] for m, x in h.rows[t].items()
+                        for k, c in g.structure_coeffs(i, m).items())
+                return sympy.Rational(v.numerator, v.denominator)
+
+            return sympy.Matrix(g.dim, h.dim, entry)
+
+        rng = random.Random(5)
+        expected = max(rect([rng.randint(-9, 9) for _ in range(g.dim)]).rank() for _ in range(4))
+        res = ooms_criterion(g, h)
+        assert res.rect_rank == expected
+        assert res.holds == (case == "derived") == (expected == g.dim - h.dim)
+        if res.holds:
+            assert res.claimed_index == index(g).index == 4
 
 
 class TestAlphaSandwich:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -620,11 +621,11 @@ class TestSupportStop:
     def test_trial_reads_only_its_pivots(self, build, rk, nonzero, monkeypatch):
         # index()'s first seed-1 trial reaches the ceiling, and every row it reads is a pivot.
         g = build()
-        entries = index_module._integer_entries(index_module._bracket_entries(g))
+        rows_at = partial(index_module._form_rows, g)
         entered = self.watch_reads(monkeypatch)
-        r, point = index_module._trial_rank(entries, g.dim, True, rk, trials=1, seed=1)
+        r, point = index_module._trial_rank(rows_at, g.dim, rk, trials=1, seed=1)
         assert r == len(entered) == rk
-        assert sum(map(bool, index_module._form_rows(entries, point, g.dim, True))) == nonzero
+        assert sum(map(bool, index_module._form_rows(g, point))) == nonzero
 
     def test_center_reads_30_of_333_rows(self, monkeypatch):
         g = build_free_nilpotent(4, 4).algebra

@@ -169,6 +169,21 @@ def test_adjoint_table_is_read_in_algebra_only():
     assert found, "algebra.py no longer reads _ad; update this check"
 
 
+def test_scaled_table_is_read_in_algebra_and_index_only():
+    # LieAlgebra decides the integer scale of the constants once; index.py ranks
+    # the structure matrix off that table and rescans no constant itself.
+    found = []
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [path.name for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_scaled"]
+    assert set(found) == {"algebra.py", "index.py"}, f"_scaled read in: {sorted(set(found))}"
+    tree = ast.parse((Path(lieindex.__file__).parent / "index.py").read_text())
+    lcms = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names)]
+    assert not lcms, f"index.py imports lcm at {lcms}"
+
+
 def test_center_dim_is_its_own_route():
     # index() reads dim z(g) from algebra._center_dim, and the differential test
     # compares it with center(), so _center_dim may not go through center()'s route.
