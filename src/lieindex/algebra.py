@@ -5,7 +5,8 @@ with i < j; values are sparse coefficient dicts {k: c} meaning
 [x_i, x_j] = sum_k c * x_k.  Zero coefficients are never stored.  Each c is an
 int when integral and a Fraction otherwise, never a float or bool; LieAlgebra
 decides, so builders pass plain ints.  Subspace rows and sparse vectors follow
-the same rule; the dense outputs (basis, bracket) are Fraction tuples.
+the same rule.  Vectors are sparse throughout: dense coordinates enter only
+through Subspace.from_vectors and leave only as Subspace.basis (Fraction tuples).
 A private adjoint table holds every nonzero [x_i, x_j] in both orders.
 Bracket lookups, sparse brackets, the images {a: [x_a, v]}, centralizer
 rows and the Jacobi check each walk it once, without an order branch; no
@@ -73,7 +74,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        vecs = [list(v) for v in vectors]
+        """Span of dense coordinate vectors; each value must be an int or Fraction."""
+        vecs = [[_exact(x, f"coordinate {c} of vector {t}") for c, x in enumerate(v)]
+                for t, v in enumerate(vectors)]
         if any(len(v) != ambient_dim for v in vecs):
             raise ValueError("vector length does not match ambient dimension")
         return cls.span(ambient_dim, map(_sparse, vecs))
@@ -101,28 +104,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains_vector(self, v) -> bool:
-        v = list(v)
-        self._check_ambient(len(v))
-        return self._contains_all((_sparse(v),))
-
     def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other.ambient_dim)
-        return self._contains_all(other.rows)
-
-    def _contains_all(self, vectors) -> bool:
         n = self.ambient_dim
+        if other.ambient_dim != n:
+            raise ValueError("vector length does not match ambient dimension")
         # Flipped, the rows already are a SparseEchelon: adding them eliminates nothing.
         ech = SparseEchelon(_flip(n, row) for row in self.rows)
-        return not any(ech.reduce(_flip(n, v)) for v in vectors)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other.ambient_dim)
-        return Subspace.span(self.ambient_dim, self.rows + other.rows)
-
-    def _check_ambient(self, ambient_dim: int) -> None:
-        if ambient_dim != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
+        return not any(ech.reduce(_flip(n, v)) for v in other.rows)
 
 
 class LieAlgebra:
@@ -180,22 +168,6 @@ class LieAlgebra:
         """[x_i, x_j] as a sparse coefficient dict (any i, j order)."""
         return self._ad.get(i, {}).get(j, {})
 
-    def basis_vector(self, i: int) -> list[Fraction]:
-        v = [Fraction(0)] * self.dim
-        v[i] = Fraction(1)
-        return v
-
-    def bracket(self, x, y) -> list[Fraction]:
-        """[x, y] for coordinate vectors x, y of length dim."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector length does not match algebra dimension")
-        out = [Fraction(0)] * self.dim
-        xs = {i: Fraction(c) for i, c in enumerate(x) if c}
-        ys = {j: Fraction(c) for j, c in enumerate(y) if c}
-        for k, c in self.sparse_bracket(xs, ys).items():
-            out[k] = c
-        return out
-
     def sparse_bracket(self, u: Coeffs, v: Coeffs) -> Coeffs:
         """[u, v] for sparse u, v, as a sparse dict."""
         out: Coeffs = {}
@@ -216,7 +188,8 @@ class LieAlgebra:
 
 
 def check_jacobi(g: LieAlgebra):
-    """None if the Jacobi identity holds, else ((i,j,k), residual vector).
+    """None if the Jacobi identity holds, else ((i,j,k), residual) with the
+    residual a sparse {m: c}, c != 0.
 
     The residual of i < j < k sums [x_a, [x_b, x_c]] over the cyclic orders
     (a, b, c) of (i, j, k).  It is built by walking bracket chains: for each
@@ -236,12 +209,7 @@ def check_jacobi(g: LieAlgebra):
                 elif a > c:
                     _subtract(res.setdefault((b, c, a), {}), cm, w)
     triple = min((t for t, r in res.items() if r), default=None)
-    if triple is None:
-        return None
-    vec = [0] * g.dim
-    for m, cm in res[triple].items():
-        vec[m] = cm
-    return triple, vec
+    return None if triple is None else (triple, res[triple])
 
 
 def _basis_rows(g: LieAlgebra, s: Subspace) -> tuple[Coeffs, ...]:

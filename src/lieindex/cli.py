@@ -18,7 +18,7 @@ import sys
 
 from .algebra import LieAlgebra, center, check_jacobi, derived_subalgebra_pair, lower_central_series
 from .filiform import build_G, build_L, build_Q
-from .free_nilpotent import ResourceLimitError, _check_ceiling, build_free_nilpotent, build_metabelian
+from .free_nilpotent import ResourceLimitError, build_free_nilpotent, build_metabelian
 from .graphs import SimpleGraph, build_graph_algebra, graph_index
 from .index import (
     DEFAULT_SEED,
@@ -79,12 +79,7 @@ def _load_json(path: str):
 
 
 def _load_algebra(path: str) -> LieAlgebra:
-    data = _load_json(path)
-    # Checked before algebra_from_dict builds one label per dimension.
-    dim = data.get("dim") if isinstance(data, dict) else None
-    if isinstance(dim, int):
-        _check_ceiling(dim, "input algebra")
-    alg = algebra_from_dict(data)
+    alg = algebra_from_dict(_load_json(path))
     violation = check_jacobi(alg)
     if violation is not None:
         (i, j, k), _res = violation

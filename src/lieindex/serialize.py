@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .algebra import LieAlgebra, _exact
+from .free_nilpotent import _check_ceiling
 from .index import IndexReport, LinearFunctional, StabilizerResult
 
 _SCALAR_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
@@ -46,6 +47,7 @@ def algebra_from_dict(d: Any) -> LieAlgebra:
     _expect(isinstance(d, dict), "algebra payload must be an object")
     _expect(type(d.get("dim")) is int, "dim must be an integer")  # bool is not
     n = d["dim"]
+    _check_ceiling(n, "input algebra")  # before one label per dimension is built
     labels = d.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list) and all(isinstance(s, str) for s in labels), "labels must be a list of strings")

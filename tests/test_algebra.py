@@ -27,7 +27,7 @@ from lieindex.index import LinearFunctional, alpha_sandwich, index, ooms_criteri
 from lieindex.linalg import SparseEchelon
 from lieindex.serialize import algebra_from_dict, algebra_to_dict, dumps, format_scalar, stabilizer_to_dict
 from lieindex.verify import _CORPUS
-from test_index import rescaled, shifted
+from test_index import dense_bracket, rescaled, shifted, unit
 from test_linalg import assert_exact
 
 
@@ -46,7 +46,7 @@ def centralizer_oracle(g, vectors):
     # Stacked dense ad-constraint rows: coordinate m of [x, v] for every v, m.
     rows = []
     for v in vectors:
-        images = [g.bracket(g.basis_vector(i), list(v)) for i in range(g.dim)]
+        images = [dense_bracket(g, unit(g.dim, i), v) for i in range(g.dim)]
         for m in range(g.dim):
             row = [images[i][m] for i in range(g.dim)]
             if any(row):
@@ -74,7 +74,7 @@ def bracket_reference(g, u, v):
 
 
 def center_oracle(g):
-    return centralizer_oracle(g, [g.basis_vector(j) for j in range(g.dim)])
+    return centralizer_oracle(g, [unit(g.dim, j) for j in range(g.dim)])
 
 
 def change_basis(g, p):
@@ -85,7 +85,7 @@ def change_basis(g, p):
     brackets = {}
     for a in range(n):
         for b in range(a + 1, n):
-            w = g.bracket(cols[a], cols[b])
+            w = dense_bracket(g, cols[a], cols[b])
             coeffs = {
                 r: sum(Fraction(pinv[r, k]) * w[k] for k in range(n) if w[k])
                 for r in range(n)
@@ -139,19 +139,9 @@ def perturbed(rng, g):
     return LieAlgebra(g.dim, g.labels, brackets)
 
 
-def dense_bracket(g, x, y):
-    # Read straight off the stored upper triangle, independent of LieAlgebra's lookups.
-    out = [Fraction(0)] * g.dim
-    for (i, j), coeffs in g.brackets.items():
-        f = x[i] * y[j] - x[j] * y[i]
-        for k, c in coeffs.items():
-            out[k] += f * c
-    return out
-
-
 def jacobi_oracle(g):
-    # Every triple, in lexicographic order.
-    e = [g.basis_vector(i) for i in range(g.dim)]
+    # Every triple, in lexicographic order; the residual as a sparse {m: c}.
+    e = [unit(g.dim, i) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             for k in range(j + 1, g.dim):
@@ -159,7 +149,7 @@ def jacobi_oracle(g):
                          for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
                 res = [sum(t) for t in zip(*terms)]
                 if any(res):
-                    return (i, j, k), res
+                    return (i, j, k), {m: c for m, c in enumerate(res) if c}
     return None
 
 
@@ -235,13 +225,12 @@ class TestConstruction:
 
     def test_bracket_of_vectors(self):
         g = heisenberg()
-        x = [Fraction(2), Fraction(1), Fraction(0)]
-        y = [Fraction(1), Fraction(3), Fraction(5)]
-        # [2x1 + x2, x1 + 3x2] = (2*3 - 1*1) [x1, x2]
-        assert g.bracket(x, y) == [Fraction(0), Fraction(0), Fraction(5)]
-        assert g.bracket(y, x) == [Fraction(0), Fraction(0), Fraction(-5)]
-        with pytest.raises(ValueError):
-            g.bracket([1, 2], y)
+        x = {0: Fraction(2), 1: Fraction(1)}
+        y = {0: Fraction(1), 1: Fraction(3), 2: Fraction(5)}
+        # [2x1 + x2, x1 + 3x2 + 5x3] = (2*3 - 1*1) [x1, x2]
+        assert g.sparse_bracket(x, y) == {2: 5}
+        assert g.sparse_bracket(y, x) == {2: -5}
+        assert dense_bracket(g, [2, 1, 0], [1, 3, 5]) == [0, 0, 5]
 
     def test_ad_images_match_ad_vector(self):
         rng = random.Random(5)
@@ -382,7 +371,7 @@ class TestJacobi:
         assert violation is not None
         triple, residual = violation
         assert triple == (0, 1, 2)
-        assert residual == [Fraction(0), Fraction(0), Fraction(1)]
+        assert residual == {2: 1}
 
     def test_matches_all_triples_oracle(self):
         rng = random.Random(11)
@@ -415,11 +404,11 @@ class TestSubspace:
         )
 
     def test_membership_and_sum(self):
-        s = Subspace.from_vectors(3, [[1, 1, 0]])
-        assert s.contains_vector([2, 2, 0])
-        assert not s.contains_vector([1, 0, 0])
-        t = s.sum_with(Subspace.from_vectors(3, [[0, 0, 1]]))
-        assert t.dim == 2
+        s = Subspace.span(3, [{0: 1, 1: 1}])
+        assert s.contains(Subspace.span(3, [{0: 2, 1: 2}]))
+        assert not s.contains(Subspace.span(3, [{0: 1}]))
+        t = Subspace.span(3, s.rows + ({2: 1},))
+        assert t.dim == 2 and t == Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 1]])
         assert t.contains(s)
         assert not s.contains(t)
         assert Subspace.full(3).contains(t)
@@ -429,13 +418,26 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace.from_vectors(3, [[1, 2]])
 
+    @pytest.mark.parametrize("x", [0.5, 1.0, True, pytest.param("1", id="str"),
+                                   pytest.param(Decimal("1"), id="Decimal")])
+    def test_from_vectors_refuses_inexact_values(self, x):
+        # 1.0 was stored as a float row value, and True and "1" went through.
+        with pytest.raises(ValueError, match=r"^coordinate 0 of vector 1 must be an int or Fraction, got "):
+            Subspace.from_vectors(3, [[0, 0, 1], [x, 0, 0]])
+
+    def test_from_vectors_stores_exact_values(self):
+        s = Subspace.from_vectors(3, [[np.int64(2), Fraction(4, 2), 0], [0, 0, Fraction(3, 1)]])
+        assert s.rows == ({0: 1, 1: 1}, {2: 1})
+        assert {type(x) for row in s.rows for x in row.values()} == {int}
+        assert Subspace.from_vectors(2, [[Fraction(1, 2), 1]]).rows == ({0: 1, 1: 2},)
+
     def test_containment_across_ambient_dimensions_is_refused(self):
         a = Subspace.from_vectors(2, [[1, 0]])
         for call in (
             lambda: a.contains(Subspace.from_vectors(3, [[0, 0, 1]])),
             lambda: a.contains(Subspace.from_vectors(3, [[1, 0, 0]])),
-            lambda: a.contains_vector([1, 0, 5]),
-            lambda: a.sum_with(Subspace.zero(3)),
+            lambda: a.contains(Subspace.zero(3)),
+            lambda: Subspace.from_vectors(2, [[1, 0, 5]]),
         ):
             with pytest.raises(ValueError, match="does not match ambient dimension"):
                 call()
@@ -480,7 +482,7 @@ class TestCenter:
     def test_heisenberg(self):
         z = center(heisenberg())
         assert z.dim == 1
-        assert z.contains_vector([0, 0, 1])
+        assert z.contains(Subspace.span(3, [{2: 1}]))
 
     def test_matches_constraint_oracle(self):
         abelian_plus = LieAlgebra(4, None, {(0, 1): {2: 1}})  # h3 + line
@@ -607,7 +609,7 @@ class TestSubalgebras:
         w = abelian_witness(g, Subspace.full(5))
         assert w is not None
         u, v = w
-        assert any(g.bracket(u, v))
+        assert any(dense_bracket(g, u, v))
         assert abelian_witness(g, Subspace.zero(5)) is None
 
     @pytest.mark.parametrize(

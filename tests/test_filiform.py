@@ -83,7 +83,7 @@ class TestBuilders:
         )
 
     def test_failed_jacobi_check_raises(self, monkeypatch):
-        monkeypatch.setattr(filiform, "check_jacobi", lambda alg: ((0, 1, 2), [Fraction(1)] * alg.dim))
+        monkeypatch.setattr(filiform, "check_jacobi", lambda alg: ((0, 1, 2), {0: 1}))
         with pytest.raises(RuntimeError, match="Jacobi"):
             build_G(7, 5)
         for build, n in ((build_L, 5), (build_Q, 6)):
@@ -168,7 +168,7 @@ class TestIdeals:
         g = build_Q(8).algebra
         series = lower_central_series(g)
         for i in range(3, 9):
-            tail = Subspace.from_vectors(8, [g.basis_vector(j) for j in range(i - 1, 8)])
+            tail = Subspace.span(8, ({j: 1} for j in range(i - 1, 8)))
             assert series[i - 2] == tail
 
 
@@ -311,6 +311,6 @@ class TestDeformations:
         # A RuntimeError rather than an assert, so the check also runs under python -O.
         # The base is built first: build_L runs the same check.
         base = build_L(5)
-        monkeypatch.setattr(filiform, "check_jacobi", lambda alg: ((0, 1, 2), [Fraction(1)] * alg.dim))
+        monkeypatch.setattr(filiform, "check_jacobi", lambda alg: ((0, 1, 2), {0: 1}))
         with pytest.raises(RuntimeError, match="deformed brackets fail the Jacobi"):
             random_adapted_deformation(base, 1)

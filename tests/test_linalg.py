@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
-from test_index import form_matrix, index_module, shifted
+from test_index import dense_bracket, form_matrix, index_module, shifted
 
 from lieindex import linalg
 from lieindex.algebra import LieAlgebra, Subspace, center, centralizer
@@ -153,7 +153,7 @@ def unitriangular_copy(g, q):
     cols = [[Fraction(int(i == a)) + (q if i == a + 1 else 0) for i in range(n)] for a in range(n)]
     brackets = {}
     for a, b in combinations(range(n), 2):
-        w = g.bracket(cols[a], cols[b])
+        w = dense_bracket(g, cols[a], cols[b])
         coeffs = {r: c for r in range(n) if (c := sum((-q) ** (r - k) * w[k] for k in range(r + 1)))}
         if coeffs:
             brackets[(a, b)] = coeffs

@@ -9,7 +9,7 @@ import pytest
 from test_linalg import assert_exact
 
 from lieindex.algebra import LieAlgebra
-from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
+from lieindex.free_nilpotent import DEFAULT_MAX_DIM, ResourceLimitError, build_free_nilpotent, build_metabelian
 from lieindex.graphs import SimpleGraph
 from lieindex.index import LinearFunctional, index, stabilizer
 from lieindex.serialize import (
@@ -92,6 +92,14 @@ class TestAlgebraPayload:
     def test_labels_optional(self):
         g = algebra_from_dict({"dim": 2, "brackets": []})
         assert g.labels == ("x1", "x2")
+
+    def test_dimension_ceiling(self):
+        # Checked before one label per dimension is built, whatever else the payload holds.
+        message = f"^input algebra has dimension {DEFAULT_MAX_DIM + 1}, above the ceiling {DEFAULT_MAX_DIM}$"
+        for payload in ({"dim": DEFAULT_MAX_DIM + 1}, {"dim": DEFAULT_MAX_DIM + 1, "labels": 5}):
+            with pytest.raises(ResourceLimitError, match=message):
+                algebra_from_dict(payload)
+        assert algebra_from_dict({"dim": DEFAULT_MAX_DIM}).dim == DEFAULT_MAX_DIM
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -112,8 +112,8 @@ def test_exports_resolve_once():
 
 def test_dense_vectors_enter_through_subspace_only():
     # linalg._sparse turns a dense coordinate vector into a sparse row.  Subspace
-    # stores sparse rows, so algebra.py (from_vectors, contains_vector) is the one
-    # place where dense vectors come in.
+    # stores sparse rows, so algebra.py (Subspace.from_vectors) is the one place
+    # where dense vectors come in.
     found = []
     for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -125,6 +125,16 @@ def test_dense_vectors_enter_through_subspace_only():
         ]
     assert all(f.startswith("algebra.py:") for f in found), f"_sparse used outside algebra.py: {found}"
     assert found, "algebra.py no longer imports _sparse; update this check"
+
+
+def test_algebra_builds_no_dense_vector():
+    # Vectors in algebra.py are sparse; dense ones leave only through
+    # Subspace.basis, which builds its tuples without a [x] * n list.
+    tree = ast.parse(Path(algebra.__file__).read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+             and ast.List in (type(node.left), type(node.right))]
+    assert not found, f"algebra.py builds [x] * n lists at lines {found}"
 
 
 def test_modulus_enters_through_the_echelon_constructor():
