@@ -257,19 +257,16 @@ def _center_dim(g: LieAlgebra) -> int:
 
 
 def lower_central_series(g: LieAlgebra) -> list[Subspace]:
-    """[g^1, g^2, ...] with g^{k+1} = [g, g^k], computed until stabilization."""
-    series = [Subspace.full(g.dim)]
-    while True:
-        vs = series[-1].rows
+    """[g^1, g^2, ...] with g^{k+1} = [g, g^k], computed until the first 0 or a repeat."""
+    series, prev = [Subspace.full(g.dim)], None
+    while series[-1].dim not in (0, prev):
+        prev, vs = series[-1].dim, series[-1].rows
         series.append(Subspace.span(g.dim, (w for v in vs for w in g.ad_images(v).values())))
-        if series[-1].dim in (0, series[-2].dim):
-            return series
+    return series
 
 
 def nilpotency_class(g: LieAlgebra) -> int:
     """c with g^c != 0 = g^{c+1}; 0 for the zero algebra; raises if not nilpotent."""
-    if g.dim == 0:
-        return 0
     series = lower_central_series(g)
     if series[-1].dim != 0:
         raise ValueError("algebra is not nilpotent")

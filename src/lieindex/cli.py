@@ -147,12 +147,9 @@ def _cmd_index(args) -> int:
 
 def _cmd_invariants(args) -> int:
     alg = _load_algebra(args.algebra)
-    series = lower_central_series(alg)
-    series_dims = [s.dim for s in series]
+    series_dims = [s.dim for s in lower_central_series(alg)]
     d1, d2 = derived_subalgebra_pair(alg)
-    nil_class = len(series) - 1 if (series_dims and series_dims[-1] == 0) else None
-    if alg.dim == 0:
-        nil_class = 0
+    nil_class = len(series_dims) - 1 if series_dims[-1] == 0 else None
     _emit(
         {
             "dim": alg.dim,

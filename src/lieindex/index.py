@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from numbers import Integral
 
 from .algebra import (
     LieAlgebra,
@@ -56,25 +57,44 @@ class CertifySizeError(ValueError):
     """Certified rank was requested above the dimension gate CERTIFY_DIM_LIMIT."""
 
 
+def _integer(x, what: str) -> int:
+    # As algebra._exact refuses a bool: it would print as true.  A numpy integer is an int.
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"{what} must be an int, got {x!r}")
+    return int(x)
+
+
 def _check_prime(prime: int | None) -> int:
     if prime is None:
         return DEFAULT_PRIME
-    if prime.bit_length() < 61 or not is_probable_prime(prime):
+    if (prime := _integer(prime, "modulus")).bit_length() < 61 or not is_probable_prime(prime):
         raise ValueError("modulus must be a prime of at least 61 bits")
     return prime
 
 
-def _check_trials(trials: int) -> None:
-    # Zero trials would report rank 0 (index = dim) with a "bound" of 1, and
-    # negative counts a bound above 1.
-    if trials < 1:
+def _check_trials(trials: int) -> int:
+    # Zero trials would report index = dim with a "bound" of 1, negative counts one above 1.
+    if (trials := _integer(trials, "trials")) < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
-    # Substream derivation keyed on (seed, trial): reproducible regardless of
-    # execution order of the trials.
+    # A substream per (seed, trial): reproducible in any order of the trials.
     return random.Random(1_000_003 * seed + trial)
+
+
+def _draws(rng: random.Random, n: int, lo: int, hi: int) -> list[int]:
+    """[rng.randint(lo, hi) for _ in range(n)] without randint's per-call checks: CPython's
+    draw, getrandbits(size.bit_length()) until below the size, so the same values and state."""
+    if not isinstance(size := hi - lo + 1, Integral) or size < 1:
+        raise ValueError(f"range [{lo}, {hi}] must be of ints and not empty")
+    bits, k, out = rng.getrandbits, int(size).bit_length(), []
+    for _ in range(n):
+        while (r := bits(k)) >= size:
+            pass
+        out.append(lo + r)
+    return out
 
 
 def _form_rows(g: LieAlgebra, point) -> list[dict]:
@@ -83,7 +103,9 @@ def _form_rows(g: LieAlgebra, point) -> list[dict]:
     not divide the scale."""
     rows = [{} for _ in range(g.dim)]
     for (i, j), coeffs in g._scaled.items():
-        val = sum(c * point[k] for k, c in coeffs.items())
+        val = 0
+        for k, c in coeffs.items():  # mostly one term: a loop, not a generator
+            val += c * point[k]
         if val:
             rows[i][j] = val
             rows[j][i] = -val
@@ -91,26 +113,22 @@ def _form_rows(g: LieAlgebra, point) -> list[dict]:
 
 
 def _trial_rank(rows_at, n, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, p=DEFAULT_PRIME):
-    """(max rank over trials, the first trial point attaining it) of the integer
-    rows rows_at(point), points in [0, p)^n.  The trials stop at a rank equal to
-    the ceiling, which no rank passes.  Below it, the exact rank over Q at the best
+    """(max rank over trials, the first trial point attaining it) of the integer rows
+    rows_at(point), each point n values randrange(p) (drawn by _draws).  The trials stop
+    at the ceiling, which no rank passes.  Below it, the exact rank over Q at the best
     point refuses a bad modulus: with integer rows a nonzero minor mod p lifts to Q."""
     best = None
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        point = [rng.randrange(p) for _ in range(n)]
+        point = _draws(_trial_rng(seed, trial), n, 0, p - 1)
         r = rank_mod_p(rows_at(point), p)
         if best is None or r > best[0]:
             best = r, point
         if r == ceiling:
             return best
     r, point = best
-    exact = rank(rows_at(point))
-    if exact != r:
-        raise RuntimeError(
-            f"exact rank {exact} at the best trial point exceeds the modular "
-            f"rank {r}; the modulus is bad for this input"
-        )
+    if (exact := rank(rows_at(point))) != r:
+        raise RuntimeError(f"exact rank {exact} at the best trial point exceeds the modular "
+                           f"rank {r}; the modulus is bad for this input")
     return best
 
 
@@ -192,8 +210,7 @@ def index(
     certify: bool = False,
     want_witness: bool = False,
 ) -> IndexReport:
-    _check_trials(trials)
-    p = _check_prime(prime)
+    trials, seed, p = _check_trials(trials), _integer(seed, "seed"), _check_prime(prime)
     n = g.dim
     z = _center_dim(g)
     if certify:
@@ -240,7 +257,7 @@ def index_by_sampling(
     """
     ceiling = _rank_ceiling(g.dim, g.brackets, center(g).dim)
     rng = random.Random(seed)
-    points = ([rng.randint(-bound, bound) for _ in range(g.dim)] for _ in range(samples))
+    points = (_draws(rng, g.dim, -bound, bound) for _ in range(samples))
     best = 0
     for r in _form_ranks(g, points):
         if (best := max(best, r)) == ceiling:

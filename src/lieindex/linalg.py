@@ -3,8 +3,8 @@
 Every elimination works on sparse rows {column: value}, since the matrices
 built from structure constants are sparse; no dense matrix is eliminated.
 No floats: each value out is an int when integral, else a Fraction (`_ratio`).
-One fraction-free echelon, SparseEchelon, on integer rows over Q (Fraction
-denominators cleared on entry) or lazy residues mod p, gives ranks over both
+One fraction-free echelon, SparseEchelon, on integer rows over Q (Fraction denominators
+cleared on entry) or lazy residues mod p (pivots inverted when read), gives ranks over both
 (`rank`, `rank_mod_p`); over Q only it also gives membership and coordinates
 (`reduce`) and the canonical bases of kernels and spans (`rref`, `kernel`, as
 sparse rows).  It never reads a row that its pivots already span: see SparseEchelon.
@@ -120,12 +120,14 @@ class SparseEchelon:
 
     A step over Q is `_step`.  Over F_p, here alone, w holds lazy residues: integers
     congruent to an eager reduction's residues (zeros dropped), plus keys of residue 0.
-    A step takes b = w[c] % p at c = max(w), deletes c if b = 0, else sets w[k] -= b*x
-    over the pivot row (led by 1), unreduced, and deletes c; a new pivot row is
-    {k: x*inv % p} without zeros.  By induction w stays congruent to the eager row,
-    and max(w) past the deleted zero residues is its leading column, so residues,
-    pivots and stored rows are the eager ones.  Entries enter in [0, p) and a step
-    adds b*x with 0 <= b, x < p, so after s steps |w[k]| < (s + 1)*p^2.
+    A step takes b = w[c] % p at c = max(w), deletes c if b = 0, else sets w[k] -= f*x
+    over the pivot row, f = b*inv % p, unreduced, and deletes c.  A new pivot row is its
+    residues {k: x % p} without zeros, unscaled; inv, the inverse of its leading residue,
+    is taken when a step first reads that pivot.  By induction w stays congruent to the
+    eager row, and max(w) past the deleted zero residues is its leading column, so
+    residues and pivots are the eager ones, and a stored row is the eager one (led by 1)
+    times its leading residue.  Entries enter in [0, p) and a step adds f*x with
+    0 <= f, x < p, so after s steps |w[k]| < (s + 1)*p^2.
     """
 
     def __init__(self, rows=(), p: int = 0):
@@ -133,6 +135,7 @@ class SparseEchelon:
         rows = [v for v in rows if v]
         free = set().union(*rows)  # the columns that are no pivot
         low = min(free, default=0)  # the least of them
+        invs = {}  # F_p: pivot -> inverse of its row's leading residue, once a step reads it
         for v in rows:
             if not free:
                 break
@@ -146,16 +149,16 @@ class SparseEchelon:
                     del w[c]
                 elif (prow := self.rows.get(c)) is None:
                     if p:
-                        inv = pow(b, -1, p)
-                        w = {k: r for k, x in w.items() if (r := x * inv % p)}
+                        w = {k: r for k, x in w.items() if (r := x % p)}
                     self.rows[c] = w
                     free.discard(c)
                     if c == low:
                         low = min(free, default=0)
                     break
                 elif p:
+                    f = b * (invs.get(c) or invs.setdefault(c, pow(prow[c], -1, p))) % p
                     for k, x in prow.items():
-                        w[k] = w.get(k, 0) - b * x
+                        w[k] = w.get(k, 0) - f * x
                     del w[c]
                 else:
                     w = _step(w, prow, c)[0]

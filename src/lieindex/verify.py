@@ -54,6 +54,7 @@ from .graphs import (
 from .index import (
     IndexReport,
     LinearFunctional,
+    _draws,
     alpha_sandwich,
     certified_generic_rank,
     index,
@@ -525,7 +526,7 @@ def _stabilizer_checks(alg: LieAlgebra, seed: int) -> tuple[bool, bool]:
     even, has_center = True, None
     for _ in range(3):
         try:
-            stab = stabilizer(alg, LinearFunctional.of([rng.randint(-9, 9) for _ in range(alg.dim)]))
+            stab = stabilizer(alg, LinearFunctional.of(_draws(rng, alg.dim, -9, 9)))
         except RuntimeError:
             even = False
             continue

@@ -590,10 +590,15 @@ class TestSeries:
         assert nilpotency_class(LieAlgebra(2)) == 1
         assert nilpotency_class(LieAlgebra(0)) == 0
 
+    def test_zero_algebra_series_ends_at_its_first_zero(self):
+        assert [s.dim for s in lower_central_series(LieAlgebra(0))] == [0]
+        assert [s.dim for s in lower_central_series(LieAlgebra(2))] == [2, 0]
+
     def test_not_nilpotent(self):
-        # [e0, e1] = e1 is solvable but not nilpotent.
+        # [e0, e1] = e1 is solvable but not nilpotent: the series ends at its repeat.
         g = LieAlgebra(2, None, {(0, 1): {1: 1}})
         assert check_jacobi(g) is None
+        assert [s.dim for s in lower_central_series(g)] == [2, 1, 1]
         with pytest.raises(ValueError):
             nilpotency_class(g)
 

@@ -227,7 +227,7 @@ class TestIndex:
 
     def test_witness_out_of_the_trials_reach(self, capsys, tmp_path, monkeypatch):
         # Zero trial points rank 0 over Q too: a real miss of the certified rank.
-        monkeypatch.setattr(index_module, "_trial_rng", lambda seed, trial: SimpleNamespace(randrange=lambda p: 0))
+        monkeypatch.setattr(index_module, "_trial_rng", lambda seed, trial: SimpleNamespace(getrandbits=lambda k: 0))
         path = write_algebra(tmp_path, heisenberg())
         code, out, err = run(capsys, "index", path, "--certify", "--witness")
         assert code == 1 and out == ""
@@ -304,6 +304,18 @@ class TestInvariants:
             "dim": 5,
             "lower_central_series": [5, 3, 2, 0],
             "nilpotency_class": 3,
+        }
+
+    def test_zero_algebra(self, capsys, tmp_path):
+        path = write_algebra(tmp_path, LieAlgebra(0))
+        code, out, _ = run(capsys, "invariants", path)
+        assert code == 0
+        assert json.loads(out) == {
+            "center_dim": 0,
+            "derived_dims": [0, 0],
+            "dim": 0,
+            "lower_central_series": [0],
+            "nilpotency_class": 0,
         }
 
     def test_non_nilpotent(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -232,7 +233,7 @@ class TestIndexReport:
     def test_witness_out_of_the_trials_reach(self, monkeypatch):
         # Every trial point is zero, where the form ranks 0 over Q and mod p
         # alike: the modulus is good, and no trial reaches the certified rank 2.
-        monkeypatch.setattr(index_module, "_trial_rng", lambda seed, trial: SimpleNamespace(randrange=lambda p: 0))
+        monkeypatch.setattr(index_module, "_trial_rng", lambda seed, trial: SimpleNamespace(getrandbits=lambda k: 0))
         with pytest.raises(RuntimeError, match="did not reach the certified rank"):
             index(heisenberg(), certify=True, want_witness=True)
         assert index(heisenberg(), certify=True).index == 1  # no trials without a witness
@@ -322,6 +323,54 @@ class TestIndexReport:
                 index(g, trials=trials)
             with pytest.raises(ValueError, match="trials"):
                 index(g, trials=trials, certify=True)
+
+    def test_trial_parameters_must_be_ints(self):
+        # A bool would print as true, and a float has no bit_length or exact product.
+        g = heisenberg()
+        bad = [("trials", True), ("trials", 2.0), ("trials", "3"), ("seed", True), ("seed", 1.0),
+               ("seed", "0"), ("prime", float(DEFAULT_PRIME)), ("prime", True), ("prime", Decimal(DEFAULT_PRIME))]
+        for (name, value), certify in product(bad, (False, True)):
+            with pytest.raises(ValueError, match=re.escape(f"must be an int, got {value!r}")):
+                index(g, certify=certify, **{name: value})
+
+    def test_numpy_trial_parameters_print_as_ints(self):
+        rep = index(heisenberg(), trials=np.int64(2), seed=np.int64(5), prime=np.int64(DEFAULT_PRIME))
+        assert rep.method == index(heisenberg(), trials=2, seed=5).method
+        assert {type(rep.method[k]) for k in ("trials", "seed", "prime")} == {int}
+        assert dumps(report_to_dict(rep)) == dumps(report_to_dict(index(heisenberg(), trials=2, seed=5)))
+
+
+class TestDraws:
+    # _draws is randint's draw without its per-call checks: the same values, and
+    # the generator left where randint leaves it.  Sizes: 1, 2, 19, 2^k, 2^k + 1, p.
+    SIZES = (1, 2, 19, 1 << 5, (1 << 5) + 1, 1 << 61, (1 << 61) + 1, DEFAULT_PRIME)
+
+    def test_matches_randint(self):
+        for seed, size in product(range(200), self.SIZES):
+            for lo in (0, -(size // 2), 7):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                drawn = index_module._draws(ours, 6, lo, lo + size - 1)
+                assert drawn == [theirs.randint(lo, lo + size - 1) for _ in range(6)], (seed, size, lo)
+                assert ours.random() == theirs.random()
+
+    def test_matches_randrange_at_the_modulus(self):
+        # The trial point's draw: randrange(p) for each coordinate.
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert index_module._draws(ours, 9, 0, DEFAULT_PRIME - 1) == [theirs.randrange(DEFAULT_PRIME) for _ in range(9)]
+            assert ours.random() == theirs.random()
+
+    def test_bad_range_refused(self):
+        # Refused, not drawn forever; randint refuses them too.
+        for lo, hi in ((0, -1), (3, 1), (-2.5, 2.5), (0, 1.0)):
+            with pytest.raises(ValueError, match="must be of ints and not empty"):
+                index_module._draws(random.Random(0), 1, lo, hi)
+        with pytest.raises(ValueError, match="must be of ints"):
+            index_by_sampling(LieAlgebra(2), bound=2.5)
+
+    def test_numpy_bounds_draw_as_ints_do(self):
+        ours, theirs = random.Random(3), random.Random(3)
+        assert index_module._draws(ours, 5, np.int64(-9), np.int64(9)) == index_module._draws(theirs, 5, -9, 9)
 
 
 class TestSampling:

@@ -285,8 +285,21 @@ class TestEchelonModP:
             m = self.residues(rng, q, rng.randint(1, 8), ncols)
             assert rank_mod_p(sparse_rows(m), q) == gf_rank(m, q), (trial, q)
 
+    @staticmethod
+    def led_by_one(row, q):
+        # The row times the inverse of its pivot entry mod q.
+        inv = pow(row[max(row)], -1, q)
+        return {c: r for c, x in row.items() if (r := x * inv % q)}
+
+    @staticmethod
+    def assert_residue_rows(ech, q):
+        # Each stored row's last key is its pivot, and every value lies in (0, q).
+        for c, row in ech.rows.items():
+            assert max(row) == c and all(0 < x < q for x in row.values())
+
     def test_unreduced_rows_rank(self):
-        # Rows that bring a new pivot at once are stored as their residues led by 1.
+        # Rows that bring a new pivot at once are stored as their residues, unscaled;
+        # led by 1, they are the rows an eager elimination stores.
         rng = random.Random(1616)
         for trial in range(60):
             q = self.PRIMES[trial % len(self.PRIMES)]
@@ -296,9 +309,10 @@ class TestEchelonModP:
             rows = [row for row in rows if row[max(row)] % q]  # leads stay leads mod q
             ech = SparseEchelon(rows, q)
             assert len(ech.rows) == gf_rank(dense(rows, ncols), q) == len(rows)
+            self.assert_residue_rows(ech, q)
             for row in rows:
-                inv = pow(row[max(row)], -1, q)
-                assert ech.rows[max(row)] == {c: r for c, x in row.items() if (r := x * inv % q)}
+                assert ech.rows[max(row)] == {c: r for c, x in row.items() if (r := x % q)}
+                assert self.led_by_one(ech.rows[max(row)], q) == self.led_by_one(row, q)
 
     # At the modulus index() uses, 2^61 - 1, the working row holds lazy residues:
     # integers congruent to them, reduced only where the leading one is read.
@@ -314,11 +328,6 @@ class TestEchelonModP:
         if kind == 2:
             return q * rng.randint(-q, q)
         return rng.randint(-9, 9) if kind == 3 else 0
-
-    @staticmethod
-    def assert_led_by_one(ech, q):
-        for c, row in ech.rows.items():
-            assert max(row) == c and row[c] == 1 and all(0 < x < q for x in row.values())
 
     def test_rank_at_the_real_modulus(self, monkeypatch):
         class Watched(dict):  # the working row, its largest |entry| recorded
@@ -342,7 +351,7 @@ class TestEchelonModP:
             ech = SparseEchelon(sparse_rows(m), q)
             assert len(ech.rows) == rank_mod_p(sparse_rows(m), q) == gf_rank(m, q), trial
             assert widest[0] < (ncols + 1) * q * q
-            self.assert_led_by_one(ech, q)
+            self.assert_residue_rows(ech, q)
 
     def test_leading_residue_cancels_partway(self):
         # With 2h = q + 1, the step b - h*a leaves 1 - 2h = -q at column 1: a
@@ -351,7 +360,8 @@ class TestEchelonModP:
         h = (q + 1) // 2
         a = {2: 1, 1: 2, 0: 2}
         ech = SparseEchelon([a, {2: h, 1: 1, 0: 8}], q)
-        assert ech.rows == {2: a, 0: {0: 1}}
+        assert ech.rows == {2: a, 0: {0: 7}}  # 8 - 2h = 7 - q
+        assert self.led_by_one(ech.rows[0], q) == {0: 1}
         # Here the whole of b - h*a is -q*(x_1 + x_0): 0 mod q, though not over Q.
         b = {2: h, 1: 1, 0: 1}
         assert rank_mod_p([a, b], q) == gf_rank(dense([a, b], 3), q) == 1
@@ -359,8 +369,9 @@ class TestEchelonModP:
         # Entries >= q^2, negative ones and multiples of q enter as their residues.
         c = {1: 1, 0: 2}
         ech = SparseEchelon([a, c, {2: -q, 1: 4 - 2 * q, 0: 3 * q * q - 8}], q)
-        assert ech.rows == {2: a, 1: c, 0: {0: 1}}
-        self.assert_led_by_one(ech, q)
+        assert ech.rows == {2: a, 1: c, 0: {0: q - 16}}  # 3q^2 - 8 - 4*2
+        assert self.led_by_one(ech.rows[0], q) == {0: 1}
+        self.assert_residue_rows(ech, q)
 
 
 class TestRref:
@@ -609,23 +620,52 @@ class TestSupportStop:
                 assert self.matrix(entered, ncols, q).rank() == self.matrix(rows, ncols, q).rank()
                 self.check(rows, ncols, q, rng)
 
+    @staticmethod
+    def watch_inverses(monkeypatch) -> list:
+        """The (x, p) of each modular inverse the constructor takes from here on."""
+        inverses = []
+
+        def counted(x, e, p):
+            if e == -1:
+                inverses.append((x, p))
+            return pow(x, e, p)
+
+        monkeypatch.setattr(linalg, "pow", counted, raising=False)
+        return inverses
+
     @pytest.mark.parametrize(
-        "build, rk, nonzero",
+        "build, rk, nonzero, inverses",
         [
-            (lambda: build_free_nilpotent(4, 4).algebra, 14, 30),
-            (lambda: build_free_nilpotent(3, 5).algebra, 12, 32),
-            (lambda: build_metabelian(3, 5).algebra, 6, 29),
+            (lambda: build_free_nilpotent(4, 4).algebra, 14, 30, 11),
+            (lambda: build_free_nilpotent(3, 5).algebra, 12, 32, 9),
+            (lambda: build_metabelian(3, 5).algebra, 6, 29, 4),
         ],
         ids=["F(4,4)", "F(3,5)", "M(3,5)"],
     )
-    def test_trial_reads_only_its_pivots(self, build, rk, nonzero, monkeypatch):
-        # index()'s first seed-1 trial reaches the ceiling, and every row it reads is a pivot.
+    def test_trial_reads_only_its_pivots(self, build, rk, nonzero, inverses, monkeypatch):
+        # index()'s first seed-1 trial reaches the ceiling, and every row it reads is a
+        # pivot.  A pivot's inverse is taken only when a later row steps on it, once.
         g = build()
         rows_at = partial(index_module._form_rows, g)
         entered = self.watch_reads(monkeypatch)
+        taken = self.watch_inverses(monkeypatch)
         r, point = index_module._trial_rank(rows_at, g.dim, rk, trials=1, seed=1)
         assert r == len(entered) == rk
+        assert len(taken) == len(set(taken)) == inverses < rk
+        assert all(q == DEFAULT_PRIME for _, q in taken)
         assert sum(map(bool, index_module._form_rows(g, point))) == nonzero
+
+    def test_new_pivots_without_a_step_take_no_inverse(self, monkeypatch):
+        taken = self.watch_inverses(monkeypatch)
+        # Distinct leading columns: each row is a new pivot as it comes.
+        assert rank_mod_p([{0: 5}, {0: 3, 1: 7}, {1: 2, 2: 9}], DEFAULT_PRIME) == 3
+        assert taken == []
+        # Column 0 stays free, so no row is skipped.  The fourth row (the third minus
+        # the second) steps on pivot 3, then on pivot 2: one inverse each.  The fifth
+        # (twice the third) steps on pivot 3 with the inverse already taken.
+        rows = [{1: 5}, {2: 3}, {2: 4, 3: 6}, {2: 1, 3: 6}, {2: 8, 3: 12}, {0: 2, 4: 1}]
+        assert rank_mod_p(rows, DEFAULT_PRIME) == gf_rank(dense(rows, 5), DEFAULT_PRIME) == 4
+        assert taken == [(6, DEFAULT_PRIME), (3, DEFAULT_PRIME)]
 
     def test_center_reads_30_of_333_rows(self, monkeypatch):
         g = build_free_nilpotent(4, 4).algebra
