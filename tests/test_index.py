@@ -370,7 +370,8 @@ class TestDraws:
 
     def test_numpy_bounds_draw_as_ints_do(self):
         ours, theirs = random.Random(3), random.Random(3)
-        assert index_module._draws(ours, 5, np.int64(-9), np.int64(9)) == index_module._draws(theirs, 5, -9, 9)
+        assert index_module._draws(ours, 5, np.int64(-9), np.int64(9)) == [theirs.randint(-9, 9) for _ in range(5)]
+        assert ours.random() == theirs.random()
 
 
 class TestSampling:
