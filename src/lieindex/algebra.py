@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
+from numbers import Integral, Rational
 
 from .linalg import SparseEchelon, _sparse, _subtract, rank
 
@@ -50,6 +50,13 @@ def _exact(c, where: str) -> int | Fraction:
         raise ValueError(f"{where} must be an int or Fraction, got {c!r}")
     num, den = int(c.numerator), int(c.denominator)  # a numpy integer's are numpy's
     return num if den == 1 else Fraction(num, den)
+
+
+def _integer(x, what: str) -> int:
+    # As _exact, refuses a bool (it would print as true); a numpy integer becomes an int.
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"{what} must be an int, got {x!r}")
+    return int(x)
 
 
 class NotAbelianError(ValueError):
@@ -117,7 +124,7 @@ class LieAlgebra:
     """Structure-constant Lie algebra over Q on basis x_0 .. x_{n-1}."""
 
     def __init__(self, dim: int, labels=None, brackets: dict | None = None):
-        if dim < 0:
+        if (dim := _integer(dim, "dimension")) < 0:
             raise ValueError("dimension must be nonnegative")
         self.dim = dim
         if labels is None:

@@ -178,8 +178,8 @@ def _cmd_graph_index(args) -> int:
         {
             "graph": graph.to_dict(),
             "matching": [list(e) for e in result.matching],
-            "via_matching": result.via_matching,
-            "via_rank": result.via_rank,
+            "via_matching": result.index,
+            "via_rank": result.report.index,
             "report": report_to_dict(result.report),
         },
         args.pretty,

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Coeffs, LieAlgebra, check_jacobi
 from .free_nilpotent import _check_ceiling
 from .index import index
-from .linalg import SparseEchelon, _subtract
+from .linalg import _subtract
 
 
 def _labels(n: int) -> tuple[str, ...]:
@@ -27,16 +26,12 @@ def _labels(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FiliformAlgebra:
-    """An adapted-basis filiform algebra plus its top-bracket coefficients.
-
-    alpha_coeffs[i-1] is the e_n coefficient of [e_i, e_{n-i}] for
-    i = 1 .. n-1; these drive the index-1 criterion.
-    """
+    """An algebra checked to carry the adapted filiform shape (make_filiform),
+    with the family it was built as and that family's parameter k."""
 
     algebra: LieAlgebra
     family: str
     k: int | None
-    alpha_coeffs: tuple[int | Fraction, ...]
 
     @property
     def n(self) -> int:
@@ -75,12 +70,7 @@ def make_filiform(alg: LieAlgebra, family: str = "adapted", k: int | None = None
     reason = adapted_violation(alg)
     if reason is not None:
         raise ValueError(f"not an adapted filiform algebra: {reason}")
-    n = alg.dim
-    alphas = tuple(
-        alg.structure_coeffs(i - 1, n - i - 1).get(n - 1, 0)
-        for i in range(1, n)
-    )
-    return FiliformAlgebra(alg, family, k, alphas)
+    return FiliformAlgebra(alg, family, k)
 
 
 def _chain(n: int, k: int, name: str) -> LieAlgebra:
@@ -128,12 +118,12 @@ class IndexOneResult:
 
 def index_one_criterion(f: FiliformAlgebra) -> IndexOneResult:
     """Odd dimension only: index 1 iff [g_i, g_{n-i}] != 0 for i = 1 .. n-1,
-    read off the alpha coefficients."""
+    read off alpha_i, the e_n coefficient of [e_i, e_{n-i}]."""
     n = f.n
     if n % 2 == 0:
         raise ValueError("the index-1 criterion applies to odd dimension only")
     for i in range(1, n):
-        if not f.alpha_coeffs[i - 1]:
+        if not f.algebra.structure_coeffs(i - 1, n - i - 1).get(n - 1):
             return IndexOneResult(False, i)
     return IndexOneResult(True, None)
 
@@ -163,6 +153,8 @@ def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlge
     chain vector of the form e_m + (tail), so the transition matrix is
     unitriangular, and cross terms in pairs with index sum n + 1 land past
     weight n + 1, so those brackets keep their e_n coefficients verbatim.
+    Back-substitution gives each bracket's new coordinates: it peels the
+    lowest coordinate, as the lowest e_m left is the coefficient of e_m'.
     """
     g = base.algebra
     n = g.dim
@@ -177,23 +169,16 @@ def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlge
         cols.append(col)
     for _ in range(2, n):
         cols.append(g.sparse_bracket(cols[0], cols[-1]))
-    # Row m is e'_m tagged with e_m, coordinate r at column 2n - 1 - r: e'_m
-    # leads with e_m, so each row is its own pivot, stored as given.  Reducing
-    # w on the pivots leaves minus its coordinates on the new basis in the tags.
-    ech = SparseEchelon({m: 1, **{2 * n - 1 - r: c for r, c in col.items()}}
-                        for m, col in enumerate(cols))
-    # [e'_s, e'_t] = sum_a e'_s[a] [x_a, e'_t], read off one ad_images per column.
-    images = [g.ad_images(col) for col in cols]
     brackets: dict[tuple[int, int], Coeffs] = {}
     for s in range(n):
         for t in range(s + 1, n):
-            w: Coeffs = {}
-            for a, c in cols[s].items():
-                if a in images[t]:
-                    _subtract(w, -c, images[t][a])
-            if w:
-                coords = ech.reduce({2 * n - 1 - k: c for k, c in w.items()})
-                brackets[(s, t)] = {r: -c for r, c in sorted(coords.items())}
+            w, coords = g.sparse_bracket(cols[s], cols[t]), {}
+            while w:
+                m = min(w)
+                coords[m] = c = w[m]
+                _subtract(w, c, cols[m])
+            if coords:
+                brackets[(s, t)] = coords
     alg = LieAlgebra(n, _labels(n), brackets)
     if check_jacobi(alg) is not None:
         raise RuntimeError("deformed brackets fail the Jacobi identity")

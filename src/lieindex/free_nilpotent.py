@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, _integer
 
 DEFAULT_MAX_DIM = 500
 
@@ -66,7 +66,7 @@ def witt_layer(g: int, m: int) -> int:
 
 def witt_dimension(g: int, c: int) -> tuple[int, int]:
     """(dim of the free c-step algebra on g generators, dim of its top layer)."""
-    if g < 1 or c < 1:
+    if (g := _integer(g, "generator count")) < 1 or (c := _integer(c, "class")) < 1:
         raise ValueError("need g >= 1 generators and class c >= 1")
     return sum(witt_layer(g, m) for m in range(1, c + 1)), witt_layer(g, c)
 
@@ -93,8 +93,6 @@ class FreeNilpotentAlgebra:
     the last nonempty layer; every layer past it is the empty range(dim, dim).
     """
 
-    generators: int
-    nil_class: int
     algebra: LieAlgebra
     trees: list
     layer_offsets: list[int]
@@ -121,7 +119,6 @@ class HallBuilder:
     """
 
     def __init__(self, g: int, c: int):
-        self.g = g
         self.c = c
         self._memo: dict = {}
         self.layers: list[list] = [[], list(range(g))]  # layers[w] = trees of weight w
@@ -221,7 +218,7 @@ def build_metabelian(g: int, c: int) -> FreeNilpotentAlgebra:
 
 
 def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
-    if g < 1 or c < 1:
+    if (g := _integer(g, "generator count")) < 1 or (c := _integer(c, "class")) < 1:
         raise ValueError("need g >= 1 generators and class c >= 1")
     kind = "metabelian" if comb else "free nilpotent"
     # The layer sizes stop at the first partial sum above the ceiling, and
@@ -250,7 +247,7 @@ def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
             if coeffs:
                 brackets[(i, j)] = coeffs
     alg = LieAlgebra(n, tuple(tree_label(t, gen_labels) for t in trees), brackets)
-    return FreeNilpotentAlgebra(g, c, alg, trees, list(accumulate(sizes, initial=0)))
+    return FreeNilpotentAlgebra(alg, trees, list(accumulate(sizes, initial=0)))
 
 
 def build_fg3_explicit_basis(g: int) -> FreeNilpotentAlgebra:
@@ -262,8 +259,10 @@ def build_fg3_explicit_basis(g: int) -> FreeNilpotentAlgebra:
     Jacobi identity as -x_jki + x_kji.  Useful because the distinguished
     functionals in the verification harness are written in these coordinates.
     """
-    if g < 2:
+    if (g := _integer(g, "generator count")) < 2:
         raise ValueError("need at least two generators")
+    total, top = witt_dimension(g, 3)
+    _check_ceiling(total, f"explicit class-3 basis with g={g}")
     pairs = sorted(
         ((i, j) for j in range(2, g + 1) for i in range(1, j)), key=lambda p: (p[1], p[0])
     )
@@ -299,7 +298,6 @@ def build_fg3_explicit_basis(g: int) -> FreeNilpotentAlgebra:
         + [(i - 1, j - 1) for (i, j) in pairs]
         + [(i - 1, (j - 1, k - 1)) for (i, j, k) in triples]
     )
-    total, top = witt_dimension(g, 3)
     if len(labels) != total or len(triples) != top:
         raise RuntimeError("explicit basis counts differ from the Witt formula")
-    return FreeNilpotentAlgebra(g, 3, alg, trees, [0, g, g + len(pairs), total])
+    return FreeNilpotentAlgebra(alg, trees, [0, g, g + len(pairs), total])

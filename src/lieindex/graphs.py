@@ -141,15 +141,9 @@ def matching_functional(graph: SimpleGraph, matching) -> LinearFunctional:
 
 @dataclass(frozen=True)
 class GraphIndexResult:
-    graph: SimpleGraph
     matching: tuple[Edge, ...]
-    via_matching: int
-    via_rank: int
+    index: int  # dim - 2 nu, by the matching; equal to report.index, by rank
     report: IndexReport
-
-    @property
-    def index(self) -> int:
-        return self.via_matching
 
 
 def graph_index(
@@ -170,7 +164,7 @@ def graph_index(
             "graph index mismatch between matching and rank routes "
             f"({via_matching} vs {report.index}); this is a bug"
         )
-    return GraphIndexResult(graph, witness, via_matching, report.index, report)
+    return GraphIndexResult(witness, via_matching, report)
 
 
 def matching_stabilizer_dim(graph: SimpleGraph, matching) -> int:

@@ -40,6 +40,7 @@ from .algebra import (
     Subspace,
     _center_dim,
     _exact,
+    _integer,
     abelian_witness,
     center,
 )
@@ -55,13 +56,6 @@ CERTIFY_DIM_LIMIT = 40
 
 class CertifySizeError(ValueError):
     """Certified rank was requested above the dimension gate CERTIFY_DIM_LIMIT."""
-
-
-def _integer(x, what: str) -> int:
-    # As algebra._exact refuses a bool: it would print as true.  A numpy integer is an int.
-    if isinstance(x, bool) or not isinstance(x, Integral):
-        raise ValueError(f"{what} must be an int, got {x!r}")
-    return int(x)
 
 
 def _check_prime(prime: int | None) -> int:
@@ -255,8 +249,10 @@ def index_by_sampling(
     So sampling stops at the first rank at it, with the full-sample minimum.
     Its dim z(g) comes from center(), a route independent of index()'s.
     """
+    if (samples := _integer(samples, "samples")) < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     ceiling = _rank_ceiling(g.dim, g.brackets, center(g).dim)
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     points = (_draws(rng, g.dim, -bound, bound) for _ in range(samples))
     best = 0
     for r in _form_ranks(g, points):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -25,7 +26,14 @@ from lieindex.free_nilpotent import build_fg3_explicit_basis, build_free_nilpote
 from lieindex.graphs import SimpleGraph, build_graph_algebra
 from lieindex.index import LinearFunctional, alpha_sandwich, index, ooms_criterion, stabilizer
 from lieindex.linalg import SparseEchelon
-from lieindex.serialize import algebra_from_dict, algebra_to_dict, dumps, format_scalar, stabilizer_to_dict
+from lieindex.serialize import (
+    algebra_from_dict,
+    algebra_to_dict,
+    dumps,
+    format_scalar,
+    report_to_dict,
+    stabilizer_to_dict,
+)
 from lieindex.verify import _CORPUS
 from test_index import dense_bracket, rescaled, shifted, unit
 from test_linalg import assert_exact
@@ -196,6 +204,18 @@ class TestConstruction:
         ):
             with pytest.raises(ValueError, match="must be integers|must be an integer"):
                 LieAlgebra(3, None, brackets)
+
+    def test_dimension_is_an_int(self):
+        # True built a dim-1 algebra printed as "dim": true; a numpy dim did not serialize.
+        for dim in (True, False, 2.0, "3", Fraction(3)):
+            with pytest.raises(ValueError, match=re.escape(f"dimension must be an int, got {dim!r}")):
+                LieAlgebra(dim)
+        with pytest.raises(ValueError, match="dimension must be nonnegative"):
+            LieAlgebra(-1)
+        g, plain = (LieAlgebra(d, None, {(0, 1): {2: 1}}) for d in (np.int64(3), 3))
+        assert type(g.dim) is int and g == plain
+        assert dumps(algebra_to_dict(g)) == dumps(algebra_to_dict(plain))
+        assert dumps(report_to_dict(index(g))) == dumps(report_to_dict(index(plain)))
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):

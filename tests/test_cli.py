@@ -382,6 +382,13 @@ class TestGraphIndex:
         assert code == 2 and out == ""
         assert "edge (0,'1') must satisfy 0 <= i < j < n" in err
 
+    def test_triple_edge_is_not_a_pair(self, capsys, tmp_path):
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(json.dumps({"vertices": 3, "edges": [[0, 1, 2]]}))
+        code, out, err = run(capsys, "graph-index", str(gpath))
+        assert code == 2 and out == ""
+        assert "edge (0, 1, 2) must be a pair" in err
+
     @pytest.mark.parametrize("command", [["graph-index"], ["construct", "graph", "--input"]], ids=["graph-index", "construct"])
     @pytest.mark.parametrize(
         "payload",
@@ -449,6 +456,14 @@ class TestEnvironmentPrime:
         monkeypatch.setenv("LIEINDEX_PRIME", "101")
         path = write_algebra(tmp_path, heisenberg())
         assert run(capsys, "index", path)[0] == 2
+
+    def test_composite_without_small_factors_rejected(self, capsys, tmp_path, monkeypatch):
+        # 92 bits, both factors Mersenne primes: only the Miller-Rabin rounds refuse it.
+        monkeypatch.setenv("LIEINDEX_PRIME", str(((1 << 61) - 1) * ((1 << 31) - 1)))
+        path = write_algebra(tmp_path, heisenberg())
+        code, out, err = run(capsys, "index", path)
+        assert code == 2 and out == ""
+        assert "modulus must be a prime of at least 61 bits" in err
 
     def test_garbage_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LIEINDEX_PRIME", "not-a-number")

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from lieindex.algebra import (
     lower_central_series,
 )
 from lieindex.filiform import (
+    IndexOneResult,
     achievable_indices,
     adapted_violation,
     build_G,
@@ -28,6 +30,12 @@ from lieindex.serialize import algebra_to_dict, dumps
 from lieindex.verify import _CORPUS
 
 
+def alphas(f):
+    """alpha_i, the e_n coefficient of [e_i, e_{n-i}], for i = 1 .. n-1."""
+    n = f.n
+    return tuple(f.algebra.structure_coeffs(i - 1, n - i - 1).get(n - 1, 0) for i in range(1, n))
+
+
 class TestBuilders:
     def test_chain_family(self):
         f = build_L(4)
@@ -37,7 +45,7 @@ class TestBuilders:
             (0, 1): {2: Fraction(1)},
             (0, 2): {3: Fraction(1)},
         }
-        assert f.alpha_coeffs == (Fraction(1), Fraction(0), Fraction(-1))
+        assert alphas(f) == (Fraction(1), Fraction(0), Fraction(-1))
 
     def test_q_family(self):
         f = build_Q(6)
@@ -50,7 +58,7 @@ class TestBuilders:
             (1, 4): {5: Fraction(1)},
             (2, 3): {5: Fraction(-1)},
         }
-        assert f.alpha_coeffs == (Fraction(1), 0, 0, 0, Fraction(-1))
+        assert alphas(f) == (Fraction(1), 0, 0, 0, Fraction(-1))
 
     def test_g_family(self):
         f = build_G(7, 5)
@@ -122,15 +130,17 @@ class TestAdaptedBasisChecks:
     def test_make_filiform_extracts_alphas(self):
         f = make_filiform(build_L(5).algebra)
         assert f.family == "adapted" and f.k is None
-        assert f.alpha_coeffs == build_L(5).alpha_coeffs
+        assert f.algebra == build_L(5).algebra
 
     def test_alphas_keep_the_constant_type(self):
         for f in (build_L(5), build_Q(8), build_G(9, 5), random_adapted_deformation(build_Q(8), 3)):
-            assert {type(a) for a in f.alpha_coeffs} == {int}
+            assert {type(a) for a in alphas(f)} == {int}
         chain = {(0, i): {i + 1: 1} for i in range(1, 4)}
         f = make_filiform(LieAlgebra(5, None, {**chain, (1, 2): {4: Fraction(1, 2)}}))
-        assert f.alpha_coeffs == (1, Fraction(1, 2), Fraction(-1, 2), -1)
-        assert [type(a) for a in f.alpha_coeffs] == [int, Fraction, Fraction, int]
+        assert alphas(f) == (1, Fraction(1, 2), Fraction(-1, 2), -1)
+        assert [type(a) for a in alphas(f)] == [int, Fraction, Fraction, int]
+        assert index_one_criterion(f) == IndexOneResult(True, None)
+        assert index(f.algebra).index == 1
 
     def test_shape_forces_filiform_series(self):
         # Random constants respecting the filtration, Jacobi or not.
@@ -155,6 +165,21 @@ class TestAdaptedBasisChecks:
         bad[(1, 2)] = {3: Fraction(1)}
         alg = LieAlgebra(6, None, bad)
         assert adapted_violation(alg) is not None
+
+    @pytest.mark.parametrize("dim, extra, reason", [
+        (2, {}, "need dimension at least 3"),
+        (5, {(0, 4): {1: 1}}, "[e1,en] != 0"),
+        (6, {(1, 2): {3: 1}}, "[e2,e3] leaves span(e5..e6)"),
+        (5, {(1, 3): {3: 1}}, "[e2,e4] leaves span(e5)"),
+        (5, {(2, 3): {4: 1}}, "[e3,e4] != 0 with 3+4 > n+1"),
+    ])
+    def test_each_refusal_names_its_reason(self, dim, extra, reason):
+        # The shape alone is checked, so the hand-made constants need not satisfy Jacobi.
+        chain = {(0, i): {i + 1: 1} for i in range(1, dim - 1)}
+        alg = LieAlgebra(dim, None, {**chain, **extra})
+        assert adapted_violation(alg) == reason
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            make_filiform(alg)
 
 
 class TestIdeals:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import count
 
+import numpy as np
 import pytest
 import sympy
 
@@ -70,6 +71,13 @@ class TestWitt:
             witt_dimension(0, 3)
         with pytest.raises(ValueError):
             witt_dimension(2, 0)
+
+    def test_counts_are_ints(self):
+        # witt_dimension(2.5, 2) once raised a RuntimeError about the Witt sum.
+        for g, c in ((2.5, 2), (True, 3), (2, 3.0), (np.int64(2), True)):
+            with pytest.raises(ValueError, match="must be an int"):
+                witt_dimension(g, c)
+        assert witt_dimension(np.int64(3), np.int64(3)) == (14, 8)
 
 
 class TestTrees:
@@ -164,6 +172,17 @@ class TestFreeNilpotent:
             build_free_nilpotent(3, 7)
         with pytest.raises(ResourceLimitError, match="dimension 641, above the ceiling 500"):
             build_metabelian(3, 12)
+
+    def test_counts_are_ints(self):
+        # True once built as 1; a numpy count builds as the plain int does.
+        for build, g, c in ((build_free_nilpotent, True, 3), (build_metabelian, 2, True),
+                            (build_free_nilpotent, 2.0, 3), (build_metabelian, 2, "3")):
+            with pytest.raises(ValueError, match="must be an int"):
+                build(g, c)
+        for build in (build_free_nilpotent, build_metabelian):
+            ours, plain = build(np.int64(2), np.int64(4)), build(2, 4)
+            assert ours.algebra == plain.algebra and ours.layer_offsets == plain.layer_offsets
+            assert dumps(algebra_to_dict(ours.algebra)) == dumps(algebra_to_dict(plain.algebra))
 
     def test_builder_memo_is_order_independent(self):
         g, c = 3, 3
@@ -315,6 +334,23 @@ class TestExplicitClassThree:
     def test_rejects_single_generator(self):
         with pytest.raises(ValueError):
             build_fg3_explicit_basis(1)
+
+    def test_dimension_ceiling(self, monkeypatch):
+        # g = 11 once built dim 506, and g = 12 died on two equal labels x_112
+        # (the pair (1,12) and the triple (1,1,2)): the ceiling comes first now.
+        assert build_fg3_explicit_basis(10).dim == 385
+        monkeypatch.setattr(free_nilpotent, "LieAlgebra", None)
+        for g, dim in ((11, 506), (12, 650)):
+            with pytest.raises(ResourceLimitError, match=f"dimension {dim}, above the ceiling 500"):
+                build_fg3_explicit_basis(g)
+
+    def test_generator_count_is_an_int(self):
+        for g in (True, 3.0, "3"):
+            with pytest.raises(ValueError, match="generator count must be an int"):
+                build_fg3_explicit_basis(g)
+        built = build_fg3_explicit_basis(np.int64(3))
+        assert built.algebra == build_fg3_explicit_basis(3).algebra
+        assert dumps(algebra_to_dict(built.algebra)) == dumps(algebra_to_dict(build_fg3_explicit_basis(3).algebra))
 
 
 def test_random_jacobi_spot_checks():

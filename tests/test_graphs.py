@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -58,6 +59,11 @@ class TestSimpleGraph:
             SimpleGraph(3, ((0, 1), (0, 1)))
         with pytest.raises(ValueError):
             SimpleGraph(-1, ())
+
+    def test_edge_must_be_a_pair(self):
+        for e in ((0, 1, 2), (0,)):
+            with pytest.raises(ValueError, match=re.escape(f"edge {e!r} must be a pair")):
+                SimpleGraph(3, (e,))
 
     def test_edges_are_sorted(self):
         g = SimpleGraph(4, ((2, 3), (0, 1)))
@@ -223,7 +229,7 @@ class TestMatching:
 class TestGraphIndex:
     def test_complete_four(self):
         res = graph_index(complete(4))
-        assert res.via_matching == res.via_rank == res.index == 6
+        assert res.index == res.report.index == 6
         assert res.report.dim == 10
 
     def test_named_cases(self):
@@ -248,7 +254,7 @@ class TestGraphIndex:
             )
             g = SimpleGraph(n, edges)
             res = graph_index(g)
-            assert res.via_matching == res.via_rank
+            assert res.index == res.report.index
             assert res.index == g.vertex_count + len(g.edges) - 2 * matching_number(g)[0]
 
 

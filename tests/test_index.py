@@ -384,6 +384,17 @@ class TestSampling:
         alg = build_free_nilpotent(3, 3).algebra
         assert index_by_sampling(alg, samples=1) >= index(alg).index
 
+    def test_sample_count_and_seed_are_ints(self):
+        # True once ran one sample, -3 returned dim with no sample, and seed 1.5 was taken.
+        g = heisenberg()
+        for name, value in (("samples", True), ("samples", 2.0), ("samples", "5"),
+                            ("seed", True), ("seed", 1.5), ("seed", "0")):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an int, got {value!r}")):
+                index_by_sampling(g, **{name: value})
+        with pytest.raises(ValueError, match="samples must be nonnegative, got -3"):
+            index_by_sampling(g, samples=-3)
+        assert index_by_sampling(g, samples=np.int64(5), seed=np.int64(2)) == index_by_sampling(g, 5, 2) == 1
+
     # Sampling stops at the rank ceiling min(2 nu(B(g)), n - dim z(g) rounded
     # down to even).  Every algebra but the shifted L5 reaches it (shifted L4:
     # 2 nu = 4, n - dim z = 3, rank 2, so it needs the rounding).  The shifted

@@ -12,7 +12,7 @@ from test_index import dense_bracket, form_matrix, index_module, shifted
 from lieindex import linalg
 from lieindex.algebra import LieAlgebra, Subspace, center, centralizer
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
-from lieindex.index import _form_ranks, index
+from lieindex.index import _check_prime, _form_ranks, index
 from lieindex.linalg import (
     DEFAULT_PRIME,
     SparseEchelon,
@@ -719,3 +719,26 @@ class TestPrimality:
         for n in range(2, 500):
             assert is_probable_prime(n) == sympy.isprime(n)
 
+    @pytest.mark.parametrize("n", [41 * 43, 3215031751, ((1 << 61) - 1) * ((1 << 31) - 1)],
+                             ids=["41*43", "spsp-2-3-5-7", "two-mersenne-primes"])
+    def test_composites_past_the_trial_divisions(self, n):
+        # No factor <= 37, so the trial divisions by the bases pass them on and a
+        # Miller-Rabin round must refuse them.
+        assert min(sympy.factorint(n)) > 37
+        assert not is_probable_prime(n)
+        with pytest.raises(ValueError, match="modulus must be a prime"):
+            _check_prime(n)
+
+    def test_strong_pseudoprime_needs_a_later_base(self, monkeypatch):
+        assert not is_probable_prime(3215031751)
+        monkeypatch.setattr(linalg, "_MR_BASES", (2, 3, 5, 7))
+        assert is_probable_prime(3215031751)
+
+    def test_against_sympy_past_the_bases(self):
+        # The composites here without a factor <= 37 (41^2 = 1681 the first) reach the rounds.
+        for n in range(1369, 20000):
+            assert is_probable_prime(n) == sympy.isprime(n), n
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.getrandbits(64) | (1 << 63) | 1
+            assert is_probable_prime(n) == sympy.isprime(n), n

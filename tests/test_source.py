@@ -203,3 +203,23 @@ def test_center_dim_is_its_own_route():
     names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
     assert not names & {"center", "centralizer", "Subspace", "kernel"}, names
     assert "rank" in names, "_center_dim no longer falls back to rank; update this check"
+
+
+def test_no_unused_imports():
+    # A name imported and never used is dead weight, and hides which modules a
+    # module really needs; __init__.py imports to re-export.
+    found = []
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not found, f"unused imports in the package: {found}"
