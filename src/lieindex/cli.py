@@ -166,7 +166,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_stabilizer(args) -> int:
     alg = _load_algebra(args.algebra)
     ell = functional_from_dict(_load_json(args.ell))
-    _emit(stabilizer_to_dict(stabilizer(alg, ell)), args.pretty)
+    _emit(stabilizer_to_dict(ell, stabilizer(alg, ell)), args.pretty)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import Coeffs, LieAlgebra, check_jacobi
+from .algebra import Coeffs, LieAlgebra, _integer, check_jacobi
 from .free_nilpotent import _check_ceiling
 from .index import index
 from .linalg import _subtract
@@ -91,20 +91,21 @@ def _chain(n: int, k: int, name: str) -> LieAlgebra:
 
 def build_L(n: int) -> FiliformAlgebra:
     """The model filiform algebra: [e_1, e_i] = e_{i+1} and nothing else (k = 3)."""
-    if n < 3:
+    if (n := _integer(n, "dimension")) < 3:
         raise ValueError("the L family needs dimension >= 3")
     return make_filiform(_chain(n, 3, f"L{n}"), "L")
 
 
 def build_Q(n: int) -> FiliformAlgebra:
     """Even-dimensional family with [e_i, e_{n+1-i}] = (-1)^i e_n added (k = n + 1)."""
-    if n < 4 or n % 2:
+    if (n := _integer(n, "dimension")) < 4 or n % 2:
         raise ValueError("the Q family needs even dimension >= 4")
     return make_filiform(_chain(n, n + 1, f"Q{n}"), "Q")
 
 
 def build_G(n: int, k: int) -> FiliformAlgebra:
     """Semidirect family with index n - k + 1 (k odd, 3 <= k <= n)."""
+    n, k = _integer(n, "dimension"), _integer(k, "k")
     if k % 2 == 0 or not 3 <= k <= n:
         raise ValueError("need odd k with 3 <= k <= n")
     return make_filiform(_chain(n, k, f"G{n},{k}"), "G", k)
@@ -131,7 +132,7 @@ def index_one_criterion(f: FiliformAlgebra) -> IndexOneResult:
 def lower_bound(f: FiliformAlgebra, k: int) -> int | None:
     """n - 2(k-1) when [g_k, g_k] = 0; None when that bracket is nonzero."""
     n = f.n
-    if not 2 <= k <= n:
+    if not 2 <= (k := _integer(k, "k")) <= n:
         raise ValueError("need 2 <= k <= n")
     for i in range(k, n + 1):
         for j in range(i + 1, n + 1):
@@ -142,6 +143,7 @@ def lower_bound(f: FiliformAlgebra, k: int) -> int | None:
 
 def achievable_indices(n: int) -> list[int]:
     """Sorted indices realized by the semidirect family in dimension n."""
+    n = _integer(n, "dimension")
     return sorted({index(build_G(n, k).algebra).index for k in range(3, n + 1, 2)})
 
 

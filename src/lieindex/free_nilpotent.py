@@ -37,7 +37,7 @@ def _check_ceiling(dim: int, what: str) -> None:
 
 def mobius(n: int) -> int:
     """Moebius function by trial division; n >= 1."""
-    if n < 1:
+    if (n := _integer(n, "n")) < 1:
         raise ValueError("mobius is defined for n >= 1")
     res = 1
     d = 2
@@ -55,6 +55,8 @@ def mobius(n: int) -> int:
 
 def witt_layer(g: int, m: int) -> int:
     """Dimension of the weight-m homogeneous layer of the free Lie algebra."""
+    if (g := _integer(g, "generator count")) < 0 or (m := _integer(m, "weight")) < 1:
+        raise ValueError("need g >= 0 generators and weight m >= 1")
     total = 0
     for d in range(1, m + 1):
         if m % d == 0:

@@ -20,13 +20,24 @@ from .index import (
     IndexReport,
     LinearFunctional,
     _check_trials,
-    _form_ranks,
     index,
 )
 from .free_nilpotent import _check_ceiling
 from .matching import blossom_matching
 
 Edge = tuple[int, int]
+
+
+def _edge(e, n: int, ordered: bool = True) -> Edge:
+    """e as a pair (i, j) of int vertices with 0 <= i < j < n; unordered, e may be (j, i)."""
+    if len(e) != 2:
+        raise ValueError(f"edge {e!r} must be a pair")
+    i, j = e
+    if not ordered and type(i) is type(j) is int and i > j:
+        i, j = j, i
+    if not (type(i) is type(j) is int and 0 <= i < j < n):  # bool is no vertex
+        raise ValueError(f"edge ({i!r},{j!r}) must satisfy 0 <= i < j < n")
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -40,15 +51,10 @@ class SimpleGraph:
             raise ValueError("vertex count must be a nonnegative integer")
         seen = set()
         for e in self.edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {e!r} must be a pair")
-            i, j = e
-            if not (type(i) is type(j) is int and 0 <= i < j < n):  # bool is no vertex
-                raise ValueError(f"edge ({i!r},{j!r}) must satisfy 0 <= i < j < n")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-        object.__setattr__(self, "edges", tuple(sorted((int(i), int(j)) for i, j in self.edges)))
+            if (e := _edge(e, n)) in seen:
+                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+            seen.add(e)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimpleGraph":
@@ -118,8 +124,7 @@ def validate_matching(graph: SimpleGraph, matching) -> tuple[Edge, ...]:
     used = set()
     out = []
     for e in matching:
-        e = (min(e), max(e))
-        if e not in edge_set:
+        if (e := _edge(e, graph.vertex_count, ordered=False)) not in edge_set:
             raise ValueError(f"matching edge {e} is not a graph edge")
         if e[0] in used or e[1] in used:
             raise ValueError(f"matching is not vertex-disjoint at edge {e}")
@@ -166,9 +171,3 @@ def graph_index(
         )
     return GraphIndexResult(witness, via_matching, report)
 
-
-def matching_stabilizer_dim(graph: SimpleGraph, matching) -> int:
-    """dim of the stabilizer of the matching functional, via exact rank."""
-    alg = build_graph_algebra(graph)
-    [rank] = _form_ranks(alg, [matching_functional(graph, matching).coords])
-    return alg.dim - rank

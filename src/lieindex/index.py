@@ -13,7 +13,7 @@ LieAlgebra scales the structure constants to integers once, by the lcm of
 their denominators, and every rank here reads that table (_form_rows).  The
 trials rank the integer rows mod p; the exact rank over Q at one point (the
 check of every randomized index and Ooms criterion at its best trial point,
-sampling, matchings) is linalg.rank of the same rows.
+sampling) is linalg.rank of the same rows.
 
 No rank of M(g) at a point passes min(2 nu, n - dim z(g) rounded down to
 even), nu the matching number of the bracket graph B (an edge {i, j} per
@@ -165,24 +165,15 @@ def _form_ranks(g: LieAlgebra, points):
         yield rank(_form_rows(g, point))
 
 
-@dataclass(frozen=True)
-class StabilizerResult:
-    functional: LinearFunctional
-    stabilizer: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.stabilizer.dim
-
-
-def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> StabilizerResult:
+def stabilizer(g: LieAlgebra, ell: LinearFunctional) -> Subspace:
+    """The stabilizer {x : ell([x, y]) = 0 for all y} of ell, exactly, as a Subspace of g."""
     if len(ell.coords) != g.dim:
         raise ValueError("functional length does not match algebra dimension")
     # The echelon clears each row's denominators on entry: the same kernel.
     sub = Subspace(g.dim, SparseEchelon(_form_rows(g, ell.coords)).kernel(g.dim))
     if (g.dim - sub.dim) % 2:
         raise RuntimeError("skew form has odd rank; this is a bug")
-    return StabilizerResult(ell, sub)
+    return sub
 
 
 @dataclass(frozen=True)
@@ -251,8 +242,8 @@ def index_by_sampling(
     """
     if (samples := _integer(samples, "samples")) < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    rng, bound = random.Random(_integer(seed, "seed")), _integer(bound, "bound")
     ceiling = _rank_ceiling(g.dim, g.brackets, center(g).dim)
-    rng = random.Random(_integer(seed, "seed"))
     points = (_draws(rng, g.dim, -bound, bound) for _ in range(samples))
     best = 0
     for r in _form_ranks(g, points):
@@ -263,10 +254,8 @@ def index_by_sampling(
 
 @dataclass(frozen=True)
 class OomsResult:
-    holds: bool
     rect_rank: int
-    required_rank: int
-    claimed_index: int | None
+    claimed_index: int | None  # 2 dim h - dim g when rect_rank is dim g - dim h, else None
 
 
 def ooms_criterion(g: LieAlgebra, h: Subspace) -> OomsResult:
@@ -291,39 +280,19 @@ def ooms_criterion(g: LieAlgebra, h: Subspace) -> OomsResult:
         return [{t: v for t, hv in enumerate(hs) if (v := sum(x * row[m] for m, x in hv.items() if m in row))}
                 for row in _form_rows(g, point)]
 
-    required = n - h.dim
-    r, _ = _trial_rank(rect_rows, n, required)
-    holds = r == required
-    return OomsResult(holds, r, required, 2 * h.dim - n if holds else None)
+    r, _ = _trial_rank(rect_rows, n, n - h.dim)
+    return OomsResult(r, 2 * h.dim - n if r == n - h.dim else None)
 
 
-@dataclass(frozen=True)
-class AlphaSandwich:
-    lower: int
-    upper: int
-    certified: bool
-    alpha: int | None
+def alpha_sandwich(g: LieAlgebra, candidate: Subspace, *, chi: int) -> int | None:
+    """The maximal abelian subalgebra dimension alpha, when the squeeze certifies it.
 
-
-def alpha_sandwich(
-    g: LieAlgebra,
-    candidate: Subspace,
-    *,
-    chi: int | None = None,
-) -> AlphaSandwich:
-    """Bounds for the maximal abelian subalgebra dimension.
-
-    lower = dim of the supplied abelian candidate, upper = (index + dim)/2
-    rounded down.  When they agree the maximum is certified (over any field
-    extension, since the upper bound is field-independent and the candidate
-    is rational).
+    dim candidate <= alpha <= (chi + dim g) // 2 for an abelian candidate and
+    chi the index of g.  When the two agree, alpha is that value (over any
+    field extension, since the upper bound is field-independent and the
+    candidate is rational); else None.
     """
     w = abelian_witness(g, candidate)
     if w is not None:
         raise NotAbelianError(*w)
-    if chi is None:
-        chi = index(g).index
-    lower = candidate.dim
-    upper = (chi + g.dim) // 2
-    certified = lower == upper
-    return AlphaSandwich(lower, upper, certified, lower if certified else None)
+    return candidate.dim if candidate.dim == (chi + g.dim) // 2 else None

@@ -12,9 +12,9 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .algebra import LieAlgebra, _exact
+from .algebra import LieAlgebra, Subspace, _exact
 from .free_nilpotent import _check_ceiling
-from .index import IndexReport, LinearFunctional, StabilizerResult
+from .index import IndexReport, LinearFunctional
 
 _SCALAR_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
 
@@ -97,14 +97,15 @@ def report_to_dict(report: IndexReport) -> dict:
     }
 
 
-def stabilizer_to_dict(result: StabilizerResult) -> dict:
-    n = result.stabilizer.ambient_dim
+def stabilizer_to_dict(ell: LinearFunctional, stab: Subspace) -> dict:
+    """The payload of stab, the stabilizer of ell (index.stabilizer)."""
+    n = stab.ambient_dim
     return {
         "dim": n,
-        "functional": functional_to_dict(result.functional),
-        "form_rank": n - result.dim,
-        "stabilizer_dim": result.dim,
-        "stabilizer_basis": [[format_scalar(c) for c in v] for v in result.stabilizer.basis],
+        "functional": functional_to_dict(ell),
+        "form_rank": n - stab.dim,
+        "stabilizer_dim": stab.dim,
+        "stabilizer_basis": [[format_scalar(c) for c in v] for v in stab.basis],
     }
 
 

@@ -47,9 +47,9 @@ from .free_nilpotent import (
 from .graphs import (
     SimpleGraph,
     build_graph_algebra,
+    matching_functional,
     matching_number,
     matching_number_exhaustive,
-    matching_stabilizer_dim,
 )
 from .index import (
     IndexReport,
@@ -255,11 +255,10 @@ def _criterion_5() -> list[_Row]:
     for g in (3, 4, 5):
         entry = _CORPUS.free[g, 3]
         derived, _ = derived_subalgebra_pair(entry.algebra)
-        s = alpha_sandwich(entry.algebra, derived, chi=entry.report.index)
         cases.append((
             f"cor3.5/g={g}",
             (2 * g**3 + 3 * g**2 - 5 * g) // 6,
-            s.alpha,
+            alpha_sandwich(entry.algebra, derived, chi=entry.report.index),
             "abelian derived subalgebra squeezed against the index bound",
         ))
     return cases
@@ -316,7 +315,7 @@ def _criterion_8() -> list[_Row]:
         cases.append((
             f"rem4.5/{name}",
             entry.algebra.dim - 2 * nu,
-            matching_stabilizer_dim(entry.built, witness),
+            stabilizer(entry.algebra, matching_functional(entry.built, witness)).dim,
             "exact stabilizer of the matched-edge dual sum",
         ))
     return cases
@@ -348,11 +347,10 @@ def _criterion_9() -> list[_Row]:
             ooms.claimed_index,
             "abelian-subalgebra criterion",
         ))
-        s = alpha_sandwich(entry.algebra, derived, chi=report.index)
         cases.append((
             f"cor5.3/M{g},{c}",
             n - g,
-            s.alpha,
+            alpha_sandwich(entry.algebra, derived, chi=report.index),
             "abelian derived subalgebra squeezed against the index bound",
         ))
     return cases
@@ -532,7 +530,7 @@ def _stabilizer_checks(alg: LieAlgebra, seed: int) -> tuple[bool, bool]:
             continue
         even = even and (alg.dim - stab.dim) % 2 == 0
         if has_center is None:
-            has_center = stab.stabilizer.contains(center(alg))
+            has_center = stab.contains(center(alg))
     return even, has_center is not False
 
 

@@ -8,10 +8,9 @@ from collections import Counter
 
 import pytest
 
-from lieindex import verify
+from lieindex import graphs, verify
 from lieindex.algebra import Subspace
 from lieindex.filiform import build_L, build_Q
-from lieindex.index import StabilizerResult
 from lieindex.verify import CRITERION_NAMES, all_cases, cases_for_criterion, extra_cases
 
 
@@ -47,6 +46,20 @@ def test_case_ids_are_unique():
     assert len(ids) == len(set(ids))
 
 
+def test_each_corpus_graph_is_built_once(monkeypatch):
+    # The graph rows read the corpus algebras; no row builds its graph's algebra again.
+    calls = []
+
+    def counted(build):
+        return lambda graph: calls.append(graph) or build(graph)
+
+    monkeypatch.setattr(verify, "_CORPUS", verify._Corpus())
+    monkeypatch.setattr(verify, "build_graph_algebra", counted(verify.build_graph_algebra))
+    monkeypatch.setattr(graphs, "build_graph_algebra", counted(graphs.build_graph_algebra))
+    assert all(c.passed for c in all_cases())
+    assert len(calls) == len(verify._CORPUS.graphs) == 74
+
+
 def test_section_filter():
     full = all_cases()
     for section in (2, 3, 4, 5, 6):
@@ -62,7 +75,7 @@ class TestStabilizerProps:
     # stabilizers per small algebra; each row must still catch a bad one.
     @pytest.fixture
     def zero_stabilizer(self, monkeypatch):
-        monkeypatch.setattr(verify, "stabilizer", lambda g, ell: StabilizerResult(ell, Subspace.zero(g.dim)))
+        monkeypatch.setattr(verify, "stabilizer", lambda g, ell: Subspace.zero(g.dim))
 
     def test_zero_stabilizer_fails_both_rows(self, zero_stabilizer):
         computed = {c.id: c.computed for c in cases_for_criterion(14)}

@@ -357,14 +357,14 @@ class TestValueRepresentation:
     def test_stabilizer_bytes_of_a_rational_functional(self):
         g = build_free_nilpotent(2, 4).algebra
         ell = LinearFunctional.of([Fraction(1, 2), 0, -3, Fraction(2, 3), 1, 0, Fraction(-5, 4), Fraction(6, 3)])
-        assert dumps(stabilizer_to_dict(stabilizer(g, ell))) == (
+        assert dumps(stabilizer_to_dict(ell, stabilizer(g, ell))) == (
             '{"dim":8,"form_rank":4,"functional":{"coords":["1/2","0","-3","2/3","1","0","-5/4","2"]},'
             '"stabilizer_basis":[["0","0","1","124/75","8/15","0","0","0"],["0","0","0","0","0","1","0","0"],'
             '["0","0","0","0","0","0","1","0"],["0","0","0","0","0","0","0","1"]],"stabilizer_dim":4}'
         )
         g = build_G(7, 5).algebra
         ell = LinearFunctional.of([Fraction(1, 2), 0, -3, Fraction(2, 3), 1, 5, Fraction(-5, 4)])
-        assert dumps(stabilizer_to_dict(stabilizer(g, ell))) == (
+        assert dumps(stabilizer_to_dict(ell, stabilizer(g, ell))) == (
             '{"dim":7,"form_rank":4,"functional":{"coords":["1/2","0","-3","2/3","1","5","-5/4"]},'
             '"stabilizer_basis":[["0","0","0","1","0","4/5","0"],["0","0","0","0","1","4","0"],'
             '["0","0","0","0","0","0","1"]],"stabilizer_dim":3}'
@@ -376,7 +376,7 @@ class TestValueRepresentation:
             assert {type(c) for c in ell.coords} == {int}
             copy = LinearFunctional(tuple(map(Fraction, ell.coords)))
             assert copy == ell
-            assert dumps(stabilizer_to_dict(stabilizer(g, copy))) == dumps(stabilizer_to_dict(stabilizer(g, ell)))
+            assert dumps(stabilizer_to_dict(copy, stabilizer(g, copy))) == dumps(stabilizer_to_dict(ell, stabilizer(g, ell)))
 
 
 class TestJacobi:
@@ -486,8 +486,9 @@ class TestSubspace:
         out = []
         for g in algebras:
             d1, d2 = derived_subalgebra_pair(g)
+            ell = index(g, want_witness=True).witness
             out.append([
-                stabilizer_to_dict(stabilizer(g, index(g, want_witness=True).witness)),
+                stabilizer_to_dict(ell, stabilizer(g, ell)),
                 [dense(s) for s in lower_central_series(g)],
                 [dense(d1), dense(d2)],
                 dense(center(g)),

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import lieindex.filiform as filiform
@@ -111,6 +112,28 @@ class TestBuilders:
             build_G(5, 7)
         with pytest.raises(ValueError):
             build_G(5, 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: build_L(5.0),
+        lambda: build_L(True),
+        lambda: build_Q(6.0),
+        lambda: build_G(9, 5.0),
+        lambda: build_G(9.0, 5),
+        lambda: lower_bound(build_L(5), 2.5),
+        lambda: achievable_indices(5.0),
+        lambda: achievable_indices(True),
+    ], ids=["L-float", "L-bool", "Q-float", "G-k-float", "G-n-float", "bound-float", "indices-float", "indices-bool"])
+    def test_parameters_are_ints(self, call):
+        # Each float once raised a TypeError deep in a range(), and
+        # achievable_indices(True) returned [].
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
+
+    def test_numpy_parameters_build_as_ints_do(self):
+        assert build_G(np.int64(9), np.int64(5)) == build_G(9, 5)
+        assert build_L(np.int64(5)).algebra.labels == build_L(5).algebra.labels
+        assert lower_bound(build_L(6), np.int64(2)) == lower_bound(build_L(6), 2) == 4
+        assert achievable_indices(np.int64(7)) == achievable_indices(7) == [1, 3, 5]
 
 
 class TestAdaptedBasisChecks:

@@ -79,6 +79,22 @@ class TestWitt:
                 witt_dimension(g, c)
         assert witt_dimension(np.int64(3), np.int64(3)) == (14, 8)
 
+    def test_mobius_and_layer_arguments_are_checked(self):
+        # mobius(True) once gave 1 and mobius(2.5) -1; witt_layer(2.5, 2) raised a
+        # RuntimeError, witt_layer(2, 0) a ZeroDivisionError, and witt_layer(2, -1) gave 0.
+        for n in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+                mobius(n)
+        for g, m in ((2.5, 2), (True, 2), (2, 2.0), (2, False)):
+            with pytest.raises(ValueError, match="must be an int"):
+                witt_layer(g, m)
+        for g, m in ((2, 0), (2, -1), (-1, 2)):
+            with pytest.raises(ValueError, match="need g >= 0 generators and weight m >= 1"):
+                witt_layer(g, m)
+        assert mobius(np.int64(30)) == -1
+        assert witt_layer(np.int64(2), np.int64(5)) == 6
+        assert [witt_layer(0, m) for m in (1, 2, 3)] == [0, 0, 0]
+
 
 class TestTrees:
     def test_label(self):

@@ -15,12 +15,11 @@ from lieindex.graphs import (
     matching_functional,
     matching_number,
     matching_number_exhaustive,
-    matching_stabilizer_dim,
     validate_matching,
 )
 from lieindex.index import index, stabilizer
 from lieindex.matching import blossom_matching
-from test_index import catalogue_algebras
+from test_index import catalogue_algebras, form_matrix
 
 
 def complete(n):
@@ -196,6 +195,20 @@ class TestMatching:
             validate_matching(g, [(0, 1), (1, 2)])
         assert validate_matching(g, [(2, 1)]) == ((1, 2),)
 
+    def test_validate_matching_refuses_what_a_graph_refuses(self):
+        # [(True, 0)] once came back as ((0, True),), and [(0, 1, 2)] was
+        # reported as the non-edge (0, 2).  Each now gets SimpleGraph's message.
+        g = path(4)
+        with pytest.raises(ValueError, match=re.escape("edge (True,0) must satisfy 0 <= i < j < n")):
+            validate_matching(g, [(True, 0)])
+        with pytest.raises(ValueError, match=re.escape("edge (0, 1, 2) must be a pair")):
+            validate_matching(g, [(0, 1, 2)])
+        for e in ((True, 0), (1, True), (0, 1.0), (0, 1, 2), (0,), (0, 4)):
+            with pytest.raises(ValueError) as refused:
+                SimpleGraph(4, (e,))
+            with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+                validate_matching(g, [e])
+
     @staticmethod
     def digest(matchings) -> str:
         return hashlib.sha256(repr(list(matchings)).encode()).hexdigest()
@@ -268,7 +281,7 @@ class TestMatchingFunctional:
         for m in ([], [(0, 1)], [(0, 1), (2, 3)]):
             ell = matching_functional(g, m)
             assert stabilizer(alg, ell).dim == dim - 2 * len(m)
-            assert matching_stabilizer_dim(g, m) == dim - 2 * len(m)
+            assert dim - form_matrix(alg, ell).rank() == dim - 2 * len(m)
 
     def test_functional_coordinates(self):
         g = path(3)
@@ -278,4 +291,5 @@ class TestMatchingFunctional:
     def test_petersen_maximum_matching_functional(self):
         g = petersen()
         m = matching_number(g)[1]
-        assert matching_stabilizer_dim(g, m) == graph_index(g).index == 25 - 10
+        alg = build_graph_algebra(g)
+        assert stabilizer(alg, matching_functional(g, m)).dim == graph_index(g).index == 25 - 10

@@ -222,8 +222,8 @@ class TestReports:
 
     def test_stabilizer_payload(self):
         g = LieAlgebra(3, None, {(0, 1): {2: 1}})
-        res = stabilizer(g, LinearFunctional.of([0, 0, 1]))
-        d = stabilizer_to_dict(res)
+        ell = LinearFunctional.of([0, 0, 1])
+        d = stabilizer_to_dict(ell, stabilizer(g, ell))
         assert d["dim"] == 3
         assert d["form_rank"] == 2
         assert d["stabilizer_dim"] == 1

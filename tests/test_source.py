@@ -110,6 +110,15 @@ def test_exports_resolve_once():
     assert not missing, f"exports with no definition: {missing}"
 
 
+def test_package_imports_exactly_its_exports():
+    # test_no_unused_imports skips __init__.py, which imports to re-export: a
+    # name imported there and missing from __all__ is left over from a deletion.
+    tree = ast.parse(Path(lieindex.__file__).read_text())
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__" for a in node.names]
+    assert sorted(imported) == sorted(lieindex.__all__)
+
+
 def test_dense_vectors_enter_through_subspace_only():
     # linalg._sparse turns a dense coordinate vector into a sparse row.  Subspace
     # stores sparse rows, so algebra.py (Subspace.from_vectors) is the one place
