@@ -160,7 +160,7 @@ def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlge
     """
     g = base.algebra
     n = g.dim
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     cols = []
     for lead in (0, 1):
         col = {lead: 1}

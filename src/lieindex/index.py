@@ -292,6 +292,7 @@ def alpha_sandwich(g: LieAlgebra, candidate: Subspace, *, chi: int) -> int | Non
     field extension, since the upper bound is field-independent and the
     candidate is rational); else None.
     """
+    chi = _integer(chi, "chi")
     w = abelian_witness(g, candidate)
     if w is not None:
         raise NotAbelianError(*w)

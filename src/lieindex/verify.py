@@ -97,6 +97,11 @@ class _Entry:
     def report(self) -> IndexReport:
         return index(self.algebra)
 
+    @cached_property
+    def matching(self) -> tuple[int, tuple]:
+        """(matching number, a maximum matching) of built, a graph."""
+        return matching_number(self.built)
+
 
 def _entry(built) -> _Entry:
     return _Entry(built, built.algebra)
@@ -292,7 +297,7 @@ def _criterion_7() -> list[_Row]:
     cases = []
     for name, entry in _CORPUS.graphs.items():
         graph = entry.built
-        nu, _witness = matching_number(graph)
+        nu, _witness = entry.matching
         cases.append((
             f"prop4.4/{name}",
             entry.algebra.dim - 2 * nu,
@@ -311,7 +316,7 @@ def _criterion_7() -> list[_Row]:
 def _criterion_8() -> list[_Row]:
     cases = []
     for name, entry in _CORPUS.graphs.items():
-        nu, witness = matching_number(entry.built)
+        nu, witness = entry.matching
         cases.append((
             f"rem4.5/{name}",
             entry.algebra.dim - 2 * nu,

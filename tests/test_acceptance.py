@@ -13,6 +13,8 @@ from lieindex.algebra import Subspace
 from lieindex.filiform import build_L, build_Q
 from lieindex.verify import CRITERION_NAMES, all_cases, cases_for_criterion, extra_cases
 
+from families import calls_to
+
 
 @pytest.mark.parametrize("num", sorted(CRITERION_NAMES))
 def test_criterion(num, capsys):
@@ -48,14 +50,16 @@ def test_case_ids_are_unique():
 
 def test_each_corpus_graph_is_built_once(monkeypatch):
     # The graph rows read the corpus algebras; no row builds its graph's algebra again.
-    calls = []
-
-    def counted(build):
-        return lambda graph: calls.append(graph) or build(graph)
-
     monkeypatch.setattr(verify, "_CORPUS", verify._Corpus())
-    monkeypatch.setattr(verify, "build_graph_algebra", counted(verify.build_graph_algebra))
-    monkeypatch.setattr(graphs, "build_graph_algebra", counted(graphs.build_graph_algebra))
+    calls = [calls_to(monkeypatch, module, "build_graph_algebra") for module in (verify, graphs)]
+    assert all(c.passed for c in all_cases())
+    assert sum(map(len, calls)) == len(verify._CORPUS.graphs) == 74
+
+
+def test_each_corpus_graph_is_matched_once(monkeypatch):
+    # Criteria 7 and 8 read one maximum matching per corpus graph.
+    monkeypatch.setattr(verify, "_CORPUS", verify._Corpus())
+    calls = calls_to(monkeypatch, verify, "matching_number")
     assert all(c.passed for c in all_cases())
     assert len(calls) == len(verify._CORPUS.graphs) == 74
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy
 
 from lieindex import algebra as algebra_module
 from lieindex.algebra import (
@@ -34,13 +33,22 @@ from lieindex.serialize import (
     report_to_dict,
     stabilizer_to_dict,
 )
-from lieindex.verify import _CORPUS
-from test_index import dense_bracket, rescaled, shifted, unit
-from test_linalg import assert_exact
 
-
-def heisenberg():
-    return LieAlgebra(3, None, {(0, 1): {2: 1}})
+from families import (
+    ad_table,
+    assert_exact,
+    bracket_oracle,
+    calls_to,
+    catalogue_algebras,
+    center_oracle,
+    centralizer_oracle,
+    change_basis,
+    heisenberg,
+    jacobi_oracle,
+    rational_basis_change,
+    rescaled_basis,
+    shifted_basis,
+)
 
 
 def two_step_free():
@@ -48,67 +56,6 @@ def two_step_free():
     return LieAlgebra(
         5, None, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}
     )
-
-
-def centralizer_oracle(g, vectors):
-    # Stacked dense ad-constraint rows: coordinate m of [x, v] for every v, m.
-    rows = []
-    for v in vectors:
-        images = [dense_bracket(g, unit(g.dim, i), v) for i in range(g.dim)]
-        for m in range(g.dim):
-            row = [images[i][m] for i in range(g.dim)]
-            if any(row):
-                rows.append(row)
-    kernel = sympy.Matrix(len(rows), g.dim, [sympy.Rational(x) for row in rows for x in row]).nullspace()
-    return Subspace.from_vectors(g.dim, [list(v) for v in kernel])
-
-
-def ad_reference(g, i, v):
-    # [x_i, v] summed term by term from structure_coeffs, zeros dropped.
-    out = {}
-    for m, c in v.items():
-        for k, x in g.structure_coeffs(i, m).items():
-            out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
-
-
-def bracket_reference(g, u, v):
-    # [u, v] = sum_i u_i [x_i, v], from ad_reference.
-    out = {}
-    for i, c in u.items():
-        for k, x in ad_reference(g, i, v).items():
-            out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
-
-
-def center_oracle(g):
-    return centralizer_oracle(g, [unit(g.dim, j) for j in range(g.dim)])
-
-
-def change_basis(g, p):
-    # Structure constants on the new basis e'_a = sum_i p[i][a] e_i.
-    n = g.dim
-    pinv = sympy.Matrix([[sympy.Rational(x) for x in row] for row in p]).inv()
-    cols = [[p[i][a] for i in range(n)] for a in range(n)]
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = dense_bracket(g, cols[a], cols[b])
-            coeffs = {
-                r: sum(Fraction(pinv[r, k]) * w[k] for k in range(n) if w[k])
-                for r in range(n)
-            }
-            brackets[(a, b)] = coeffs
-    return LieAlgebra(n, None, brackets)
-
-
-def rational_basis_change(n):
-    # Upper bidiagonal with non-integer diagonal: dense inverse, rational constants.
-    return [
-        [Fraction(2 * i + 3, i + 2) if j == i else Fraction(-1) if j == i + 1 else Fraction(0)
-         for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def random_rational(rng):
@@ -145,20 +92,6 @@ def perturbed(rng, g):
     k = rng.randrange(g.dim)
     coeffs[k] = coeffs.get(k, 0) + rng.choice([1, -1, Fraction(1, 2)])
     return LieAlgebra(g.dim, g.labels, brackets)
-
-
-def jacobi_oracle(g):
-    # Every triple, in lexicographic order; the residual as a sparse {m: c}.
-    e = [unit(g.dim, i) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                terms = (dense_bracket(g, e[a], dense_bracket(g, e[b], e[c]))
-                         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)))
-                res = [sum(t) for t in zip(*terms)]
-                if any(res):
-                    return (i, j, k), {m: c for m, c in enumerate(res) if c}
-    return None
 
 
 def as_fractions(g):
@@ -248,9 +181,8 @@ class TestConstruction:
         x = {0: Fraction(2), 1: Fraction(1)}
         y = {0: Fraction(1), 1: Fraction(3), 2: Fraction(5)}
         # [2x1 + x2, x1 + 3x2 + 5x3] = (2*3 - 1*1) [x1, x2]
-        assert g.sparse_bracket(x, y) == {2: 5}
+        assert g.sparse_bracket(x, y) == bracket_oracle(g, x, y) == {2: 5}
         assert g.sparse_bracket(y, x) == {2: -5}
-        assert dense_bracket(g, [2, 1, 0], [1, 3, 5]) == [0, 0, 5]
 
     def test_ad_images_match_ad_vector(self):
         rng = random.Random(5)
@@ -258,7 +190,7 @@ class TestConstruction:
             for _ in range(10):
                 # Zero coefficients may occur in v; they contribute nothing.
                 v = {m: random_rational(rng) for m in rng.sample(range(g.dim), rng.randint(1, 3))}
-                images = {a: ad_reference(g, a, v) for a in range(g.dim)}
+                images = dict(enumerate(ad_table(g, v)))
                 assert g.ad_images(v) == {a: w for a, w in images.items() if w}
                 assert all(g.sparse_bracket({a: 1}, v) == w for a, w in images.items())
         # [x0, x1 - x2] cancels to zero and is left out.
@@ -272,7 +204,7 @@ class TestConstruction:
                  (0, {1: Fraction(2), 2: Fraction(0)}, {2: Fraction(2)}),
                  (2, {0: Fraction(1), 1: Fraction(1)}, {3: Fraction(-1), 4: Fraction(-1)})]
         for i, v, expected in cases:
-            assert ad_reference(g, i, v) == g.sparse_bracket({i: 1}, v) == expected
+            assert ad_table(g, v)[i] == g.sparse_bracket({i: 1}, v) == expected
         # Two terms of u cancel: [x0 + x1, x0 - x1] = -2 [x0, x1].
         assert g.sparse_bracket({0: 1, 1: 1}, {0: 1, 1: -1}) == {2: -2}
         assert g.sparse_bracket({0: 1, 1: 1}, {0: 1, 1: 1}) == {}
@@ -371,7 +303,7 @@ class TestValueRepresentation:
         )
 
     def test_integer_functional_matches_its_fraction_copy(self):
-        for g in (build_free_nilpotent(2, 4).algebra, shifted(build_metabelian(3, 4).algebra)):
+        for g in (build_free_nilpotent(2, 4).algebra, change_basis(build_metabelian(3, 4).algebra, shifted_basis(29))):
             ell = index(g, want_witness=True).witness
             assert {type(c) for c in ell.coords} == {int}
             copy = LinearFunctional(tuple(map(Fraction, ell.coords)))
@@ -479,8 +411,8 @@ class TestSubspace:
             build_free_nilpotent(4, 4).algebra,
             build_free_nilpotent(3, 5).algebra,
             build_metabelian(3, 5).algebra,
-            shifted(build_free_nilpotent(3, 4).algebra),
-            shifted(build_metabelian(3, 4).algebra),
+            change_basis(build_free_nilpotent(3, 4).algebra, shifted_basis(32)),
+            change_basis(build_metabelian(3, 4).algebra, shifted_basis(29)),
             build_G(11, 5).algebra,
         ]
         out = []
@@ -524,7 +456,7 @@ class TestCenter:
         g = two_step_free()
         s = Subspace.from_vectors(5, [[1, 1, 0, 0, 0], [0, 0, 2, Fraction(1, 3), 0]])
         c = centralizer(g, s)
-        assert c == centralizer_oracle(g, s.basis)
+        assert c == centralizer_oracle(g, s.rows)
         assert c == Subspace.from_vectors(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
 
     def test_zero_algebra(self):
@@ -533,7 +465,7 @@ class TestCenter:
     @pytest.mark.parametrize(
         "build",
         [lambda: change_basis(build_free_nilpotent(3, 4).algebra, rational_basis_change(32)),
-         lambda: shifted(build_metabelian(3, 4).algebra)],
+         lambda: change_basis(build_metabelian(3, 4).algebra, shifted_basis(29))],
         ids=["F(3,4)-rational", "M(3,4)-shifted"],
     )
     def test_walks_match_references(self, build, monkeypatch):
@@ -555,31 +487,24 @@ class TestCenter:
             built.clear()
             c = centralizer(g, u)
             cancelled += any(0 in row.values() for row in built)
-            assert c == centralizer_oracle(g, u.basis)
+            assert c == centralizer_oracle(g, u.rows)
         assert cancelled  # some row (t, k) holds a sum that came to zero
         for u in subspaces:
             rows = u.rows
             for p in range(len(rows)):
                 for q in range(p, min(len(rows), p + 4)):
-                    assert g.sparse_bracket(rows[p], rows[q]) == bracket_reference(g, rows[p], rows[q])
+                    assert g.sparse_bracket(rows[p], rows[q]) == bracket_oracle(g, rows[p], rows[q])
 
     def test_dimension_from_the_rank_of_ad(self, monkeypatch):
         # index() reads dim z(g) as n - rank(ad), or as n minus the count of
         # nonzero rows ad x_i when their leads are distinct; center() builds the basis.
-        families = (_CORPUS.free, _CORPUS.explicit, _CORPUS.meta, _CORPUS.graphs, _CORPUS.filiform)
-        corpus = [e.algebra for family in families for e in family.values()]
+        corpus = [g for _, g in catalogue_algebras()]
         assert len(corpus) == 220
         l5, f34, m34 = build_L(5).algebra, build_free_nilpotent(3, 4).algebra, build_metabelian(3, 4).algebra
-        copies = [shifted(l5), shifted(f34), shifted(m34), rescaled(f34), rescaled(shifted(m34))]
+        copies = [change_basis(g, shifted_basis(g.dim)) for g in (l5, f34, m34)]
+        copies += [change_basis(f34, rescaled_basis(32)), change_basis(copies[2], rescaled_basis(29))]
         assert any(type(c) is Fraction for g in copies for cc in g.brackets.values() for c in cc.values())
-        ranked = []
-
-        def counted(rows):
-            ranked.append(rows)
-            return rank(rows)
-
-        rank = algebra_module.rank
-        monkeypatch.setattr(algebra_module, "rank", counted)
+        ranked = calls_to(monkeypatch, algebra_module, "rank")
         for g in corpus + copies + [LieAlgebra(0), LieAlgebra(3)]:
             assert _center_dim(g) == center(g).dim, g
         assert 0 < len(ranked) < len(corpus) + len(copies)  # both branches run
@@ -635,7 +560,7 @@ class TestSubalgebras:
         w = abelian_witness(g, Subspace.full(5))
         assert w is not None
         u, v = w
-        assert any(dense_bracket(g, u, v))
+        assert bracket_oracle(g, dict(enumerate(u)), dict(enumerate(v)))
         assert abelian_witness(g, Subspace.zero(5)) is None
 
     @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import time
 from fractions import Fraction
@@ -14,7 +13,7 @@ from lieindex.free_nilpotent import build_free_nilpotent
 from lieindex.serialize import algebra_to_dict, dumps
 from lieindex.verify import VerificationCase
 
-index_module = importlib.import_module("lieindex.index")  # lieindex.index is the function
+from families import heisenberg, index_module
 
 
 def run(capsys, *argv):
@@ -27,10 +26,6 @@ def write_algebra(tmp_path, alg, name="alg.json"):
     path = tmp_path / name
     path.write_text(dumps(algebra_to_dict(alg)))
     return str(path)
-
-
-def heisenberg():
-    return LieAlgebra(3, None, {(0, 1): {2: 1}})
 
 
 class TestConstruct:

@@ -345,6 +345,14 @@ class TestDeformations:
         b = random_adapted_deformation(base, 3)
         assert a.algebra == b.algebra
 
+    def test_seed_is_an_int(self):
+        # seed=True once gave seed 1's deformation, and seed=2.5 was taken.
+        base = build_L(5)
+        for seed in (True, 2.5):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {seed!r}")):
+                random_adapted_deformation(base, seed)
+        assert random_adapted_deformation(base, np.int64(1)).algebra == random_adapted_deformation(base, 1).algebra
+
     def test_catalogue_deformations_are_pinned(self):
         # The catalogue digest checks their indices, not their constants: these
         # bytes pin every structure constant of the 84 catalogue deformations.

@@ -19,7 +19,8 @@ from lieindex.graphs import (
 )
 from lieindex.index import index, stabilizer
 from lieindex.matching import blossom_matching
-from test_index import catalogue_algebras, form_matrix
+
+from families import catalogue_algebras, form_matrix
 
 
 def complete(n):

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import random
 import re
 from decimal import Decimal
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 import sympy
 
-from lieindex import verify
 from lieindex.algebra import (
     LieAlgebra,
     NotAbelianError,
@@ -27,7 +25,6 @@ from lieindex.index import (
     IndexReport,
     LinearFunctional,
     _form_ranks,
-    _rank_ceiling,
     alpha_sandwich,
     certified_generic_rank,
     index,
@@ -38,106 +35,24 @@ from lieindex.index import (
 from lieindex.linalg import DEFAULT_PRIME, SparseEchelon
 from lieindex.serialize import dumps, report_to_dict
 
-index_module = importlib.import_module("lieindex.index")  # lieindex.index is the function
-
-
-def heisenberg():
-    return LieAlgebra(3, None, {(0, 1): {2: 1}})
-
-
-def rescaled(g):
-    """g on the basis e'_a = d_a e_a, with rational d_a: rational constants."""
-    d = [Fraction(a + 2, 2 * a + 3) for a in range(g.dim)]
-    return LieAlgebra(
-        g.dim,
-        None,
-        {(a, b): {k: c * d[a] * d[b] / d[k] for k, c in cc.items()} for (a, b), cc in g.brackets.items()},
-    )
-
-
-def shifted(g):
-    """g on the basis e'_0 = e_0, e'_j = e_j + e_{j-1}: integer constants and a
-    denser bracket graph, whose matching bound is often loose."""
-    n = g.dim
-
-    def bracket(a, b):
-        if a < b:
-            return g.brackets.get((a, b), {})
-        return {k: -c for k, c in g.brackets.get((b, a), {}).items()}
-
-    out = {}
-    for i, j in combinations(range(n), 2):
-        v = [0] * n
-        for a in (i, i - 1)[: 1 + (i > 0)]:
-            for b in (j, j - 1)[: 1 + (j > 0)]:
-                for k, c in bracket(a, b).items():
-                    v[k] += c
-        # Solve v = sum_k x_k (e_k + e_{k-1}) from the top: x_k = v_k - x_{k+1}.
-        x, coeffs = 0, {}
-        for k in reversed(range(n)):
-            x = v[k] - x
-            if x:
-                coeffs[k] = x
-        if coeffs:
-            out[i, j] = coeffs
-    return LieAlgebra(n, None, out)
-
-
-def unit(n, i):
-    return [Fraction(int(k == i)) for k in range(n)]
-
-
-def dense_bracket(g, x, y):
-    # Read straight off the stored upper triangle, independent of LieAlgebra's lookups.
-    out = [Fraction(0)] * g.dim
-    for (i, j), coeffs in g.brackets.items():
-        f = x[i] * y[j] - x[j] * y[i]
-        for k, c in coeffs.items():
-            out[k] += f * c
-    return out
-
-
-def count_rank_calls(monkeypatch):
-    """{name: calls so far} for index's rank_mod_p and rank."""
-    calls = {"rank_mod_p": 0, "rank": 0}
-    for name in calls:
-        original = getattr(index_module, name)
-
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(index_module, name, counted)
-    return calls
-
-
-def form_matrix(g, ell):
-    """The skew form (x_i, x_j) -> ell([x_i, x_j]) as a dense sympy matrix,
-    read straight off g.structure_coeffs, independently of index.py."""
-
-    def entry(i, j):
-        v = Fraction(sum(Fraction(c) * ell.coords[k] for k, c in g.structure_coeffs(i, j).items()))
-        return sympy.Rational(v.numerator, v.denominator)
-
-    return sympy.Matrix(g.dim, g.dim, entry)
-
-
-def ceiling(g):
-    return _rank_ceiling(g.dim, g.brackets, center(g).dim)
-
-
-def catalogue_algebras():
-    """(name, algebra) for every construction the catalogue checks."""
-    c = verify._CORPUS
-    families = {"F": c.free, "F-explicit": c.explicit, "M": c.meta, "graph-": c.graphs, "filiform-": c.filiform}
-    return [(f"{fam}{key}", e.algebra) for fam, entries in families.items() for key, e in entries.items()]
+from families import (
+    calls_to,
+    catalogue_algebras,
+    ceiling,
+    change_basis,
+    form_matrix,
+    heisenberg,
+    index_module,
+    rescaled_basis,
+    shifted_basis,
+)
 
 
 class TestStructureMatrix:
     def test_poly_matrix_keeps_rational_constants(self):
         # M(g) keeps its rational constants; only the certified rank scales
         # them to Z[y].
-        g = rescaled(build_free_nilpotent(2, 4).algebra)
+        g = change_basis(build_free_nilpotent(2, 4).algebra, rescaled_basis(8))
         assert all(any(c.denominator > 1 for c in cc.values()) for cc in g.brackets.values())
         assert certified_generic_rank(g) == certified_generic_rank(build_free_nilpotent(2, 4).algebra)
 
@@ -311,8 +226,7 @@ class TestIndexReport:
     def test_center_above_index_is_an_error(self, monkeypatch):
         # The z <= index check holds independently of the center routine, so
         # an oversized center must stop the report, also under python -O.
-        module = importlib.import_module("lieindex.index")
-        monkeypatch.setattr(module, "_center_dim", lambda g: g.dim)
+        monkeypatch.setattr(index_module, "_center_dim", lambda g: g.dim)
         with pytest.raises(RuntimeError, match="center dimension"):
             index(heisenberg())
 
@@ -410,13 +324,13 @@ class TestSampling:
     CEILING_CASES = {
         "heisenberg": heisenberg,
         "L4": lambda: build_L(4).algebra,
-        "L4-shifted": lambda: shifted(build_L(4).algebra),
+        "L4-shifted": lambda: change_basis(build_L(4).algebra, shifted_basis(4)),
         "F(2,3)": lambda: build_free_nilpotent(2, 3).algebra,
         "F(3,3)": lambda: build_free_nilpotent(3, 3).algebra,
         "S4": lambda: build_graph_algebra(SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])),
         "L6": lambda: build_L(6).algebra,
         "M(2,5)": lambda: build_metabelian(2, 5).algebra,
-        "L5-shifted": lambda: shifted(build_L(5).algebra),
+        "L5-shifted": lambda: change_basis(build_L(5).algebra, shifted_basis(5)),
         "abelian": lambda: LieAlgebra(4),
         "zero": lambda: LieAlgebra(0),
     }
@@ -437,10 +351,7 @@ class TestSampling:
         [("heisenberg", 1), ("L4", 1), ("L4-shifted", 1), ("S4", 1), ("L5-shifted", 10)],
     )
     def test_rank_calls_stop_at_the_ceiling(self, name, calls, monkeypatch):
-        module = importlib.import_module("lieindex.index")
-        ranked = []
-        original = module.rank
-        monkeypatch.setattr(module, "rank", lambda rows: ranked.append(rows) or original(rows))
+        ranked = calls_to(monkeypatch, index_module, "rank")
         g = self.CEILING_CASES[name]()
         index_by_sampling(g, samples=10)
         assert len(ranked) == calls
@@ -477,7 +388,7 @@ class TestRankCeiling:
         ]
         algebras += [self._two_step(rng) for _ in range(12)]
         loose = 0
-        for g in algebras + [shifted(g) for g in algebras]:
+        for g in algebras + [change_basis(g, shifted_basis(g.dim)) for g in algebras]:
             r, c = certified_generic_rank(g), ceiling(g)
             assert r <= c
             loose += r < c
@@ -497,7 +408,8 @@ class TestRankCeiling:
     def test_shifted_copies_stay_below_a_loose_ceiling(self, build, rank):
         # Exact ranks over Q at integer points bound the generic rank from
         # below; Bareiss is too slow on these dense copies.
-        g = shifted(build())
+        g = build()
+        g = change_basis(g, shifted_basis(g.dim))
         rng = random.Random(3)
         points = [[rng.randint(-9, 9) for _ in range(g.dim)] for _ in range(3)]
         assert max(_form_ranks(g, points)) == rank < ceiling(g)
@@ -538,16 +450,14 @@ class TestRankCeiling:
         assert outcome() == stopped
 
     def test_one_trial_and_no_exact_rank_at_the_ceiling(self, monkeypatch):
-        calls = count_rank_calls(monkeypatch)
+        mod_p, exact = (calls_to(monkeypatch, index_module, name) for name in ("rank_mod_p", "rank"))
         index(build_free_nilpotent(3, 3).algebra)
-        assert calls == {"rank_mod_p": 1, "rank": 0}
+        assert (len(mod_p), len(exact)) == (1, 0)
 
 
     def test_no_center_basis_is_built(self, monkeypatch):
         # index() reads dim z(g) as n - rank(ad): no kernel is eliminated.
-        kernels = []
-        original = SparseEchelon.kernel
-        monkeypatch.setattr(SparseEchelon, "kernel", lambda self, ncols: kernels.append(ncols) or original(self, ncols))
+        kernels = calls_to(monkeypatch, SparseEchelon, "kernel")
         index(build_free_nilpotent(3, 3).algebra)
         assert kernels == []
 
@@ -562,10 +472,7 @@ class TestFormRank:
         return Fraction(num, rng.randint(1, size)) if rational else num
 
     def test_matches_sympy_on_random_forms(self, monkeypatch):
-        module = importlib.import_module("lieindex.index")
-        ranked = []
-        original = module.rank
-        monkeypatch.setattr(module, "rank", lambda rows: ranked.append(rows) or original(rows))
+        ranked = calls_to(monkeypatch, index_module, "rank")
         rng = random.Random(11)
         forms = 0
         for size in (9, 1 << 20, 1 << 40):
@@ -619,7 +526,7 @@ class TestStabilizer:
     def test_integer_rows_keep_the_kernel(self):
         # The constants and ell are scaled to integers; the stabilizer is the
         # kernel of the true rational form all the same.
-        g = rescaled(build_free_nilpotent(2, 4).algebra)
+        g = change_basis(build_free_nilpotent(2, 4).algebra, rescaled_basis(8))
         rng = random.Random(5)
         for _ in range(6):
             ell = LinearFunctional.of(
@@ -712,11 +619,11 @@ class TestOoms:
     def test_rank_calls_stop_at_the_ceiling(self, g, c, monkeypatch):
         # h is abelian, so no rank of ([x_i, h_t]) passes dim g - dim h: the
         # first trial that reaches it ends the trials and skips the exact check.
-        calls = count_rank_calls(monkeypatch)
+        mod_p, exact = (calls_to(monkeypatch, index_module, name) for name in ("rank_mod_p", "rank"))
         alg = build_metabelian(g, c).algebra
         d1, _ = derived_subalgebra_pair(alg)
         assert ooms_criterion(alg, d1).rect_rank == alg.dim - d1.dim
-        assert calls == {"rank_mod_p": 1, "rank": 0}
+        assert (len(mod_p), len(exact)) == (1, 0)
 
     H = Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
 
@@ -737,7 +644,7 @@ class TestOoms:
     def test_rational_h_against_sympy(self, case):
         # Fraction constants, and an h whose RREF basis has non-integral entries:
         # index.py scales the constants by their lcm and each h_t by its own.
-        g = rescaled(shifted(build_metabelian(2, 4).algebra))
+        g = change_basis(change_basis(build_metabelian(2, 4).algebra, shifted_basis(8)), rescaled_basis(8))
         if case == "derived":
             h = derived_subalgebra_pair(g)[0]
         else:
@@ -745,17 +652,10 @@ class TestOoms:
         assert any(type(c) is Fraction for cc in g.brackets.values() for c in cc.values())
         assert any(type(x) is Fraction for row in h.rows for x in row.values())
 
-        def rect(ell):
-            # ell([x_i, h_t]) as a dense sympy matrix, read off g.structure_coeffs.
-            def entry(i, t):
-                v = sum(Fraction(c) * x * ell[k] for m, x in h.rows[t].items()
-                        for k, c in g.structure_coeffs(i, m).items())
-                return sympy.Rational(v.numerator, v.denominator)
-
-            return sympy.Matrix(g.dim, h.dim, entry)
-
         rng = random.Random(5)
-        expected = max(rect([rng.randint(-9, 9) for _ in range(g.dim)]).rank() for _ in range(4))
+        points = [LinearFunctional.of([rng.randint(-9, 9) for _ in range(g.dim)]) for _ in range(4)]
+        # ell([x_i, h_t]) is entry (i, t) of M(ell) H^T, H the dense basis of h.
+        expected = max((form_matrix(g, ell) * sympy.Matrix(h.basis).T).rank() for ell in points)
         res = ooms_criterion(g, h)
         assert res.rect_rank == expected
         assert (res.claimed_index is not None) == (case == "derived") == (expected == g.dim - h.dim)
@@ -769,7 +669,10 @@ class TestAlphaSandwich:
         derived, _ = derived_subalgebra_pair(alg)
         chi = index(alg).index
         assert (derived.dim, (chi + alg.dim) // 2) == (11, 11)
-        assert alpha_sandwich(alg, derived, chi=chi) == 11
+        assert alpha_sandwich(alg, derived, chi=chi) == alpha_sandwich(alg, derived, chi=np.int64(chi)) == 11
+        for bad in (True, 8.0):  # chi=True once returned None
+            with pytest.raises(ValueError, match=re.escape(f"chi must be an int, got {bad!r}")):
+                alpha_sandwich(alg, derived, chi=bad)
 
     def test_open_case(self):
         # In the two-generator case the upper bound (index 3, dim 5) does not

@@ -1,16 +1,14 @@
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 
 import pytest
 import sympy
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
-from test_index import dense_bracket, form_matrix, index_module, shifted
 
 from lieindex import linalg
-from lieindex.algebra import LieAlgebra, Subspace, center, centralizer
+from lieindex.algebra import Subspace, center, centralizer
 from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
 from lieindex.index import _check_prime, _form_ranks, index
 from lieindex.linalg import (
@@ -21,6 +19,8 @@ from lieindex.linalg import (
     rank_mod_p,
 )
 
+from families import assert_exact, change_basis, form_matrix, index_module, shifted_basis, unitriangular_basis
+
 
 def random_matrix(rng, nrows, ncols, fractions=False):
     def entry():
@@ -30,13 +30,6 @@ def random_matrix(rng, nrows, ncols, fractions=False):
         return Fraction(num)
 
     return [[entry() for _ in range(ncols)] for _ in range(nrows)]
-
-
-def assert_exact(values, zeros=False):
-    """Each value as the package hands it back: an int, or a Fraction that is not
-    an integer.  Never a float, and never 0 unless zeros (dense coordinates) may be."""
-    bad = [x for x in values if not (type(x) is int and (zeros or x) or type(x) is Fraction and x.denominator > 1)]
-    assert not bad, f"values not in exact form: {bad}"
 
 
 def sparse_rows(m):
@@ -147,26 +140,13 @@ class TestRank:
         assert rank_mod_p([{0: DEFAULT_PRIME}], DEFAULT_PRIME) == 0
 
 
-def unitriangular_copy(g, q):
-    """g on the basis e'_a = e_a + q*e_(a+1); the inverse change has entries (-q)^m."""
-    n = g.dim
-    cols = [[Fraction(int(i == a)) + (q if i == a + 1 else 0) for i in range(n)] for a in range(n)]
-    brackets = {}
-    for a, b in combinations(range(n), 2):
-        w = dense_bracket(g, cols[a], cols[b])
-        coeffs = {r: c for r in range(n) if (c := sum((-q) ** (r - k) * w[k] for k in range(r + 1)))}
-        if coeffs:
-            brackets[(a, b)] = coeffs
-    return LieAlgebra(n, None, brackets)
-
-
 class TestFormRankDifferential:
     # linalg.rank through _form_ranks against sympy's exact rank of the same
     # form, at the 61-bit best trial points of index(), where Hadamard's bound
     # on the cleared rows is 850-1,900 bits.
     def test_integer_rank_matches_sympy(self):
         f34 = build_free_nilpotent(3, 4).algebra
-        for g in (f34, build_metabelian(3, 4).algebra, unitriangular_copy(f34, Fraction(3, 7))):
+        for g in (f34, build_metabelian(3, 4).algebra, change_basis(f34, unitriangular_basis(32, Fraction(3, 7)))):
             rep = index(g, want_witness=True)
             [r] = _form_ranks(g, [rep.witness.coords])
             reference = DomainMatrix.from_Matrix(form_matrix(g, rep.witness)).rank()
@@ -682,7 +662,8 @@ class TestSupportStop:
     )
     def test_center_and_centralizer_on_a_shifted_basis(self, build):
         # On the basis e'_j = e_j + e_{j-1} the center is no coordinate subspace.
-        g = shifted(build())
+        g = build()
+        g = change_basis(g, shifted_basis(g.dim))
         n = g.dim
 
         def bracket(i, j):

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_linalg import assert_exact
 
 from lieindex.algebra import LieAlgebra
 from lieindex.free_nilpotent import DEFAULT_MAX_DIM, ResourceLimitError, build_free_nilpotent, build_metabelian
@@ -23,6 +22,8 @@ from lieindex.serialize import (
     report_to_dict,
     stabilizer_to_dict,
 )
+
+from families import assert_exact
 
 
 class TestScalars:

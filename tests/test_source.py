@@ -232,3 +232,16 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not found, f"unused imports in the package: {found}"
+
+
+def test_tests_import_no_test_module():
+    # Shared helpers live in tests/families.py: a test module that imports another
+    # would share its collection errors.
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if any(part.startswith("test_") for part in name.split("."))]
+    assert not found, f"test modules imported by tests: {found}"
