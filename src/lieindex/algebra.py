@@ -281,10 +281,11 @@ def nilpotency_class(g: LieAlgebra) -> int:
 
 
 def derived_subalgebra_pair(g: LieAlgebra) -> tuple[Subspace, Subspace]:
-    """([g, g], [d, d]): d is spanned by the [x_i, x_j], [d, d] by brackets of basis pairs."""
+    """([g, g], [d, d]): d is spanned by the [x_i, x_j], [d, d] by the nonzero brackets of basis pairs."""
     d1 = Subspace.span(g.dim, g.brackets.values())
     vs = d1.rows
-    d2 = Subspace.span(g.dim, (g.sparse_bracket(u, vs[t]) for s, u in enumerate(vs) for t in range(s)))
+    brackets = (g.sparse_bracket(u, vs[t]) for s, u in enumerate(vs) for t in range(s))
+    d2 = Subspace.span(g.dim, [w for w in brackets if w])
     return d1, d2
 
 

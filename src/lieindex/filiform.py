@@ -70,7 +70,7 @@ def make_filiform(alg: LieAlgebra, family: str = "adapted", k: int | None = None
     reason = adapted_violation(alg)
     if reason is not None:
         raise ValueError(f"not an adapted filiform algebra: {reason}")
-    return FiliformAlgebra(alg, family, k)
+    return FiliformAlgebra(alg, family, k if k is None else _integer(k, "k"))
 
 
 def _chain(n: int, k: int, name: str) -> LieAlgebra:

@@ -25,6 +25,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin, deterministic for n < 3.3 * 10^24 with the fixed bases."""
+    if type(n) is not int:  # a bool or float would be tested as a number
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -23,6 +23,12 @@ elimination in Z[y]:
   k terms, and the pivot rule sees the same choices.  The products before a
   division may merge terms, but they are only divided: Z[t] is a domain, so
   the quotient is the image of the quotient in Z[y].
+
+Most entries are monomials, which both kernels take term by term: c*t^e
+times b shifts the exponents of b by e, merging none, and scales the
+coefficients by c, zeroing none; so b / (c*t^e) is exact just when c divides
+every coefficient and e is at most every exponent.  Divisors of more terms
+use the heap division (9 of 2,830 on the catalogue algebras of dim <= 20).
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from heapq import heapify, heappop, heappush
 
 def _mul(a: dict, b: dict, out: dict | None = None) -> dict:
     """out + a * b; out, when given, is used up."""
+    if out is None and len(a) == 1:
+        ((ea, ca),) = a.items()
+        return {ea + e: ca * c for e, c in b.items()}
     out = {} if out is None else out
     get = out.get
     b = b.items()
@@ -51,6 +60,12 @@ def _exact_div(a: dict, d: dict) -> dict:
     top = max(d)
     lead = d[top]
     quot = {}
+    if len(d) == 1:  # term by term, as the module docstring says
+        for e, c in a.items():
+            quot[e - top], r = divmod(c, lead)
+            if r or e < top:
+                raise ArithmeticError("inexact polynomial division")
+        return quot
     tail = [(e - top, c) for e, c in d.items() if e != top]
     rem = dict(a)
     todo = [-e for e in rem]  # a max-heap holding each key of rem once

@@ -22,6 +22,7 @@ from math import comb
 from .algebra import (
     LieAlgebra,
     Subspace,
+    _integer,
     abelian_witness,
     center,
     check_jacobi,
@@ -658,7 +659,7 @@ def _run(section: int, group) -> list[VerificationCase]:
 
 
 def cases_for_criterion(num: int) -> list[VerificationCase]:
-    return _run(*_CRITERIA[num][1:])
+    return _run(*_CRITERIA[_integer(num, "criterion")][1:])
 
 
 def extra_cases() -> list[VerificationCase]:
@@ -667,6 +668,7 @@ def extra_cases() -> list[VerificationCase]:
 
 def all_cases(section: int | None = None) -> list[VerificationCase]:
     """Every case in catalogue order; with a section, only the groups in it run."""
+    section = None if section is None else _integer(section, "section")
     groups = [_CRITERIA[num][1:] for num in sorted(_CRITERIA)] + list(_EXTRAS)
     return [
         case

@@ -6,6 +6,7 @@ failures list the offending case ids with expected and computed values.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from lieindex import graphs, verify
@@ -72,6 +73,19 @@ def test_section_filter():
         assert all(c.section == section for c in subset)
         assert [c.id for c in subset] == [c.id for c in full if c.section == section]
     assert all_cases(99) == []
+
+
+def test_selectors_take_only_ints():
+    # cases_for_criterion(True) once ran criterion 1, all_cases(2.0) section 2
+    # and all_cases(True) nothing; a numpy integer is an int.
+    for num in (True, 1.0):
+        with pytest.raises(ValueError, match="criterion must be an int"):
+            cases_for_criterion(num)
+    for section in (True, 2.0):
+        with pytest.raises(ValueError, match="section must be an int"):
+            all_cases(section)
+    assert cases_for_criterion(np.int64(1)) == cases_for_criterion(1)
+    assert all_cases(np.int64(2)) == all_cases(2)
 
 
 class TestStabilizerProps:

@@ -155,6 +155,15 @@ class TestAdaptedBasisChecks:
         assert f.family == "adapted" and f.k is None
         assert f.algebra == build_L(5).algebra
 
+    def test_make_filiform_checks_k(self):
+        # k=True was once kept as the family parameter; build_G checks its k the same way.
+        alg = build_G(9, 5).algebra
+        for k in (True, 5.0):
+            with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}")):
+                make_filiform(alg, "G", k)
+        f = make_filiform(alg, "G", np.int64(5))
+        assert type(f.k) is int and f == build_G(9, 5)
+
     def test_alphas_keep_the_constant_type(self):
         for f in (build_L(5), build_Q(8), build_G(9, 5), random_adapted_deformation(build_Q(8), 3)):
             assert {type(a) for a in alphas(f)} == {int}

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 import sympy
 from sympy import GF, QQ
@@ -695,6 +696,13 @@ class TestPrimality:
         assert not is_probable_prime(-7)
         assert not is_probable_prime(561)  # Carmichael number
         assert not is_probable_prime(DEFAULT_PRIME - 2)
+
+    def test_refuses_non_ints(self):
+        # 7.0 was once taken as prime and True as 1; _check_prime converts first.
+        for n in (7.0, True, Fraction(7)):
+            with pytest.raises(ValueError, match="must be an int"):
+                is_probable_prime(n)
+        assert _check_prime(np.int64(DEFAULT_PRIME)) == DEFAULT_PRIME
 
     def test_against_sympy(self):
         for n in range(2, 500):

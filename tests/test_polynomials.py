@@ -1,12 +1,18 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from families import catalogue_algebras
+from lieindex import polynomials
+from lieindex.free_nilpotent import build_free_nilpotent, build_metabelian
+from lieindex.graphs import SimpleGraph, build_graph_algebra
+from lieindex.index import certified_generic_rank
 from lieindex.polynomials import _exact_div, _mul, bareiss_rank
 
 SYMS = sympy.symbols("y0:8")
@@ -24,6 +30,10 @@ def random_poly(rng, max_terms=4, max_exp=6):
 
 def add(a, b):
     return _mul(b, {0: 1}, dict(a))
+
+
+def random_monomial(rng, max_exp=6):
+    return {rng.randint(0, max_exp): rng.choice((-1, 1)) * rng.randint(1, 9)}
 
 
 def sympy_generic_rank(rows, ncols):
@@ -78,6 +88,16 @@ class TestArithmetic:
             assert add(a, {}) == a and _mul(a, {}) == {}
             assert _mul(a, b, _mul(a, b)) == _mul(a, _mul(b, {0: 2}))
 
+    def test_monomial_product_matches_general(self):
+        # A one-term left factor without an accumulator is shifted and scaled;
+        # with an (empty) accumulator the same product takes the convolution.
+        rng = random.Random(13)
+        for _ in range(200):
+            a, b = random_monomial(rng), random_poly(rng)
+            p = _mul(a, b)
+            assert p == _mul(a, b, {})
+            assert len(p) == len(b) and all(type(c) is int and c for c in p.values())
+
     def test_cancellation(self):
         x, one = {1: 1}, {0: 1}
         assert _mul(add(x, one), add(x, {0: -1})) == {2: 1, 0: -1}
@@ -113,6 +133,19 @@ class TestExactDiv:
             _exact_div({1: 3}, {1: 2})  # 3t by 2t: not over Z
         with pytest.raises(ArithmeticError):
             _exact_div(add(_mul({1: 4, 0: 2}, {2: 3}), {1: 1}), {1: 2, 0: 1})
+
+    def test_monomial_divisor(self):
+        # A one-term divisor divides term by term: 6t^5 - 4t^3 + 10t^2 by 2t^2.
+        assert _exact_div({5: 6, 3: -4, 2: 10}, {2: 2}) == {3: 3, 1: -2, 0: 5}
+        assert _exact_div({4: -9, 1: 3}, {0: -3}) == {4: 3, 1: -1}
+        rng = random.Random(24)
+        for _ in range(100):
+            a, d = random_poly(rng), random_monomial(rng)
+            assert _exact_div(_mul(a, d), d) == a
+        with pytest.raises(ArithmeticError):
+            _exact_div({3: 4, 2: 3}, {1: 2})  # 4t^3 + 3t^2 by 2t: 2 does not divide 3
+        with pytest.raises(ArithmeticError):
+            _exact_div({3: 4, 0: 2}, {1: 2})  # 4t^3 + 2 by 2t: t^-1 is no term of Z[t]
 
     def test_integral_quotient_stays_int(self):
         a = {5: 6, 3: -4, 0: 9}
@@ -214,6 +247,24 @@ class TestBareissRank:
                 rows = [{i: {1: 1}, i + 1: {0: 1}} for i in range(n - 1)] + [{0: {2: s}, n - 1: {1: 1}}]
                 assert bareiss_rank(rows) == n
 
+    def test_monomial_branches_keep_the_ranks(self, monkeypatch):
+        # Bareiss with every product through the convolution and every division
+        # through the heap gives the same ranks as with the term-by-term branches.
+        # Dividing a (t + 1) by d (t + 1) is a / d, and exact just when a / d is:
+        # Z[t] is a domain and t + 1 is monic.  d (t + 1) has two terms or more.
+        algebras = [g for _, g in catalogue_algebras() if g.dim <= 20] + [
+            build_free_nilpotent(2, 6).algebra,
+            build_free_nilpotent(3, 4).algebra,
+            build_metabelian(3, 4).algebra,
+            build_metabelian(2, 7).algebra,
+            build_graph_algebra(SimpleGraph(7, tuple(combinations(range(7), 2)))),
+        ]
+        ranks = [certified_generic_rank(g) for g in algebras]
+        mul, div, t1 = polynomials._mul, polynomials._exact_div, {1: 1, 0: 1}
+        monkeypatch.setattr(polynomials, "_mul", lambda a, b, out=None: mul(a, b, {} if out is None else out))
+        monkeypatch.setattr(polynomials, "_exact_div", lambda a, d: div(mul(a, t1, {}), mul(d, t1, {})))
+        assert [certified_generic_rank(g) for g in algebras] == ranks
+
     def test_integer_scaled_copies_agree(self):
         # Scaling rows or the whole matrix by nonzero integers keeps the rank.
         rng = random.Random(88)
@@ -246,3 +297,4 @@ class TestBareissRank:
         assert bareiss_rank([{0: {}}]) == 0
         assert bareiss_rank([{0: {1: 0}, 2: {}}]) == 0
         assert bareiss_rank([{}, {}]) == 0
+
