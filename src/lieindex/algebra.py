@@ -95,10 +95,6 @@ class Subspace:
         return cls(ambient_dim, tuple(_flip(ambient_dim, red[p]) for p in sorted(red, reverse=True)))
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, tuple({i: 1} for i in range(ambient_dim)))
 

@@ -178,7 +178,7 @@ def _cmd_graph_index(args) -> int:
         {
             "graph": graph.to_dict(),
             "matching": [list(e) for e in result.matching],
-            "via_matching": result.index,
+            "via_matching": result.report.dim - 2 * len(result.matching),
             "via_rank": result.report.index,
             "report": report_to_dict(result.report),
         },
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except _JacobiError as exc:
         _diag(str(exc))
         return EXIT_JACOBI
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _diag(str(exc))
         return EXIT_BAD_INPUT
 

@@ -24,20 +24,6 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class FiliformAlgebra:
-    """An algebra checked to carry the adapted filiform shape (make_filiform),
-    with the family it was built as and that family's parameter k."""
-
-    algebra: LieAlgebra
-    family: str
-    k: int | None
-
-    @property
-    def n(self) -> int:
-        return self.algebra.dim
-
-
 def adapted_violation(alg: LieAlgebra) -> str | None:
     """None if alg carries the adapted filiform shape; else a reason."""
     n = alg.dim
@@ -66,11 +52,19 @@ def adapted_violation(alg: LieAlgebra) -> str | None:
     return None
 
 
-def make_filiform(alg: LieAlgebra, family: str = "adapted", k: int | None = None) -> FiliformAlgebra:
-    reason = adapted_violation(alg)
-    if reason is not None:
-        raise ValueError(f"not an adapted filiform algebra: {reason}")
-    return FiliformAlgebra(alg, family, k if k is None else _integer(k, "k"))
+@dataclass(frozen=True)
+class FiliformAlgebra:
+    """An algebra checked to carry the adapted filiform shape."""
+
+    algebra: LieAlgebra
+
+    def __post_init__(self):
+        if (reason := adapted_violation(self.algebra)) is not None:
+            raise ValueError(f"not an adapted filiform algebra: {reason}")
+
+    @property
+    def n(self) -> int:
+        return self.algebra.dim
 
 
 def _chain(n: int, k: int, name: str) -> LieAlgebra:
@@ -93,14 +87,14 @@ def build_L(n: int) -> FiliformAlgebra:
     """The model filiform algebra: [e_1, e_i] = e_{i+1} and nothing else (k = 3)."""
     if (n := _integer(n, "dimension")) < 3:
         raise ValueError("the L family needs dimension >= 3")
-    return make_filiform(_chain(n, 3, f"L{n}"), "L")
+    return FiliformAlgebra(_chain(n, 3, f"L{n}"))
 
 
 def build_Q(n: int) -> FiliformAlgebra:
     """Even-dimensional family with [e_i, e_{n+1-i}] = (-1)^i e_n added (k = n + 1)."""
     if (n := _integer(n, "dimension")) < 4 or n % 2:
         raise ValueError("the Q family needs even dimension >= 4")
-    return make_filiform(_chain(n, n + 1, f"Q{n}"), "Q")
+    return FiliformAlgebra(_chain(n, n + 1, f"Q{n}"))
 
 
 def build_G(n: int, k: int) -> FiliformAlgebra:
@@ -108,25 +102,20 @@ def build_G(n: int, k: int) -> FiliformAlgebra:
     n, k = _integer(n, "dimension"), _integer(k, "k")
     if k % 2 == 0 or not 3 <= k <= n:
         raise ValueError("need odd k with 3 <= k <= n")
-    return make_filiform(_chain(n, k, f"G{n},{k}"), "G", k)
+    return FiliformAlgebra(_chain(n, k, f"G{n},{k}"))
 
 
-@dataclass(frozen=True)
-class IndexOneResult:
-    is_index_one: bool
-    witness: int | None  # smallest i with [g_i, g_{n-i}] = 0, when not index 1
-
-
-def index_one_criterion(f: FiliformAlgebra) -> IndexOneResult:
+def index_one_criterion(f: FiliformAlgebra) -> int | None:
     """Odd dimension only: index 1 iff [g_i, g_{n-i}] != 0 for i = 1 .. n-1,
-    read off alpha_i, the e_n coefficient of [e_i, e_{n-i}]."""
+    read off alpha_i, the e_n coefficient of [e_i, e_{n-i}].  Returns the
+    smallest i with alpha_i = 0, or None when the index is 1."""
     n = f.n
     if n % 2 == 0:
         raise ValueError("the index-1 criterion applies to odd dimension only")
     for i in range(1, n):
         if not f.algebra.structure_coeffs(i - 1, n - i - 1).get(n - 1):
-            return IndexOneResult(False, i)
-    return IndexOneResult(True, None)
+            return i
+    return None
 
 
 def lower_bound(f: FiliformAlgebra, k: int) -> int | None:
@@ -184,4 +173,4 @@ def random_adapted_deformation(base: FiliformAlgebra, seed: int) -> FiliformAlge
     alg = LieAlgebra(n, _labels(n), brackets)
     if check_jacobi(alg) is not None:
         raise RuntimeError("deformed brackets fail the Jacobi identity")
-    return make_filiform(alg, "deformed", base.k)
+    return FiliformAlgebra(alg)

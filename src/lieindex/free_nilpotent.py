@@ -138,8 +138,6 @@ class HallBuilder:
                 for v in self.layers[w - wu]
                 if pos[u] < pos[v] and (isinstance(v, int) or pos[v[0]] <= pos[u])
             ]
-            if not found:  # g = 1: every layer past the first is empty
-                break
             self.layers.append(found)
             pos.update((t, i) for i, t in enumerate(found, len(self.basis)))
             self.basis += found
@@ -224,7 +222,8 @@ def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
         raise ValueError("need g >= 1 generators and class c >= 1")
     kind = "metabelian" if comb else "free nilpotent"
     # The layer sizes stop at the first partial sum above the ceiling, and
-    # before the first empty layer (g = 1), past which every layer is empty.
+    # before the first empty layer (g = 1), past which every layer is empty;
+    # the builder stops there too.
     layer_size, sizes = _metabelian_layer if comb else witt_layer, []
     for w in range(1, c + 1):
         size = layer_size(g, w)
@@ -233,7 +232,7 @@ def _build_on_hall_trees(g: int, c: int, comb: bool) -> FreeNilpotentAlgebra:
         sizes.append(size)
         quotient = f": its class-{w} quotient" if w < c else ""
         _check_ceiling(sum(sizes), f"{kind} algebra with g={g}, c={c}{quotient}")
-    builder = (_CombBuilder if comb else HallBuilder)(g, c)
+    builder = (_CombBuilder if comb else HallBuilder)(g, len(sizes))
     if [len(layer) for layer in builder.layers[1:]] != sizes:
         raise RuntimeError("Hall layer count is off")
     trees = builder.basis

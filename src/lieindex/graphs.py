@@ -81,7 +81,7 @@ def build_graph_algebra(graph: SimpleGraph) -> LieAlgebra:
 
 def matching_number(graph: SimpleGraph) -> tuple[int, tuple[Edge, ...]]:
     """(matching number, a maximum matching), by blossom contraction."""
-    m = blossom_matching(graph.vertex_count, graph.edges)
+    m = blossom_matching(graph.edges)
     return len(m), m
 
 
@@ -146,8 +146,7 @@ def matching_functional(graph: SimpleGraph, matching) -> LinearFunctional:
 
 @dataclass(frozen=True)
 class GraphIndexResult:
-    matching: tuple[Edge, ...]
-    index: int  # dim - 2 nu, by the matching; equal to report.index, by rank
+    matching: tuple[Edge, ...]  # maximum: report.index = report.dim - 2 * len(matching)
     report: IndexReport
 
 
@@ -169,5 +168,5 @@ def graph_index(
             "graph index mismatch between matching and rank routes "
             f"({via_matching} vs {report.index}); this is a bug"
         )
-    return GraphIndexResult(witness, via_matching, report)
+    return GraphIndexResult(witness, report)
 

@@ -128,7 +128,7 @@ def _trial_rank(rows_at, n, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, p
 
 def _rank_ceiling(n: int, pairs, z: int) -> int:
     """The rank ceiling of the module docstring, B the graph of the edges pairs."""
-    return min(2 * len(blossom_matching(n, pairs)), (n - z) & ~1)
+    return min(2 * len(blossom_matching(pairs)), (n - z) & ~1)
 
 
 def certified_generic_rank(g: LieAlgebra) -> int:

@@ -20,8 +20,8 @@ at once with T = {itself}, and no live vertex can reach it: it is not searched.
 from collections import deque
 
 
-def blossom_matching(n: int, edges) -> tuple[tuple[int, int], ...]:
-    """A maximum matching of the graph on range(n) with the edges (i, j)."""
+def blossom_matching(edges) -> tuple[tuple[int, int], ...]:
+    """A maximum matching of the graph with the edges (i, j), as pairs (i, j) with i < j."""
     edges = list(edges)
     vertices = sorted({v for e in edges for v in e})
     label = {v: i for i, v in enumerate(vertices)}

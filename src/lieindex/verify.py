@@ -410,11 +410,10 @@ def _criterion_12() -> list[_Row]:
     for name, entry in _CORPUS.filiform.items():
         if entry.algebra.dim % 2 == 0:
             continue
-        crit = index_one_criterion(entry.built)
         cases.append((
             f"index1/{name}",
             entry.report.index == 1,
-            crit.is_index_one,
+            index_one_criterion(entry.built) is None,
             "vanishing pattern of the top bracket coefficients",
         ))
     return cases
@@ -659,7 +658,9 @@ def _run(section: int, group) -> list[VerificationCase]:
 
 
 def cases_for_criterion(num: int) -> list[VerificationCase]:
-    return _run(*_CRITERIA[_integer(num, "criterion")][1:])
+    if (num := _integer(num, "criterion")) not in _CRITERIA:
+        raise ValueError(f"unknown criterion {num}; the criteria are {min(_CRITERIA)}-{max(_CRITERIA)}")
+    return _run(*_CRITERIA[num][1:])
 
 
 def extra_cases() -> list[VerificationCase]:

@@ -88,12 +88,19 @@ def test_selectors_take_only_ints():
     assert all_cases(np.int64(2)) == all_cases(2)
 
 
+def test_unknown_criterion_is_refused():
+    # cases_for_criterion(99) once raised a bare KeyError: 99.
+    for num in (0, 99):
+        with pytest.raises(ValueError, match=f"unknown criterion {num}; the criteria are 1-14"):
+            cases_for_criterion(num)
+
+
 class TestStabilizerProps:
     # props/stabilizer-codim-even and props/center-in-stabilizer share three
     # stabilizers per small algebra; each row must still catch a bad one.
     @pytest.fixture
     def zero_stabilizer(self, monkeypatch):
-        monkeypatch.setattr(verify, "stabilizer", lambda g, ell: Subspace.zero(g.dim))
+        monkeypatch.setattr(verify, "stabilizer", lambda g, ell: Subspace(g.dim, ()))
 
     def test_zero_stabilizer_fails_both_rows(self, zero_stabilizer):
         computed = {c.id: c.computed for c in cases_for_criterion(14)}

@@ -364,7 +364,7 @@ class TestSubspace:
         assert t.contains(s)
         assert not s.contains(t)
         assert Subspace.full(3).contains(t)
-        assert t.contains(Subspace.zero(3))
+        assert t.contains(Subspace(3, ()))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -388,7 +388,7 @@ class TestSubspace:
         for call in (
             lambda: a.contains(Subspace.from_vectors(3, [[0, 0, 1]])),
             lambda: a.contains(Subspace.from_vectors(3, [[1, 0, 0]])),
-            lambda: a.contains(Subspace.zero(3)),
+            lambda: a.contains(Subspace(3, ())),
             lambda: Subspace.from_vectors(2, [[1, 0, 5]]),
         ):
             with pytest.raises(ValueError, match="does not match ambient dimension"):
@@ -450,7 +450,7 @@ class TestCenter:
         g = heisenberg()
         c = centralizer(g, Subspace.from_vectors(3, [[1, 0, 0]]))
         assert c == Subspace.from_vectors(3, [[1, 0, 0], [0, 0, 1]])
-        assert centralizer(g, Subspace.zero(3)) == Subspace.full(3)
+        assert centralizer(g, Subspace(3, ())) == Subspace.full(3)
 
     def test_centralizer_of_non_coordinate_subspace(self):
         g = two_step_free()
@@ -561,7 +561,7 @@ class TestSubalgebras:
         assert w is not None
         u, v = w
         assert bracket_oracle(g, dict(enumerate(u)), dict(enumerate(v)))
-        assert abelian_witness(g, Subspace.zero(5)) is None
+        assert abelian_witness(g, Subspace(5, ())) is None
 
     @pytest.mark.parametrize(
         "call",

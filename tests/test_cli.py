@@ -356,7 +356,7 @@ class TestGraphIndex:
         # rank route stays exact and the two routes disagree.
         core = graphs.blossom_matching
         for module in (graphs, index_module):
-            monkeypatch.setattr(module, "blossom_matching", lambda n, edges: core(n, edges)[1:])
+            monkeypatch.setattr(module, "blossom_matching", lambda edges: core(edges)[1:])
         with pytest.raises(RuntimeError, match=r"graph index mismatch .*\(5 vs 3\)"):
             graphs.graph_index(graphs.SimpleGraph(4, ((0, 1), (1, 2), (2, 3))))
         gpath = tmp_path / "p4.json"

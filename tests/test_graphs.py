@@ -184,8 +184,8 @@ class TestMatching:
             n = m + rng.randint(0, 9)
             at = sorted(rng.sample(range(n), m))  # compact vertex t is vertex at[t]
             edges = tuple((at[i], at[j]) for i, j in compact)
-            got = blossom_matching(n, edges)
-            assert got == tuple((at[i], at[j]) for i, j in blossom_matching(m, compact))
+            got = blossom_matching(edges)
+            assert got == tuple((at[i], at[j]) for i, j in blossom_matching(compact))
             assert len(got) == nx_matching_number(SimpleGraph(n, edges))
 
     def test_validate_matching_rejects(self):
@@ -226,7 +226,7 @@ class TestMatching:
             edges = [(i, j) if rng.random() < 0.5 else (j, i)
                      for i in range(n) for j in range(i + 1, n) if rng.random() < density]
             rng.shuffle(edges)
-            matchings.append(blossom_matching(n, edges))
+            matchings.append(blossom_matching(edges))
         assert self.digest(matchings) == (
             "27132c9ce1b363f1c13cff2236631a104f0bf62eb4effd0e0bff59a7fd1152d2"
         )
@@ -235,7 +235,7 @@ class TestMatching:
         # The rank ceiling's matchings, on the bracket graphs {i, j} with [x_i, x_j] != 0.
         corpus = catalogue_algebras()
         assert len(corpus) == 220
-        assert self.digest(blossom_matching(g.dim, g.brackets) for _, g in corpus) == (
+        assert self.digest(blossom_matching(g.brackets) for _, g in corpus) == (
             "9b6312dbdcd14ec68ae040bb0372bcabcc34791f0c584f531756a74beecd3b42"
         )
 
@@ -243,18 +243,18 @@ class TestMatching:
 class TestGraphIndex:
     def test_complete_four(self):
         res = graph_index(complete(4))
-        assert res.index == res.report.index == 6
+        assert res.report.dim - 2 * len(res.matching) == res.report.index == 6
         assert res.report.dim == 10
 
     def test_named_cases(self):
         # dim |V| + |E| minus twice the matching number.
-        assert graph_index(path(2)).index == 1
+        assert graph_index(path(2)).report.index == 1
         with pytest.raises(ValueError, match="trials"):
             graph_index(path(2), trials=0)
-        assert graph_index(cycle(5)).index == 6
-        assert graph_index(cycle(6)).index == 6
-        assert graph_index(path(7)).index == 7
-        assert graph_index(SimpleGraph(3, ())).index == 3
+        assert graph_index(cycle(5)).report.index == 6
+        assert graph_index(cycle(6)).report.index == 6
+        assert graph_index(path(7)).report.index == 7
+        assert graph_index(SimpleGraph(3, ())).report.index == 3
 
     def test_random_graphs_agree(self):
         rng = random.Random(99)
@@ -268,8 +268,8 @@ class TestGraphIndex:
             )
             g = SimpleGraph(n, edges)
             res = graph_index(g)
-            assert res.index == res.report.index
-            assert res.index == g.vertex_count + len(g.edges) - 2 * matching_number(g)[0]
+            assert res.report.dim - 2 * len(res.matching) == res.report.index
+            assert res.report.index == g.vertex_count + len(g.edges) - 2 * matching_number(g)[0]
 
 
 class TestMatchingFunctional:
@@ -293,4 +293,4 @@ class TestMatchingFunctional:
         g = petersen()
         m = matching_number(g)[1]
         alg = build_graph_algebra(g)
-        assert stabilizer(alg, matching_functional(g, m)).dim == graph_index(g).index == 25 - 10
+        assert stabilizer(alg, matching_functional(g, m)).dim == graph_index(g).report.index == 25 - 10

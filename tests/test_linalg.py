@@ -390,7 +390,7 @@ class TestRref:
             m = m + [m[0], [Fraction(0)] * ncols, [2 * x for x in m[-1]]]
             rng.shuffle(m)
             assert Subspace.from_vectors(ncols, m).basis == sympy_rref(m, ncols)
-        assert Subspace.from_vectors(4, []) == Subspace.zero(4)
+        assert Subspace.from_vectors(4, []) == Subspace(4, ())
         assert Subspace.from_vectors(3, [[0, 0, 0], [0, 0, 0]]).basis == ()
         assert Subspace.from_vectors(0, []).basis == ()
 

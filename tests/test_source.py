@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import dis
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import lieindex
@@ -245,3 +249,62 @@ def test_tests_import_no_test_module():
                 found += [f"{path.name}:{node.lineno} {name}" for name in names
                           if any(part.startswith("test_") for part in name.split("."))]
     assert not found, f"test modules imported by tests: {found}"
+
+
+def _parameters(code) -> tuple[str, ...]:
+    flags = code.co_flags
+    count = code.co_argcount + code.co_kwonlyargcount
+    count += bool(flags & inspect.CO_VARARGS) + bool(flags & inspect.CO_VARKEYWORDS)
+    return code.co_varnames[:count]
+
+
+def _first_access_is_load(code, name: str) -> bool:
+    """Whether the first bytecode access to the local name reads it (no access: False)."""
+    for ins in dis.get_instructions(code):
+        if ins.opname == "LOAD_FAST_AND_CLEAR":  # saves a comprehension's shadowed name
+            continue
+        # Superinstructions (STORE_FAST_LOAD_FAST, ...) pair their parts with argval's names.
+        parts = re.findall(r"(LOAD|STORE|DELETE)_(?:FAST|DEREF|CLOSURE)", ins.opname)
+        names = ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)
+        for part, local in zip(parts, names):
+            if local == name:
+                return part == "LOAD"
+    return False
+
+
+def _overrides(module, classes, name: str) -> bool:
+    """Whether the class at the path classes of module has a package base defining name."""
+    cls = module
+    for part in classes or ():
+        cls = getattr(cls, part, None)
+    return classes is not None and inspect.isclass(cls) and any(
+        name in vars(base) for base in cls.__mro__[1:] if base.__module__.startswith("lieindex")
+    )
+
+
+def test_every_parameter_is_read():
+    # A parameter rebound or ignored before any read makes its callers pass a
+    # value that changes nothing.  Every function's code, nested ones included,
+    # is checked; a method's self or cls, and a method that keeps a base
+    # class's signature, are exempt.  (co_qualname is 3.11+: paths are built here.)
+    found = []
+
+    def visit(code, module, classes, in_class: bool):
+        # classes: the class path from module level (None below a function);
+        # in_class: code is a class body, or a function defined in one.
+        function = bool(code.co_flags & inspect.CO_OPTIMIZED)
+        if function and not (in_class and _overrides(module, classes, code.co_name)):
+            found.extend(f"{Path(code.co_filename).name}:{code.co_firstlineno} {code.co_name}({p})"
+                         for p in _parameters(code)[in_class:] if not _first_access_is_load(code, p))
+        for child in filter(inspect.iscode, code.co_consts):
+            if function:
+                visit(child, module, None, not child.co_flags & inspect.CO_OPTIMIZED)
+            elif child.co_flags & inspect.CO_OPTIMIZED:
+                visit(child, module, classes, in_class)
+            else:
+                visit(child, module, None if classes is None else classes + [child.co_name], True)
+
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        module = importlib.import_module("lieindex" if path.stem == "__init__" else f"lieindex.{path.stem}")
+        visit(compile(path.read_text(), str(path), "exec"), module, [], False)
+    assert not found, f"parameters never read: {found}"
