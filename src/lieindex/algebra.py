@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from numbers import Integral, Rational
 
 from .linalg import SparseEchelon, _sparse, _subtract, rank
+from .matching import blossom_matching
 
 Coeffs = dict[int, int | Fraction]  # exact values: int when integral
 
@@ -41,6 +43,16 @@ def _flip(n: int, v: Coeffs) -> Coeffs:
     that is the leading column, the pivot of the reduced row-echelon form.
     """
     return {n - 1 - c: x for c, x in v.items()}
+
+
+def _flip_checked(n: int, v: Coeffs, t: int) -> Coeffs:
+    """_flip(n, v), refusing a coordinate outside range(n) and a value _exact refuses."""
+    out = {}
+    for c, x in v.items():
+        if not (type(c) is int and 0 <= c < n):  # bool is not
+            raise ValueError(f"coordinate {c!r} of vector {t} must be an integer in range({n})")
+        out[n - 1 - c] = x if type(x) is int else _exact(x, f"coordinate {c} of vector {t}")
+    return out
 
 
 def _exact(c, where: str) -> int | Fraction:
@@ -90,8 +102,9 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors) -> "Subspace":
-        """Span of sparse vectors {coordinate: value}, with its canonical basis."""
-        red = SparseEchelon(_flip(ambient_dim, v) for v in vectors).rref()
+        """Span of sparse vectors {coordinate: value}, with its canonical basis; each
+        coordinate must be an int in range(ambient_dim), each value an int or Fraction."""
+        red = SparseEchelon(_flip_checked(ambient_dim, v, t) for t, v in enumerate(vectors)).rref()
         return cls(ambient_dim, tuple(_flip(ambient_dim, red[p]) for p in sorted(red, reverse=True)))
 
     @classmethod
@@ -117,7 +130,8 @@ class Subspace:
 
 
 class LieAlgebra:
-    """Structure-constant Lie algebra over Q on basis x_0 .. x_{n-1}."""
+    """Structure-constant Lie algebra over Q on basis x_0 .. x_{n-1}.  It is read-only after
+    construction: nothing refreshes its tables, or the center and matching number it keeps."""
 
     def __init__(self, dim: int, labels=None, brackets: dict | None = None):
         if (dim := _integer(dim, "dimension")) < 0:
@@ -166,6 +180,15 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, nonzero_pairs={len(self.brackets)})"
+
+    @cached_property
+    def _center(self) -> Subspace:
+        return centralizer(self, Subspace.full(self.dim))
+
+    @cached_property
+    def _matching_number(self) -> int:
+        """nu of the bracket graph, an edge {i, j} per nonzero [x_i, x_j]."""
+        return len(blossom_matching(self.brackets))
 
     def structure_coeffs(self, i: int, j: int) -> Coeffs:
         """[x_i, x_j] as a sparse coefficient dict (any i, j order)."""
@@ -244,8 +267,8 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """z(g), the centralizer of g."""
-    return centralizer(g, Subspace.full(g.dim))
+    """z(g), the centralizer of g, built once per algebra."""
+    return g._center
 
 
 def _center_dim(g: LieAlgebra) -> int:

@@ -59,6 +59,8 @@ class FiliformAlgebra:
     algebra: LieAlgebra
 
     def __post_init__(self):
+        if not isinstance(self.algebra, LieAlgebra):
+            raise ValueError(f"a filiform algebra wraps a LieAlgebra, got {type(self.algebra).__name__}")
         if (reason := adapted_violation(self.algebra)) is not None:
             raise ValueError(f"not an adapted filiform algebra: {reason}")
 

@@ -23,7 +23,9 @@ squared Pfaffian, a signed sum over the perfect matchings in B of its rows
 rank mod p <= exact rank at the point <= generic rank <= ceiling, a trial
 at the ceiling ends the trials, and the exact check at its point is skipped.
 index() reads dim z(g) as n - rank(ad), the rank being the count of nonzero
-rows ad x_i when their leads are distinct; center() still builds the basis.
+rows ad x_i when their leads are distinct; center() builds the basis, once
+per algebra.  nu is LieAlgebra's too, one blossom search per algebra, so
+index() and index_by_sampling on one algebra share it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .algebra import (
     abelian_witness,
     center,
 )
-from .matching import blossom_matching
 from .linalg import DEFAULT_PRIME, SparseEchelon, _clear_denominators
 from .linalg import is_probable_prime, rank, rank_mod_p
 from .polynomials import bareiss_rank
@@ -71,6 +72,13 @@ def _check_trials(trials: int) -> int:
     if (trials := _integer(trials, "trials")) < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     return trials
+
+
+def _check_seed(seed: int) -> int:
+    # random.Random seeds with |seed|: a negative seed would repeat a positive one's draws.
+    if (seed := _integer(seed, "seed")) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
@@ -126,9 +134,9 @@ def _trial_rank(rows_at, n, ceiling, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, p
     return best
 
 
-def _rank_ceiling(n: int, pairs, z: int) -> int:
-    """The rank ceiling of the module docstring, B the graph of the edges pairs."""
-    return min(2 * len(blossom_matching(pairs)), (n - z) & ~1)
+def _rank_ceiling(g: LieAlgebra, z: int) -> int:
+    """The rank ceiling of the module docstring, z = dim z(g)."""
+    return min(2 * g._matching_number, (g.dim - z) & ~1)
 
 
 def certified_generic_rank(g: LieAlgebra) -> int:
@@ -195,14 +203,14 @@ def index(
     certify: bool = False,
     want_witness: bool = False,
 ) -> IndexReport:
-    trials, seed, p = _check_trials(trials), _integer(seed, "seed"), _check_prime(prime)
+    trials, seed, p = _check_trials(trials), _check_seed(seed), _check_prime(prime)
     n = g.dim
     z = _center_dim(g)
     if certify:
         r = certified_generic_rank(g)
         method = {"mode": "certified", "dim_limit": CERTIFY_DIM_LIMIT}
     else:
-        r = _rank_ceiling(n, g.brackets, z)
+        r = _rank_ceiling(g, z)
         method = {
             "mode": "randomized",
             "trials": trials,
@@ -238,12 +246,14 @@ def index_by_sampling(
     passes min(2 nu(B(g)), n - dim z(g) rounded down to even), the ceiling
     of the module docstring (nu(B(g)) the bracket graph's matching number).
     So sampling stops at the first rank at it, with the full-sample minimum.
-    Its dim z(g) comes from center(), a route independent of index()'s.
+    Its dim z(g) comes from center(), a route independent of index()'s; the
+    basis and nu are the algebra's, each computed on first use.  A negative
+    seed is refused: random.Random would draw what its absolute value draws.
     """
     if (samples := _integer(samples, "samples")) < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    rng, bound = random.Random(_integer(seed, "seed")), _integer(bound, "bound")
-    ceiling = _rank_ceiling(g.dim, g.brackets, center(g).dim)
+    rng, bound = random.Random(_check_seed(seed)), _integer(bound, "bound")
+    ceiling = _rank_ceiling(g, center(g).dim)
     points = (_draws(rng, g.dim, -bound, bound) for _ in range(samples))
     best = 0
     for r in _form_ranks(g, points):

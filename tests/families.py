@@ -189,7 +189,7 @@ def form_matrix(g, ell):
 
 
 def ceiling(g):
-    return _rank_ceiling(g.dim, g.brackets, center(g).dim)
+    return _rank_ceiling(g, center(g).dim)
 
 
 # ---------------------------------------------------------------- checks

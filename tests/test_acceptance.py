@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lieindex import algebra as algebra_module
 from lieindex import graphs, verify
 from lieindex.algebra import Subspace
 from lieindex.filiform import build_L, build_Q
@@ -63,6 +64,19 @@ def test_each_corpus_graph_is_matched_once(monkeypatch):
     calls = calls_to(monkeypatch, verify, "matching_number")
     assert all(c.passed for c in all_cases())
     assert len(calls) == len(verify._CORPUS.graphs) == 74
+
+
+def test_each_center_and_bracket_matching_is_computed_once(monkeypatch):
+    # The index reports, the sampling oracle and the stabilizer checks read the
+    # algebra's kept center and matching number: one centralizer per algebra
+    # that asks for its center, one bracket-graph search per algebra asking nu.
+    monkeypatch.setattr(verify, "_CORPUS", verify._Corpus())
+    built = calls_to(monkeypatch, algebra_module, "centralizer")
+    searched = calls_to(monkeypatch, algebra_module, "blossom_matching")
+    assert all(c.passed for c in all_cases())
+    assert len(built) == 196
+    assert all(s == Subspace.full(g.dim) for g, s in built)
+    assert len(searched) == 245
 
 
 def test_section_filter():

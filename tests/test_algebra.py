@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lieindex import algebra as algebra_module
+from lieindex import verify
 from lieindex.algebra import (
     LieAlgebra,
     Subspace,
@@ -23,7 +24,7 @@ from lieindex.algebra import (
 from lieindex.filiform import build_G, build_L, build_Q, random_adapted_deformation
 from lieindex.free_nilpotent import build_fg3_explicit_basis, build_free_nilpotent, build_metabelian
 from lieindex.graphs import SimpleGraph, build_graph_algebra
-from lieindex.index import LinearFunctional, alpha_sandwich, index, ooms_criterion, stabilizer
+from lieindex.index import LinearFunctional, alpha_sandwich, index, index_by_sampling, ooms_criterion, stabilizer
 from lieindex.linalg import SparseEchelon
 from lieindex.serialize import (
     algebra_from_dict,
@@ -372,6 +373,30 @@ class TestSubspace:
 
     @pytest.mark.parametrize("x", [0.5, 1.0, True, pytest.param("1", id="str"),
                                    pytest.param(Decimal("1"), id="Decimal")])
+    def test_span_refuses_inexact_values(self, x):
+        # {0: 0.5, 1: 1} once spanned the row {0: 1, 1: 2.0}.
+        with pytest.raises(ValueError, match=r"^coordinate 0 of vector 1 must be an int or Fraction, got "):
+            Subspace.span(3, [{2: 1}, {0: x, 1: 1}])
+
+    def test_span_refuses_float_rows(self):
+        # Two float rows once raised a bare TypeError inside the echelon.
+        with pytest.raises(ValueError, match=r"^coordinate 0 of vector 0 must be an int or Fraction, got 0.5$"):
+            Subspace.span(3, [{0: 0.5}, {1: 1.5}])
+
+    @pytest.mark.parametrize("c", [3, 5, -1, True, 1.0, pytest.param("0", id="str")])
+    def test_span_refuses_coordinates_outside_the_space(self, c):
+        # {5: 1} and {-1: 1} once gave rows outside Q^3.
+        with pytest.raises(ValueError, match=re.escape(f"coordinate {c!r} of vector 1 must be an integer in range(3)")):
+            Subspace.span(3, [{0: 1}, {c: 1}])
+
+    def test_span_keeps_exact_values(self):
+        s = Subspace.span(3, [{0: Fraction(1, 2), 1: 1}, {2: Fraction(6, 3)}, {}])
+        assert s.rows == ({0: 1, 1: 2}, {2: 1})
+        assert_exact(x for row in s.rows for x in row.values())
+        assert Subspace.span(3, [{0: np.int64(2)}]).rows == ({0: 1},)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, True, pytest.param("1", id="str"),
+                                   pytest.param(Decimal("1"), id="Decimal")])
     def test_from_vectors_refuses_inexact_values(self, x):
         # 1.0 was stored as a float row value, and True and "1" went through.
         with pytest.raises(ValueError, match=r"^coordinate 0 of vector 1 must be an int or Fraction, got "):
@@ -461,6 +486,33 @@ class TestCenter:
 
     def test_zero_algebra(self):
         assert center(LieAlgebra(0)).dim == 0
+
+    def test_center_is_built_once_per_algebra(self, monkeypatch):
+        # center(), the sampling oracle's ceiling and the catalogue's stabilizer
+        # checks read one kept basis.
+        built = calls_to(monkeypatch, algebra_module, "centralizer")
+        g = build_free_nilpotent(3, 3).algebra
+        z = center(g)
+        assert center(g) is z
+        assert index_by_sampling(g) == index(g).index == 8
+        assert verify._stabilizer_checks(g, 0) == (True, True)
+        assert [args[0] for args in built] == [g]
+
+    def test_equal_algebras_each_build_their_center(self, monkeypatch):
+        # The basis is kept on the instance, not looked up by value.
+        built = calls_to(monkeypatch, algebra_module, "centralizer")
+        g, h = two_step_free(), two_step_free()
+        assert g == h and g is not h
+        assert center(g) == center(h)
+        assert [args[0] for args in built] == [g, h]
+
+    def test_kept_center_is_a_fresh_centralizer(self):
+        f34 = build_free_nilpotent(3, 4).algebra
+        algebras = [g for _, g in catalogue_algebras()] + [change_basis(f34, rational_basis_change(f34.dim))]
+        for g in algebras:
+            z = center(g)
+            assert center(g) is z
+            assert z == centralizer(g, Subspace.full(g.dim)), g
 
     @pytest.mark.parametrize(
         "build",

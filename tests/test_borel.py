@@ -41,7 +41,7 @@ def test_index_center_and_class(kind, N):
     rep = index(g)
     assert rep.index == chi
     if kind == "so":  # the ceiling is loose: the exact check below it runs
-        assert rep.generic_rank < _rank_ceiling(g.dim, g.brackets, rep.center_dim)
+        assert rep.generic_rank < _rank_ceiling(g, rep.center_dim)
 
 
 @pytest.mark.parametrize("N", range(7, 12))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 import sympy
 
+from lieindex import algebra as algebra_module
 from lieindex import cli, graphs
 from lieindex.algebra import LieAlgebra
 from lieindex.free_nilpotent import build_free_nilpotent
@@ -210,6 +211,19 @@ class TestIndex:
         code, out, err = run(capsys, "index", path, "--trials", trials)
         assert code == 2 and out == "" and "trials" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    def test_negative_seed_is_refused(self, capsys, tmp_path, seed):
+        # --seed -1 once printed the witness of --seed 1 under "seed": -1.
+        path = write_algebra(tmp_path, build_free_nilpotent(3, 3).algebra)
+        code, out, err = run(capsys, "index", path, "--witness", "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"lieindex: seed must be nonnegative, got {seed}\n"
+        gpath = tmp_path / "p3.json"
+        gpath.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]]}))
+        assert run(capsys, "graph-index", str(gpath), "--seed", seed)[:2] == (2, "")
+        code, out, _ = run(capsys, "index", path, "--witness", "--seed", seed[1:])
+        assert code == 0 and json.loads(out)["method"]["seed"] == -int(seed)
+
     def test_witness_not_found(self, capsys, tmp_path):
         # The structure constant vanishes modulo the default prime: every trial
         # ranks 0, below the certified rank 2, which no number of trials could
@@ -351,11 +365,12 @@ class TestGraphIndex:
         assert res["report"]["dim"] == 10
 
     def test_short_matching_is_a_mismatch(self, capsys, tmp_path, monkeypatch):
-        # The blossom core also gives index()'s rank ceiling.  A matching one
-        # edge short lowers that ceiling below every trial's rank, so the
-        # rank route stays exact and the two routes disagree.
+        # The blossom core also gives LieAlgebra's matching number, which caps
+        # index()'s rank.  A matching one edge short lowers that ceiling below
+        # every trial's rank, so the rank route stays exact and the two routes
+        # disagree.
         core = graphs.blossom_matching
-        for module in (graphs, index_module):
+        for module in (graphs, algebra_module):
             monkeypatch.setattr(module, "blossom_matching", lambda edges: core(edges)[1:])
         with pytest.raises(RuntimeError, match=r"graph index mismatch .*\(5 vs 3\)"):
             graphs.graph_index(graphs.SimpleGraph(4, ((0, 1), (1, 2), (2, 3))))

@@ -157,6 +157,12 @@ class TestAdaptedBasisChecks:
         with pytest.raises(ValueError, match=re.escape("not an adapted filiform algebra: [e1,e2] != e3")):
             FiliformAlgebra(LieAlgebra(5))
 
+    def test_type_refuses_what_is_not_a_lie_algebra(self):
+        # Both once failed in adapted_violation with an AttributeError on .dim.
+        for x, name in ((build_L(5), "FiliformAlgebra"), ("x", "str")):
+            with pytest.raises(ValueError, match=f"^a filiform algebra wraps a LieAlgebra, got {name}$"):
+                FiliformAlgebra(x)
+
     def test_alphas_keep_the_constant_type(self):
         for f in (build_L(5), build_Q(8), build_G(9, 5), random_adapted_deformation(build_Q(8), 3)):
             assert {type(a) for a in alphas(f)} == {int}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
+from lieindex import algebra as algebra_module
 from lieindex.algebra import (
     LieAlgebra,
     NotAbelianError,
@@ -247,6 +248,16 @@ class TestIndexReport:
             with pytest.raises(ValueError, match=re.escape(f"must be an int, got {value!r}")):
                 index(g, certify=certify, **{name: value})
 
+    def test_negative_seed_is_refused(self):
+        # random.Random seeds with |n|: trial 0 of seed -1 once drew trial 0 of
+        # seed 1, and the report printed "seed": -1.
+        assert index_module._trial_rng(-1, 0).getrandbits(61) == index_module._trial_rng(1, 0).getrandbits(61)
+        g = heisenberg()
+        for seed, certify in product((-1, -2, np.int64(-1)), (False, True)):
+            with pytest.raises(ValueError, match=f"^seed must be nonnegative, got {int(seed)}$"):
+                index(g, seed=seed, certify=certify)
+        assert index(g, seed=0).method["seed"] == 0
+
     def test_numpy_trial_parameters_print_as_ints(self):
         rep = index(heisenberg(), trials=np.int64(2), seed=np.int64(5), prime=np.int64(DEFAULT_PRIME))
         assert rep.method == index(heisenberg(), trials=2, seed=5).method
@@ -307,6 +318,9 @@ class TestSampling:
                 index_by_sampling(g, **{name: value})
         with pytest.raises(ValueError, match="samples must be nonnegative, got -3"):
             index_by_sampling(g, samples=-3)
+        for seed in (-1, -2):  # random.Random(-s) draws what random.Random(s) draws
+            with pytest.raises(ValueError, match=f"^seed must be nonnegative, got {seed}$"):
+                index_by_sampling(g, seed=seed)
         assert index_by_sampling(g, samples=np.int64(5), seed=np.int64(2)) == index_by_sampling(g, 5, 2) == 1
 
     def test_bound_is_an_int(self):
@@ -360,6 +374,17 @@ class TestSampling:
 class TestRankCeiling:
     # No rank of M(g) passes min(2 nu(B(g)), n - dim z(g) rounded down to
     # even); the randomized trials stop there.
+
+    def test_index_and_sampling_share_one_matching(self, monkeypatch):
+        # nu is the algebra's: one blossom search however often the ceiling is read.
+        searched = calls_to(monkeypatch, algebra_module, "blossom_matching")
+        g = build_free_nilpotent(3, 3).algebra
+        index(g)
+        index_by_sampling(g)
+        index(g, seed=1, want_witness=True)
+        assert searched == [(g.brackets,)]
+        h = build_free_nilpotent(3, 3).algebra
+        assert index(h) == index(g) and len(searched) == 2
 
     def test_catalogue_ceiling_is_the_certified_rank(self):
         # Equality on every catalogue algebra of dim <= 40 and F(2,6), so a
@@ -431,7 +456,7 @@ class TestRankCeiling:
         assert index(degenerate).index == 2
         algebras = [g for _, g in catalogue_algebras()] + [degenerate]
         stopped = self._reports(algebras)
-        monkeypatch.setattr(index_module, "_rank_ceiling", lambda n, pairs, z: n + 1)
+        monkeypatch.setattr(index_module, "_rank_ceiling", lambda g, z: g.dim + 1)
         assert self._reports(algebras) == stopped
 
     def test_bad_moduli_miss_the_ceiling(self, monkeypatch):
@@ -446,7 +471,7 @@ class TestRankCeiling:
             return dumps(report_to_dict(rep))
 
         stopped = outcome()
-        monkeypatch.setattr(index_module, "_rank_ceiling", lambda n, pairs, z: n + 1)
+        monkeypatch.setattr(index_module, "_rank_ceiling", lambda g, z: g.dim + 1)
         assert outcome() == stopped
 
     def test_one_trial_and_no_exact_rank_at_the_ceiling(self, monkeypatch):

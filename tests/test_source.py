@@ -7,6 +7,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import lieindex
 from lieindex import algebra, linalg
 
@@ -41,21 +43,63 @@ def _decorator_name(node) -> str:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
 
 
+def _module_level_caches(tree) -> list[int]:
+    """Lines of a module or class body that make a cache living as long as the
+    process: a def decorated with lru_cache or cache, or a call such as
+    lru_cache(maxsize=None)(f) or cache(f)."""
+    found = set()
+    for node in tree.body:
+        for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {d.lineno for dec in d.decorator_list if _decorator_name(dec) in ("lru_cache", "cache")}
+            else:
+                found |= {c.lineno for c in ast.walk(d)
+                          if isinstance(c, ast.Call) and _decorator_name(c.func) in ("lru_cache", "cache")}
+    return sorted(found)
+
+
 def test_no_module_level_caches():
     # A module-level cache lives as long as the process and is shared by every
     # caller; state the catalogue reuses belongs to an object that owns it.
     found = []
     for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            defs = node.body if isinstance(node, ast.ClassDef) else [node]
-            found += [
-                f"{path.name}:{d.lineno}"
-                for d in defs
-                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and any(_decorator_name(dec) in ("lru_cache", "cache") for dec in d.decorator_list)
-            ]
+        found += [f"{path.name}:{line}" for line in _module_level_caches(tree)]
     assert not found, f"module-level caches in the package: {found}"
+
+
+@pytest.mark.parametrize("source, lines", [
+    pytest.param("@lru_cache(maxsize=None)\ndef f(x):\n    return x\n", [2], id="decorator-call"),
+    pytest.param("@functools.cache\ndef f(x):\n    return x\n", [2], id="decorator"),
+    pytest.param("f = lru_cache(maxsize=None)(g)\n", [1], id="lru_cache-call"),
+    pytest.param("f = cache(g)\n", [1], id="cache-call"),
+    pytest.param("x = 1\nf = functools.lru_cache()(g)\n", [2], id="attribute-call"),
+    pytest.param("class A:\n    f = cache(g)\n", [2], id="class-call"),
+    pytest.param("class A:\n    @cache\n    def f(self):\n        return 1\n", [3], id="method"),
+    pytest.param("def f(g):\n    return cache(g)\n", [], id="per-call"),
+    pytest.param("class A:\n    @cached_property\n    def f(self):\n        return 1\n", [], id="per-instance"),
+])
+def test_module_level_cache_forms(source, lines):
+    assert _module_level_caches(ast.parse(source)) == lines
+
+
+def test_per_instance_caches_are_listed():
+    # LieAlgebra is read-only after construction, so it keeps its center and
+    # its bracket graph's matching number; the catalogue's corpus keeps what it
+    # built.  A new cached_property joins this list on purpose, or not at all.
+    found = set()
+    for path in sorted(Path(lieindex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            found |= {f"{path.name}:{cls.name}.{d.name}" for d in cls.body
+                      if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and any(_decorator_name(dec) == "cached_property" for dec in d.decorator_list)}
+        found |= {f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _decorator_name(node.func) == "cached_property"}
+    algebra_caches = {"algebra.py:LieAlgebra._center", "algebra.py:LieAlgebra._matching_number"}
+    corpus = {f"verify.py:_Entry.{name}" for name in ("report", "matching")}
+    corpus |= {f"verify.py:_Corpus.{name}" for name in ("free", "explicit", "meta", "graphs", "filiform")}
+    assert found == algebra_caches | corpus
 
 
 def _is_fermat_inverse(node) -> bool:
